@@ -19,7 +19,7 @@ from .datum import (
     moment_mu,
     phi,
 )
-from .errors import DomainError, Exceptional
+from .errors import DomainError, Exceptional, InvariantViolation
 from .exactalg import (
     GaussianRational,
     Matrix,
@@ -102,6 +102,12 @@ def random_system(rng: random.Random, max_dim=3, max_poles=3, max_order=3, const
     return System(n, const, tuple(parts))
 
 
+def _require(condition: bool, message: str = "") -> None:
+    """Fail a check with InvariantViolation; unlike assert, survives -O."""
+    if not condition:
+        raise InvariantViolation(message)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -141,7 +147,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
     def rank_nullity():
         for part in sys.parts:
             for c in part.coefficients:
-                assert rank(c) + len(kernel_basis(c)) == c.cols
+                _require(rank(c) + len(kernel_basis(c)) == c.cols)
 
     def gauge_group_law():
         for part in sys.parts:
@@ -150,26 +156,26 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
             h = random_gauge(rng, part.point, n, k)
             lhs = gauge_coadjoint(gauge_compose(g, h), part)
             rhs = gauge_coadjoint(g, gauge_coadjoint(h, part))
-            assert lhs.coefficients == rhs.coefficients, "gauge action is not a group action"
+            _require(lhs.coefficients == rhs.coefficients, "gauge action is not a group action")
 
     def order_invariance():
         for g, part in _gauged_parts(rng, sys):
-            assert order(gauge_coadjoint(g, part)) == order(part), "pole order moved under gauge"
+            _require(order(gauge_coadjoint(g, part)) == order(part), "pole order moved under gauge")
 
     def irreducibility_conjugation():
         c = random_invertible(rng, n)
-        assert is_irreducible(sys) == is_irreducible(conjugate_system(c, sys))
+        _require(is_irreducible(sys) == is_irreducible(conjugate_system(c, sys)))
 
     def residue_additivity():
         alpha = scalar_system({0: [random_scalar(rng)], 1: [random_scalar(rng)]})
         lhs = residue_at_infinity(add_scalar(sys, alpha))
         rhs = residue_at_infinity(sys) + residue_at_infinity(alpha).scalar() * Matrix.identity(n)
-        assert lhs == rhs, "residue at infinity is not additive"
+        _require(lhs == rhs, "residue at infinity is not additive")
 
     def section_retraction():
         d = canonical(sys.parts, n)
-        assert phi(d) == System(n, Matrix.zeros(n, n), sys.parts), "phi(canonical) != input"
-        assert is_stable(d), "canonical datum is not stable"
+        _require(phi(d) == System(n, Matrix.zeros(n, n), sys.parts), "phi(canonical) != input")
+        _require(is_stable(d), "canonical datum is not stable")
 
     def padding_independence():
         padded = tuple(
@@ -177,7 +183,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
         )
         d1 = canonical(sys.parts, n)
         d2 = canonical(padded, n)
-        assert datum_isomorphism(d1, d2) is not None, "canonical datum depends on padding"
+        _require(datum_isomorphism(d1, d2) is not None, "canonical datum depends on padding")
 
     def equivariance_invariance():
         d = canonical(sys.parts, n)
@@ -185,17 +191,17 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
             k = max(1, nilpotency_index(b.nilpotent))
             g = random_gauge(rng, b.point, n, k)
             gd = gk_action(g, d)
-            assert moment_mu(gd) == moment_mu(d), "moment value moved under the gauge action"
+            _require(moment_mu(gd) == moment_mu(d), "moment value moved under the gauge action")
             lhs = phi(gd)
             rhs_parts = tuple(
                 gauge_coadjoint(g, p) if p.point == b.point else p for p in phi(d).parts
             )
-            assert lhs == System(n, Matrix.zeros(n, n), rhs_parts), "phi is not equivariant"
+            _require(lhs == System(n, Matrix.zeros(n, n), rhs_parts), "phi is not equivariant")
 
     def stabilizer_modes():
         for part in sys.parts:
             nf = compute_normal_form(part)
-            assert stabilizer_dim_linear(part) == stabilizer_dim_formula(nf), "stabilizer modes disagree"
+            _require(stabilizer_dim_linear(part) == stabilizer_dim_formula(nf), "stabilizer modes disagree")
 
     def kernel_modes_and_katz():
         for part in sys.parts:
@@ -206,14 +212,14 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
             coeffs = scalar_coefficients(sel)
             k = len(part.coefficients)
             coeffs = coeffs + [gr(0)] * (k - len(coeffs))
-            assert hat_kernel_dim(part, sel) == hat_kernel_dim_formula(nf, coeffs), "kernel modes disagree"
-            assert stabilizer_dim_linear(part) <= n * hat_kernel_dim(part, sel), "Katz inequality failed"
+            _require(hat_kernel_dim(part, sel) == hat_kernel_dim_formula(nf, coeffs), "kernel modes disagree")
+            _require(stabilizer_dim_linear(part) <= n * hat_kernel_dim(part, sel), "Katz inequality failed")
 
     def normal_form_gauge_invariance():
         for g, part in _gauged_parts(rng, sys):
             nf1 = compute_normal_form(part)
             nf2 = compute_normal_form(gauge_coadjoint(g, part))
-            assert normal_forms_conjugate(nf1, nf2), "normal form moved under gauge"
+            _require(normal_forms_conjugate(nf1, nf2), "normal form moved under gauge")
 
     def duality_involution():
         if not is_irreducible(sys):
@@ -222,7 +228,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
             back, witness = hd_double(sys)
         except Exceptional:
             return
-        assert witness is not None, "double dual is not equivalent to the input"
+        _require(witness is not None, "double dual is not equivalent to the input")
 
     def rigidity_conjugation():
         from .rigidity import rigidity_index
@@ -232,7 +238,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
         if not is_irreducible(sys):
             return
         c = random_invertible(rng, n)
-        assert rigidity_index(sys) == rigidity_index(conjugate_system(c, sys))
+        _require(rigidity_index(sys) == rigidity_index(conjugate_system(c, sys)))
 
     record("rank_nullity", rank_nullity)
     record("gauge_group_law", gauge_group_law)

@@ -27,10 +27,9 @@ from .errors import (
 from .exactalg import (
     GaussianRational,
     Matrix,
-    centralizer_basis,
     generalized_eigendecomposition,
     gr,
-    kernel_basis,
+    intertwiner_basis,
     nilpotency_index,
     quotient_projection,
     rank,
@@ -146,7 +145,7 @@ class HarnadDatum:
 
     @cached_property
     def s_blocking(self):
-        """Generalized eigendecomposition of S, cached; the E-side blocking."""
+        """(eigenvalue, basis, nil) triples of S, cached; the E-side blocking."""
         return generalized_eigendecomposition(self.s_matrix)
 
 
@@ -284,9 +283,9 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
 class MomentValue:
     """Value of the moment map for the centralizer of T.
 
-    Per block: -P_t Q_t together with its trace pairings against a basis
-    of the commutant of N_t.  Equality in the dual of that centralizer is
-    equality of all pairings.
+    Per block: -P_t Q_t together with its trace pairings against the
+    echelon basis of the commutant of N_t (``intertwiner_basis``).
+    Equality in the dual of that centralizer is equality of all pairings.
     """
 
     entries: tuple[tuple[GaussianRational, Matrix, tuple[GaussianRational, ...]], ...]
@@ -306,7 +305,8 @@ def moment_mu(d: Datum) -> MomentValue:
     entries = []
     for b in d.blocks:
         value = -(b.p * b.q)
-        pairings = tuple((value * x).trace() for x in centralizer_basis(b.nilpotent))
+        commutant = intertwiner_basis([(b.nilpotent, b.nilpotent)])
+        pairings = tuple((value * x).trace() for x in commutant)
         entries.append((b.point, value, pairings))
     return MomentValue(tuple(entries))
 
@@ -317,50 +317,22 @@ def moment_mu(d: Datum) -> MomentValue:
 
 
 def _block_iso(b1: Block, b2: Block):
-    """Solve f N = N' f, Q' f = Q, f P = P' for f: W_t -> W'_t."""
+    """The f: W_t -> W'_t with f N = N' f, Q' f = Q, f P = P', or None.
+
+    Such an f sends N^k P to N'^k P'.  On a stable block those columns span
+    W_t, so solve finds the only candidate; the rest is checked exactly.
+    """
     w = b1.dim_w
     if b2.dim_w != w:
         return None
-    n = b1.dim_v
-    rows = []
-    rhs = []
-    # f N - N' f = 0
-    for i in range(w):
-        for j in range(w):
-            row = [gr(0)] * (w * w)
-            for l in range(w):
-                row[i * w + l] = row[i * w + l] + b1.nilpotent[l, j]
-                row[l * w + j] = row[l * w + j] - b2.nilpotent[i, l]
-            rows.append(row)
-            rhs.append(gr(0))
-    # Q' f = Q
-    for i in range(n):
-        for j in range(w):
-            row = [gr(0)] * (w * w)
-            for l in range(w):
-                row[l * w + j] = row[l * w + j] + b2.q[i, l]
-            rows.append(row)
-            rhs.append(b1.q[i, j])
-    # f P = P'
-    for i in range(w):
-        for j in range(n):
-            row = [gr(0)] * (w * w)
-            for l in range(w):
-                row[i * w + l] = row[i * w + l] + b1.p[l, j]
-            rows.append(row)
-            rhs.append(b2.p[i, j])
-    a = Matrix.from_rows(rows)
-    x = solve(a, Matrix.column(rhs))
-    if x is None:
+    k1, k2 = (Matrix.hstack([b.nilpotent**k * b.p for k in range(w)]) for b in (b1, b2))
+    ft = solve(k1.transpose(), k2.transpose())
+    if ft is None:
         return None
-    candidates = [x]
-    for v in kernel_basis(a):
-        candidates.append(x + v)
-    for c in candidates:
-        f = Matrix(w, w, [c[k, 0] for k in range(w * w)])
-        if rank(f) == w:
-            return f
-    return None
+    f = ft.transpose()
+    if f * b1.nilpotent != b2.nilpotent * f or b2.q * f != b1.q or rank(f) != w:
+        return None
+    return f
 
 
 def datum_isomorphism(d1: Datum, d2: Datum):
@@ -403,17 +375,14 @@ def resolvent_principal_parts(
         return ()
     if eig is None:
         eig = generalized_eigendecomposition(mid)
-    basis = Matrix.hstack([b for _, b in eig])
+    basis = Matrix.hstack([b for _, b, _ in eig])
     left_c = left * basis
     right_c = solve(basis, right)
-    mid_c = solve(basis, mid * basis)
     parts = []
     offset = 0
     out_dim = left.rows
-    for ev, b in eig:
+    for ev, b, nil in eig:
         m = b.cols
-        sub_mid = mid_c.submatrix(offset, offset + m, offset, offset + m)
-        nil = sub_mid - ev * Matrix.identity(m)
         lblk = left_c.submatrix(0, out_dim, offset, offset + m)
         rblk = right_c.submatrix(offset, offset + m, 0, right.cols)
         coeffs = []

@@ -10,6 +10,11 @@ class DomainError(Exception):
     """Base class for all input-dependent failures."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal invariant or cross-check failed.  Raised explicitly so
+    that python -O cannot skip it; not a DomainError, so never exit status 1."""
+
+
 class DimensionMismatch(DomainError):
     pass
 

@@ -22,21 +22,18 @@ __all__ = [
     "GaussianRational",
     "Matrix",
     "gr",
-    "rref",
     "rank",
     "kernel_basis",
-    "image_basis",
     "quotient_projection",
     "solve",
-    "solve_linear",
     "invert",
-    "restrict_to_column_span",
     "char_poly",
     "char_eigenvalues",
     "nilpotent_partition",
     "nilpotency_index",
     "generalized_eigendecomposition",
-    "centralizer_basis",
+    "sylvester_operator",
+    "intertwiner_basis",
 ]
 
 
@@ -507,17 +504,6 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     return basis
 
 
-def image_basis(m: Matrix) -> list[Matrix]:
-    """Echelon basis of the column space, as column vectors."""
-    r, _, grid = _row_reduce(m.transpose())
-    return [Matrix.column(grid[i]) for i in range(r)]
-
-
-def rref(m: Matrix):
-    """Row reduction summary: (rank, kernel basis, image basis)."""
-    return rank(m), kernel_basis(m), image_basis(m)
-
-
 def quotient_projection(m: Matrix):
     """Coordinates on the quotient (domain of m) / Ker m.
 
@@ -552,25 +538,14 @@ def solve(a: Matrix, b: Matrix):
     return Matrix(a.cols, b.cols, ents)
 
 
-def solve_linear(a: Matrix, b: Matrix):
-    """Solve a*x = b for a single right-hand side.
-
-    Returns (particular, kernel basis) or None when unsolvable.
-    """
-    x = solve(a, b)
-    if x is None:
-        return None
-    return x, kernel_basis(a)
-
-
 def invert(m: Matrix):
-    """Exact inverse, or None if singular."""
+    """Exact inverse, or None if singular.
+
+    For square m, solving m*X = I fails exactly when m is singular.
+    """
     if not m.is_square():
         raise DimensionMismatch("inverse of non-square matrix")
-    x = solve(m, Matrix.identity(m.rows))
-    if x is None or rank(m) != m.rows:
-        return None
-    return x
+    return solve(m, Matrix.identity(m.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -875,49 +850,46 @@ def nilpotent_partition(n: Matrix) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Matrix]]:
-    """Pairs (eigenvalue, basis of Ker (m - ev)^dim as matrix columns).
+def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Matrix, Matrix]]:
+    """Triples (eigenvalue, basis, nil) in eigenvalue sort order.
 
-    The bases concatenate to a full basis of the space; order is the sort
-    order of the eigenvalues.
+    basis holds Ker (m - ev)^mult (algebraic multiplicity) as columns and
+    nil is m - ev restricted to it: (m - ev) * basis == basis * nil.  The
+    bases concatenate to a full basis of the space.
     """
-    eigs = char_eigenvalues(m)
     n = m.rows
     out = []
     total = 0
-    for ev, _ in eigs:
-        power = (m - ev * Matrix.identity(n)) ** n
-        basis = kernel_basis(power)
-        total += len(basis)
-        out.append((ev, Matrix.hstack(basis)))
+    for ev, mult in char_eigenvalues(m):
+        shifted = m - ev * Matrix.identity(n)
+        basis = Matrix.hstack(kernel_basis(shifted**mult))
+        total += basis.cols
+        out.append((ev, basis, solve(basis, shifted * basis)))
     if total != n:  # pragma: no cover - guarded by char_eigenvalues
         raise IrrationalSpectrum("generalized eigenspaces do not fill the space")
     return out
 
 
-def centralizer_basis(n: Matrix) -> list[Matrix]:
-    """Basis of {X : X n = n X}, solved exactly as a kernel problem."""
-    if not n.is_square():
-        raise DimensionMismatch("centralizer of non-square matrix")
-    d = n.rows
-    if d == 0:
-        return []
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [_ZERO] * (d * d)
-            for b in range(d):
-                row[i * d + b] = row[i * d + b] + n[b, j]
-            for a in range(d):
-                row[a * d + j] = row[a * d + j] - n[i, a]
-            rows.append(row)
-    basis = kernel_basis(Matrix.from_rows(rows))
-    return [Matrix(d, d, [v[k, 0] for k in range(d * d)]) for v in basis]
+def sylvester_operator(x: Matrix, y: Matrix) -> Matrix:
+    """Matrix of f -> f*x - y*f on the row-major entries of f, for square
+    x and y; f has y.rows rows and x.rows columns."""
+    p, q = y.rows, x.rows
+    size = p * q
+    ents = [_ZERO] * (size * size)
+    for i in range(p):
+        for j in range(q):
+            row = (i * q + j) * size
+            # entry (i, j) of f*x - y*f: sum_l f[i,l] x[l,j] - sum_l y[i,l] f[l,j]
+            for l in range(q):
+                ents[row + i * q + l] = ents[row + i * q + l] + x[l, j]
+            for l in range(p):
+                ents[row + l * q + j] = ents[row + l * q + j] - y[i, l]
+    return Matrix(size, size, ents)
 
 
-def restrict_to_column_span(m: Matrix, basis: Matrix) -> Matrix:
-    """Matrix of m on the invariant subspace spanned by the columns of basis."""
-    x = solve(basis, m * basis)
-    if x is None:
-        raise DimensionMismatch("subspace is not invariant under the map")
-    return x
+def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
+    """Echelon basis of {f : f*x = y*f for every (x, y) in pairs}; it depends
+    only on that space.  ``intertwiner_basis([(n, n)])`` is the commutant of n."""
+    p, q = pairs[0][1].rows, pairs[0][0].rows
+    op = Matrix.vstack([sylvester_operator(x, y) for x, y in pairs])
+    return [Matrix(p, q, v.entries()) for v in kernel_basis(op)]

@@ -1,4 +1,4 @@
-"""Duality and convolution functors on pairs (V, A).
+"""Duality and convolution functors on pairs (V, A), i.e. Systems.
 
 hd realizes the composite: take the canonical datum of the principal
 parts, swap the roles of the two vector spaces, and read the realized
@@ -39,7 +39,6 @@ from .systems import (
 )
 
 __all__ = [
-    "Pair",
     "OkuboTriple",
     "hd",
     "mc",
@@ -48,11 +47,7 @@ __all__ = [
     "hd_double",
 ]
 
-# A pair (V, A) is simply a System; the zero pair has dimension 0.
-Pair = System
-
-
-def hd(p: Pair) -> Pair:
+def hd(p: System) -> System:
     """The dual pair.  Pure-constant input (no effective poles) dualizes
     to the zero pair."""
     if p.dimension == 0:
@@ -60,20 +55,7 @@ def hd(p: Pair) -> Pair:
     return psi(kappa(p))
 
 
-def _spectral_orders(s: Matrix) -> dict[GaussianRational, int]:
-    """Eigenvalue -> nilpotency index of the nilpotent part on its
-    generalized eigenspace."""
-    out = {}
-    for ev, basis in generalized_eigendecomposition(s):
-        from .exactalg import solve
-
-        sub = solve(basis, s * basis)
-        nil = sub - ev * Matrix.identity(basis.cols)
-        out[ev] = max(1, nilpotency_index(nil))
-    return out
-
-
-def mc(p: Pair, alpha: System) -> Pair:
+def mc(p: System, alpha: System) -> System:
     """Middle convolution with the rank-1 parameter alpha.
 
     alpha must carry no constant term (translations are the caller's
@@ -86,7 +68,10 @@ def mc(p: Pair, alpha: System) -> Pair:
         raise NonzeroConstantTerm(
             "convolution parameter has a constant term; translate the coordinate first"
         )
-    allowed = _spectral_orders(p.constant)
+    allowed = {
+        ev: max(1, nilpotency_index(nil))
+        for ev, _, nil in generalized_eigendecomposition(p.constant)
+    }
     for part in alpha.parts:
         d = order(part)
         if d == 0:
@@ -103,7 +88,7 @@ def mc(p: Pair, alpha: System) -> Pair:
     return hd(add_scalar(dual, alpha))
 
 
-def dr_middle_convolution(p: Pair, lam: GaussianRational) -> Pair:
+def dr_middle_convolution(p: System, lam: GaussianRational) -> System:
     """Classical two-step middle convolution of a Fuchsian pair.
 
     Step one realizes the pair on W = sum of V/Ker A_t, step two quotients
@@ -170,7 +155,7 @@ class OkuboTriple:
         return self.t_matrix.rows
 
 
-def okubo_to_pair(o: OkuboTriple) -> Pair:
+def okubo_to_pair(o: OkuboTriple) -> System:
     """Factor R = P Q through V = W/Ker R and expand Q (zI - T)^{-1} P."""
     pi, iota = quotient_projection(o.r_matrix)
     v = pi.rows
@@ -182,7 +167,7 @@ def okubo_to_pair(o: OkuboTriple) -> Pair:
     return System(v, Matrix.zeros(v, v), parts)
 
 
-def hd_double(p: Pair):
+def hd_double(p: System):
     """hd(hd(p)) together with the constant-gauge witness back to p.
 
     Raises Exceptional exactly when the first dual vanishes, i.e. when p

@@ -11,8 +11,8 @@ coefficient met along the way is semisimple with spectrum in Q(i).
 
 The stabilizer dimension is computed two independent ways (an exact
 linear solve in the truncated gauge Lie algebra, and the eigenspace
-bookkeeping formula evaluated on the normal form); both are exposed and
-asserted equal when both apply.
+bookkeeping formula evaluated on the normal form); both are exposed, and
+stabilizer_dim raises InvariantViolation when both apply and disagree.
 """
 
 from __future__ import annotations
@@ -23,18 +23,21 @@ from typing import Optional, Sequence
 from .errors import (
     DimensionMismatch,
     InconsistentRank,
+    InvariantViolation,
     NoNormalForm,
 )
 from .exactalg import (
     GaussianRational,
     Matrix,
     char_eigenvalues,
+    generalized_eigendecomposition,
     gr,
     kernel_basis,
     nilpotent_partition,
     quotient_projection,
     rank,
     solve,
+    sylvester_operator,
 )
 from .datum import hat_matrix
 from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint
@@ -42,7 +45,6 @@ from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint
 __all__ = [
     "SpectralBlock",
     "NormalForm",
-    "SpectralSummary",
     "compute_normal_form",
     "assemble_normal_form",
     "stabilizer_dim",
@@ -133,19 +135,6 @@ def assemble_normal_form(nf: NormalForm) -> list[Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _semisimple_eigensplit(m: Matrix):
-    """Eigenvalue/basis pairs of a semisimple matrix, or None if m is not
-    semisimple.  Raises IrrationalSpectrum if the spectrum leaves Q(i)."""
-    from .exactalg import generalized_eigendecomposition
-
-    eig = generalized_eigendecomposition(m)
-    n = m.rows
-    for ev, basis in eig:
-        if not ((m - ev * Matrix.identity(n)) * basis).is_zero():
-            return None
-    return eig
-
-
 def _offdiag(m: Matrix, dims: list[int]) -> Matrix:
     rows = []
     starts = [sum(dims[:i]) for i in range(len(dims) + 1)]
@@ -169,8 +158,8 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
         tail = [gr(0)] * max(k - 1, 0)
         return [(tail, coeffs[0] if k >= 1 else Matrix.zeros(n, n))]
     lead = coeffs[d - 1]
-    eig = _semisimple_eigensplit(lead)
-    if eig is None:
+    eig = generalized_eigendecomposition(lead)
+    if any(not nil.is_zero() for _, _, nil in eig):
         raise NoNormalForm("a leading coefficient encountered is not semisimple")
     if len(eig) == 1:
         a = eig[0][0]
@@ -182,9 +171,9 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
         return blocks
     # several leading eigenvalues: pass to the eigenbasis and eliminate
     # the off-diagonal blocks one homogeneous gauge degree at a time
-    basis = Matrix.hstack([b for _, b in eig])
-    dims = [b.cols for _, b in eig]
-    evs = [ev for ev, _ in eig]
+    evs, bases, _ = zip(*eig)
+    basis = Matrix.hstack(bases)
+    dims = [b.cols for b in bases]
     cur = [solve(basis, c * basis) for c in coeffs]
     starts = [sum(dims[:i]) for i in range(len(dims) + 1)]
     for j in range(1, d):
@@ -205,8 +194,8 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
             g = TruncatedGauge(gr(0), tuple(gauge_coeffs))
             new_part = gauge_coadjoint(g, PrincipalPart(gr(0), tuple(cur)))
             cur = list(new_part.coefficients)
-    for c in cur:
-        assert _offdiag(c, dims).is_zero(), "off-diagonal elimination failed"
+    if any(not _offdiag(c, dims).is_zero() for c in cur):
+        raise InvariantViolation("off-diagonal elimination failed")
     out = []
     for bi in range(len(dims)):
         lo, hi = starts[bi], starts[bi + 1]
@@ -246,27 +235,11 @@ def compute_normal_form(part: PrincipalPart) -> NormalForm:
 
 def stabilizer_dim_linear(part: PrincipalPart) -> int:
     """dim of {xi in g_k(V) : ad-coadjoint action of xi kills the part},
-    by exact linear solve; works for any part."""
-    k = len(part.coefficients)
-    n = part.dimension
-    unknowns = k * n * n
-
-    rows = [[gr(0)] * unknowns for _ in range(k * n * n)]
-    # condition m: sum_{i=0}^{k-m} [xi_i, A_{m+i}] = 0
-    for m in range(1, k + 1):
-        for i in range(0, k - m + 1):
-            a = part.coefficients[m + i - 1]
-            if a.is_zero():
-                continue
-            base_eq = (m - 1) * n * n
-            base_un = i * n * n
-            for r in range(n):
-                for c in range(n):
-                    row = rows[base_eq + r * n + c]
-                    for l in range(n):
-                        row[base_un + r * n + l] = row[base_un + r * n + l] + a[l, c]
-                        row[base_un + l * n + c] = row[base_un + l * n + c] - a[r, l]
-    return len(kernel_basis(Matrix.from_rows(rows)))
+    by exact linear solve; works for any part.  Condition m reads
+    sum_{i=0}^{k-m} [xi_i, A_{m+i}] = 0: the hat matrix of the operators
+    xi -> [xi, A_j], with the unknown blocks in reverse order."""
+    m = hat_matrix([sylvester_operator(a, a) for a in part.coefficients])
+    return m.cols - rank(m)
 
 
 def _tail_groups(nf: NormalForm, i: int) -> dict:
@@ -280,16 +253,9 @@ def _tail_groups(nf: NormalForm, i: int) -> dict:
 
 def jordan_data(m: Matrix) -> tuple:
     """Sorted ((eigenvalue, jordan partition), ...); the conjugacy class."""
-    if m.rows == 0:
-        return ()
-    out = []
-    n = m.rows
-    for ev, mult in char_eigenvalues(m):
-        power = (m - ev * Matrix.identity(n)) ** n
-        basis = Matrix.hstack(kernel_basis(power))
-        restricted = solve(basis, (m - ev * Matrix.identity(n)) * basis)
-        out.append((ev, nilpotent_partition(restricted)))
-    return tuple(sorted(out, key=lambda t: t[0].sort_key()))
+    return tuple(
+        (ev, nilpotent_partition(nil)) for ev, _, nil in generalized_eigendecomposition(m)
+    )
 
 
 def _conjugate_partition(p: Sequence[int]) -> list[int]:
@@ -312,14 +278,15 @@ def stabilizer_dim_formula(nf: NormalForm) -> int:
 
 def stabilizer_dim(part: PrincipalPart) -> int:
     """Stabilizer dimension; when a normal form is computable the formula
-    mode is evaluated too and the two are asserted equal."""
+    mode is evaluated too and must agree (InvariantViolation otherwise)."""
     linear = stabilizer_dim_linear(part)
     try:
         nf = compute_normal_form(part)
     except NoNormalForm:
         return linear
     formula = stabilizer_dim_formula(nf)
-    assert linear == formula, f"stabilizer modes disagree: {linear} vs {formula}"
+    if linear != formula:
+        raise InvariantViolation(f"stabilizer modes disagree: {linear} vs {formula}")
     return linear
 
 
@@ -471,19 +438,3 @@ def normal_forms_conjugate(a: NormalForm, b: NormalForm) -> bool:
     da = {blk.tail_key(): (blk.dim, jordan_data(blk.gamma)) for blk in a.blocks}
     db = {blk.tail_key(): (blk.dim, jordan_data(blk.gamma)) for blk in b.blocks}
     return da == db
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Per spectrum: the pole order d and the residue's Jordan data."""
-
-    entries: tuple[tuple[tuple, int, int, tuple], ...]
-    # (tail key, dim, d_lambda, jordan data of gamma)
-
-
-def summarize(nf: NormalForm) -> SpectralSummary:
-    return SpectralSummary(
-        tuple(
-            (b.tail_key(), b.dim, b.pole_order(), jordan_data(b.gamma)) for b in nf.blocks
-        )
-    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational, Matrix
-from .functors import Pair, mc
+from .functors import mc
 from .normalform import select_alpha
 from .systems import (
     PrincipalPart,
@@ -44,7 +44,7 @@ class ReductionStep:
     lam: GaussianRational
     rank_before: int
     rank_after: int
-    result: Pair
+    result: System
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,12 @@ def orbit_dim(sys: System) -> int:
     return total
 
 
-def _require_d0(p: Pair):
+def _require_d0(p: System):
     if not p.constant.is_zero() or not residue_at_infinity(p).is_zero():
         raise NotInD0("pair has a constant term or a nonzero residue at infinity")
 
 
-def rigidity_index(p: Pair) -> int:
+def rigidity_index(p: System) -> int:
     """dim of the naive moduli space at p's truncated formal type.
 
     Zero means naively rigid; negative values are reported as computed
@@ -99,7 +99,7 @@ def rigidity_index(p: Pair) -> int:
     return orbit_dim(p) - 2 * n * n + 2
 
 
-def katz_step(p: Pair, alpha: System) -> Pair:
+def katz_step(p: System, alpha: System) -> System:
     """add_alpha then mc with weight Res_infinity(alpha) / z, then
     add_alpha again; preserves zero residue at infinity when the weight
     is nonzero."""
@@ -113,7 +113,7 @@ def katz_step(p: Pair, alpha: System) -> Pair:
     return add_scalar(convolved, alpha)
 
 
-def katz_reduce(p: Pair) -> ReductionTrace:
+def katz_reduce(p: System) -> ReductionTrace:
     """Greedy reduction to rank one.
 
     Each round recomputes the per-pole maximizer of the kernel dimension,

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .errors import (
     DimensionMismatch,
     InconclusiveEquivalence,
+    InvariantViolation,
     PointMismatch,
     SingularGauge,
     ValidationError,
@@ -25,8 +26,8 @@ from .exactalg import (
     GaussianRational,
     Matrix,
     gr,
+    intertwiner_basis,
     invert,
-    kernel_basis,
     rank,
 )
 
@@ -367,32 +368,15 @@ def is_irreducible(sys: System) -> bool:
 
 def _intertwiner_space(a: System, b: System) -> list[Matrix]:
     """Basis of {f : f S_a = S_b f and f A_{t,k} = B_{t,k} f for all t,k}."""
-    n = a.dimension
-    points = sorted(
-        {p.point for p in a.parts} | {p.point for p in b.parts},
-        key=lambda s: s.sort_key(),
-    )
+    zero = Matrix.zeros(a.dimension, a.dimension)
+    ca = {p.point: p.coefficients for p in a.parts}
+    cb = {p.point: p.coefficients for p in b.parts}
     pairs = [(a.constant, b.constant)]
-    for pt in points:
-        pa, pb = a.part_at(pt), b.part_at(pt)
-        ka = len(pa.coefficients) if pa else 0
-        kb = len(pb.coefficients) if pb else 0
-        for j in range(max(ka, kb)):
-            ma = pa.coefficients[j] if pa and j < ka else Matrix.zeros(n, n)
-            mb = pb.coefficients[j] if pb and j < kb else Matrix.zeros(n, n)
-            pairs.append((ma, mb))
-    rows = []
-    for x, y in pairs:
-        # entry (i,j) of f*x - y*f as a linear functional of vec(f)
-        for i in range(n):
-            for j in range(n):
-                row = [gr(0)] * (n * n)
-                for l in range(n):
-                    row[i * n + l] = row[i * n + l] + x[l, j]
-                    row[l * n + j] = row[l * n + j] - y[i, l]
-                rows.append(row)
-    basis = kernel_basis(Matrix.from_rows(rows))
-    return [Matrix(n, n, [v[k, 0] for k in range(n * n)]) for v in basis]
+    for pt in ca.keys() | cb.keys():
+        xs, ys = ca.get(pt, ()), cb.get(pt, ())
+        for j in range(max(len(xs), len(ys))):
+            pairs.append((xs[j] if j < len(xs) else zero, ys[j] if j < len(ys) else zero))
+    return intertwiner_basis(pairs)
 
 
 def equivalent(a: System, b: System):
@@ -411,7 +395,8 @@ def equivalent(a: System, b: System):
     space = _intertwiner_space(a, b)
     if not space:
         return None
-    assert len(space) == 1, "Schur bound violated for irreducible inputs"
+    if len(space) != 1:
+        raise InvariantViolation("Schur bound violated for irreducible inputs")
     f = space[0]
     return f if rank(f) == a.dimension else None
 

@@ -204,6 +204,43 @@ class TestCli:
         assert r1 == r2
         assert all(c["passed"] for c in r1["result"]["checks"])
 
+    def test_check_failures_survive_optimize(self, triple_file):
+        # a wrong gauge composition must fail gauge_group_law under -O too
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import midconv
+
+        code = """
+import json, sys
+import midconv.checks as checks
+from midconv.documents import parse_document
+from midconv.systems import TruncatedGauge
+
+def wrong_compose(g, h):
+    return TruncatedGauge(g.point, h.coefficients)
+
+checks.gauge_compose = wrong_compose
+with open(sys.argv[1], encoding="utf-8") as fh:
+    results = checks.run_checks(parse_document(fh.read()), 0, 2)
+print(json.dumps({"debug": __debug__, "passed": {r.name: r.passed for r in results}}))
+"""
+        src = str(pathlib.Path(midconv.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-O", "-c", code, triple_file],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        report = json.loads(child.stdout)
+        assert report["debug"] is False
+        assert report["passed"]["gauge_group_law"] is False
+        assert report["passed"]["rank_nullity"] is True
+
     def test_domain_error_exit_one(self, capsys, tmp_path):
         bad_alpha = tmp_path / "alpha.sys"
         bad_alpha.write_text(serialize_document(scalar_system({5: [1]})))

@@ -18,7 +18,7 @@ from midconv.datum import (
     psi,
 )
 from midconv.errors import EmptyV, NotStable
-from midconv.exactalg import Matrix, centralizer_basis, gr, invert, rank
+from midconv.exactalg import Matrix, gr, intertwiner_basis, invert, rank
 from midconv.systems import PrincipalPart, System, TruncatedGauge, gauge_coadjoint, zero_pair
 from midconv.checks import random_gauge, random_invertible, random_system
 
@@ -205,7 +205,7 @@ class TestMoment:
         mv = moment_mu(Datum(1, (RANK1_BLOCK,)))
         pt, mat, pairings = mv.entries[0]
         assert mat == Matrix.from_rows([[0, 0], [-2, -3]])
-        expected = tuple((mat * x).trace() for x in centralizer_basis(J2))
+        expected = tuple((mat * x).trace() for x in intertwiner_basis([(J2, J2)]))
         assert pairings == expected
         assert sorted(p.sort_key() for p in pairings) == [gr(-3).sort_key(), gr(-2).sort_key()]
 
@@ -267,6 +267,25 @@ class TestDatumIsomorphism:
         f = datum_isomorphism(d1, d2)
         assert f is not None
         assert f * d1.t_matrix() == d2.t_matrix() * f
+
+    def test_different_systems_are_not_isomorphic(self):
+        # stable data on the same pole points that realize different systems
+        def irregular(c2):
+            part = PrincipalPart(gr(0), (Matrix.from_rows([[3]]), Matrix.from_rows([[c2]])))
+            return System(1, Matrix.zeros(1, 1), (part,))
+
+        cases = [
+            (fuchsian({0: E11, 1: E12}), fuchsian({0: E12, 1: E11})),
+            (irregular(2), irregular(5)),
+        ]
+        for a, b in cases:
+            d1, d2 = canonical(a.parts, a.dimension), canonical(b.parts, b.dimension)
+            assert is_stable(d1) and is_stable(d2)
+            assert [x.point for x in d1.blocks] == [x.point for x in d2.blocks]
+            assert [x.dim_w for x in d1.blocks] == [x.dim_w for x in d2.blocks]
+            assert phi(d1) != phi(d2)
+            assert datum_isomorphism(d1, d2) is None
+            assert datum_isomorphism(d1, d1) == Matrix.identity(d1.dim_w)
 
     def test_requires_stability(self):
         unstable = Datum(

@@ -8,19 +8,19 @@ from hypothesis import given, settings, strategies as st
 from midconv.errors import IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
     Matrix,
-    centralizer_basis,
     char_eigenvalues,
     char_poly,
     generalized_eigendecomposition,
     gr,
+    intertwiner_basis,
     invert,
     kernel_basis,
     nilpotent_partition,
+    nilpotency_index,
     quotient_projection,
     rank,
-    rref,
     solve,
-    solve_linear,
+    sylvester_operator,
 )
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
@@ -74,22 +74,20 @@ class TestScalars:
 
 class TestRref:
     def test_zero_matrix(self):
-        r, kern, img = rref(Matrix.zeros(2, 2))
-        assert r == 0
-        assert [v.entries() for v in kern] == [(gr(1), gr(0)), (gr(0), gr(1))]
-        assert img == []
+        m = Matrix.zeros(2, 2)
+        assert rank(m) == 0
+        assert [v.entries() for v in kernel_basis(m)] == [(gr(1), gr(0)), (gr(0), gr(1))]
 
     def test_projector(self):
-        r, kern, img = rref(Matrix.from_rows([[1, 0], [0, 0]]))
-        assert r == 1
-        assert [v.entries() for v in kern] == [(gr(0), gr(1))]
-        assert [v.entries() for v in img] == [(gr(1), gr(0))]
+        m = Matrix.from_rows([[1, 0], [0, 0]])
+        assert rank(m) == 1
+        assert [v.entries() for v in kernel_basis(m)] == [(gr(0), gr(1))]
 
     def test_rank_one_hand_reduction(self):
         # hand row-reduction: [[1,1],[1,1]] ~ [[1,1],[0,0]]; kernel (1,-1)
-        r, kern, _ = rref(Matrix.from_rows([[1, 1], [1, 1]]))
-        assert r == 1
-        assert [v.entries() for v in kern] == [(gr(1), gr(-1))]
+        m = Matrix.from_rows([[1, 1], [1, 1]])
+        assert rank(m) == 1
+        assert [v.entries() for v in kernel_basis(m)] == [(gr(1), gr(-1))]
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -121,9 +119,18 @@ class TestSolve:
 
     def test_substitution(self):
         a = Matrix.from_rows([[1, 1], [1, 1]])
-        x, kern = solve_linear(a, Matrix.column([2, 2]))
+        x = solve(a, Matrix.column([2, 2]))
         assert a * x == Matrix.column([2, 2])
+        kern = kernel_basis(a)
         assert len(kern) == 1 and kern[0].entries() == (gr(1), gr(-1))
+
+    def test_invert(self, rng):
+        from midconv.checks import random_invertible
+
+        assert invert(Matrix.from_rows([[1, 2], [2, 4]])) is None
+        for _ in range(10):
+            m = random_invertible(rng, 3)
+            assert m * invert(m) == Matrix.identity(3)
 
 
 class TestEigenvalues:
@@ -209,15 +216,17 @@ class TestNilpotent:
 class TestEigendecomposition:
     def test_diagonal_split(self):
         ged = generalized_eigendecomposition(Matrix.diagonal([0, 1]))
-        assert [(ev, b.cols) for ev, b in ged] == [(gr(0), 1), (gr(1), 1)]
+        assert [(ev, b.cols) for ev, b, _ in ged] == [(gr(0), 1), (gr(1), 1)]
 
     def test_defective(self):
         ged = generalized_eigendecomposition(Matrix.from_rows([[1, 1], [0, 1]]))
-        assert [(ev, b.cols) for ev, b in ged] == [(gr(1), 2)]
+        assert [(ev, b.cols) for ev, b, _ in ged] == [(gr(1), 2)]
+        assert ged[0][2] == J2
 
     def test_zero_matrix(self):
         ged = generalized_eigendecomposition(Matrix.zeros(2, 2))
         assert ged[0][1] == Matrix.identity(2)
+        assert ged[0][2].is_zero()
 
     def test_bases_assemble_invertibly(self, rng):
         for _ in range(10):
@@ -228,22 +237,101 @@ class TestEigendecomposition:
             c = random_invertible(rng, n)
             m = c * Matrix.diagonal(evs) * invert(c)
             ged = generalized_eigendecomposition(m)
-            basis = Matrix.hstack([b for _, b in ged])
+            basis = Matrix.hstack([b for _, b, _ in ged])
             assert rank(basis) == n
+
+    def test_nil_is_the_restriction(self, rng):
+        from midconv.checks import random_invertible
+        from midconv.normalform import jordan_matrix
+
+        for _ in range(10):
+            n, blocks = random_jordan_type(rng)
+            c = random_invertible(rng, n)
+            m = c * jordan_matrix(blocks) * invert(c)
+            ged = generalized_eigendecomposition(m)
+            assert [ev for ev, _, _ in ged] == sorted(
+                {ev for ev, _ in blocks}, key=lambda x: x.sort_key()
+            )
+            for ev, basis, nil in ged:
+                assert (m - ev * Matrix.identity(n)) * basis == basis * nil
+                assert nilpotency_index(nil) == max(s for e, s in blocks if e == ev)
+                assert basis.cols == sum(s for e, s in blocks if e == ev)
+
+
+def random_jordan_type(rng, max_dim=5):
+    """(dimension, [(eigenvalue, block size), ...]), at most max_dim."""
+    blocks = []
+    n = 0
+    while n < max_dim and (not blocks or rng.random() < 0.7):
+        size = rng.randint(1, min(3, max_dim - n))
+        blocks.append((rng.choice([gr(-1), gr(0), gr(2), gr(1, 1)]), size))
+        n += size
+    return n, blocks
 
 
 class TestCentralizer:
     def test_zero_is_everything(self):
-        assert len(centralizer_basis(Matrix.zeros(2, 2))) == 4
+        assert len(intertwiner_basis([(Matrix.zeros(2, 2), Matrix.zeros(2, 2))])) == 4
 
     def test_jordan_block(self):
-        basis = centralizer_basis(J2)
+        basis = intertwiner_basis([(J2, J2)])
         assert len(basis) == 2
         for x in basis:
             assert x * J2 == J2 * x
 
     def test_distinct_diagonal(self):
-        basis = centralizer_basis(Matrix.diagonal([1, 2]))
+        d = Matrix.diagonal([1, 2])
+        basis = intertwiner_basis([(d, d)])
         assert len(basis) == 2
         for x in basis:
             assert x[0, 1].is_zero() and x[1, 0].is_zero()
+
+    def test_commutant_dimension_of_jordan_types(self, rng):
+        # dim of the commutant: sum over eigenvalues of sum (conjugate part)^2
+        from midconv.checks import random_invertible
+        from midconv.normalform import _conjugate_partition, jordan_matrix
+
+        for _ in range(8):
+            n, blocks = random_jordan_type(rng)
+            c = random_invertible(rng, n)
+            m = c * jordan_matrix(blocks) * invert(c)
+            expected = 0
+            for ev in {e for e, _ in blocks}:
+                partition = [s for e, s in blocks if e == ev]
+                expected += sum(x * x for x in _conjugate_partition(partition))
+            basis = intertwiner_basis([(m, m)])
+            assert len(basis) == expected
+            for x in basis:
+                assert x * m == m * x
+
+
+class TestSylvester:
+    def test_operator_applies_to_row_major_entries(self, rng):
+        from midconv.checks import random_matrix
+
+        for _ in range(10):
+            p, q = rng.randint(1, 3), rng.randint(1, 3)
+            x, y, f = random_matrix(rng, q), random_matrix(rng, p), random_matrix(rng, p, q)
+            image = sylvester_operator(x, y) * Matrix.column(f.entries())
+            assert image.entries() == (f * x - y * f).entries()
+
+    def test_intertwiner_of_conjugates(self, rng):
+        # f a = b f for b = c a c^-1 is spanned by c times the commutant of a
+        from midconv.checks import random_invertible
+
+        a = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        for _ in range(5):
+            c = random_invertible(rng, 3)
+            b = c * a * invert(c)
+            basis = intertwiner_basis([(a, b)])
+            assert len(basis) == len(intertwiner_basis([(a, a)])) == 3
+            for f in basis:
+                assert f * a == b * f
+
+    def test_rectangular_and_stacked(self):
+        # f: C^2 -> C^1 with f*diag(1,2) = 2*f is a multiple of (0, 1),
+        # which J2 keeps in the solution space and its transpose does not
+        d = (Matrix.diagonal([1, 2]), Matrix.diagonal([2]))
+        assert [f.entries() for f in intertwiner_basis([d])] == [(gr(0), gr(1))]
+        assert intertwiner_basis([d, (J2, Matrix.zeros(1, 1))]) == intertwiner_basis([d])
+        assert intertwiner_basis([d, (J2.transpose(), Matrix.zeros(1, 1))]) == []
