@@ -30,7 +30,7 @@ from .exactalg import (
     generalized_eigendecomposition,
     gr,
     intertwiner_basis,
-    nilpotency_index,
+    nilpotent_powers,
     quotient_projection,
     rank,
     solve,
@@ -165,12 +165,8 @@ def phi(d: Union[Datum, HarnadDatum]) -> System:
         datum = d
     parts = []
     for b in datum.blocks:
-        coeffs = []
-        power = Matrix.identity(b.dim_w)
-        for _ in range(max(1, nilpotency_index(b.nilpotent))):
-            coeffs.append(b.q * power * b.p)
-            power = power * b.nilpotent
-        parts.append(PrincipalPart(b.point, tuple(coeffs)))
+        coeffs = tuple(b.q * power * b.p for power in nilpotent_powers(b.nilpotent))
+        parts.append(PrincipalPart(b.point, coeffs))
     return System(datum.dim_v, constant, tuple(parts))
 
 
@@ -262,17 +258,16 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     if g.dimension != d.dim_v:
         raise DimensionMismatch("gauge dimension differs from dim V")
     w = target.dim_w
-    m = max(1, nilpotency_index(target.nilpotent))
+    npows = nilpotent_powers(target.nilpotent)
+    m = len(npows)
     n = d.dim_v
     gp = list(g.coefficients) + [Matrix.zeros(n, n)] * max(0, m - len(g.coefficients))
     hp = truncated_inverse(g.coefficients, m)
     new_q = Matrix.zeros(n, w)
     new_p = Matrix.zeros(w, n)
-    npow = Matrix.identity(w)
-    for k in range(m):
+    for k, npow in enumerate(npows):
         new_q = new_q + gp[k] * target.q * npow
         new_p = new_p + npow * target.p * hp[k]
-        npow = npow * target.nilpotent
     blocks = tuple(
         Block(b.point, b.nilpotent, new_q, new_p) if b.point == g.point else b for b in d.blocks
     )
@@ -385,11 +380,7 @@ def resolvent_principal_parts(
         m = b.cols
         lblk = left_c.submatrix(0, out_dim, offset, offset + m)
         rblk = right_c.submatrix(offset, offset + m, 0, right.cols)
-        coeffs = []
-        power = Matrix.identity(m)
-        for _ in range(max(1, nilpotency_index(nil))):
-            coeffs.append(lblk * power * rblk)
-            power = power * nil
+        coeffs = [lblk * power * rblk for power in nilpotent_powers(nil)]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if coeffs:

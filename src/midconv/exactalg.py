@@ -13,7 +13,7 @@ contract: repeated runs produce byte-identical bases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from .errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
@@ -31,6 +31,7 @@ __all__ = [
     "char_eigenvalues",
     "nilpotent_partition",
     "nilpotency_index",
+    "nilpotent_powers",
     "generalized_eigendecomposition",
     "sylvester_operator",
     "intertwiner_basis",
@@ -586,181 +587,93 @@ def _poly_deflate(coeffs, root):
     return out
 
 
-# integer factorization support (trial division + deterministic
-# Miller-Rabin + Brent rho), enough for desk-scale norms
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b (ascending; b's leading entry nonzero),
+    the remainder without zero top coefficients."""
+    rem = list(a)
+    inv = b[-1].inverse()
+    quo = [_ZERO] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        f = rem.pop() * inv
+        quo[shift] = f
+        if f.p or f.q:
+            for k in range(len(b) - 1):
+                rem[shift + k] = rem[shift + k] - f * b[k]
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return quo, rem
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+def _squarefree_part(f):
+    """f / gcd(f, f'), made monic."""
+    a, b = f, [c * k for k, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    g = _poly_divmod(f, a)[0]
+    inv = g[-1].inverse()
+    return [c * inv for c in g]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+def _zi_eval(coeffs, x, m):
+    """Value at x of a polynomial with Z[i] coefficients (pairs), mod m."""
+    xr, xi = x
+    ar = ai = 0
+    for cr, ci in reversed(coeffs):
+        ar, ai = (ar * xr - ai * xi + cr) % m, (ar * xi + ai * xr + ci) % m
+    return ar, ai
+
+
+def _inert_primes(start: int):
+    """Primes p = 3 (mod 4) with p*p >= start, ascending; Z[i]/p is a field."""
+    p = 3
+    while True:
+        if p * p >= start and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
+
+
+def _zi_root_candidates(g):
+    """Gaussian integers that include every Z[i] root of g, a squarefree
+    monic polynomial over Z[i] given as ascending (re, im) pairs.
+
+    Empty when some inert prime p proves that g does not split.  Every root
+    mod p is simple at the first p that does not divide the discriminant;
+    Newton's iteration then lifts it mod p^(2^k) past twice the Cauchy bound.
+    """
+    deg = len(g) - 1
+    dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
+    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
+    for p in _inert_primes(deg):
+        roots = [(a, b) for a in range(p) for b in range(p) if _zi_eval(g, (a, b), p) == (0, 0)]
+        if any(_zi_eval(dg, r, p) == (0, 0) for r in roots):
             continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                k += m
-                g = gcd(q, n)
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"failed to factor {n}")  # pragma: no cover
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    fac: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-    d = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < 100000:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += inc[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-            continue
-        g = _brent_rho(m)
-        stack.append(g)
-        stack.append(m // g)
-    return fac
-
-
-def _g_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _g_divmod(a, b):
-    # rounded Gaussian-integer division
-    n = b[0] * b[0] + b[1] * b[1]
-    qr_num = a[0] * b[0] + a[1] * b[1]
-    qi_num = a[1] * b[0] - a[0] * b[1]
-    q = ((2 * qr_num + n) // (2 * n), (2 * qi_num + n) // (2 * n))
-    r = (a[0] - (q[0] * b[0] - q[1] * b[1]), a[1] - (q[0] * b[1] + q[1] * b[0]))
-    return q, r
-
-
-def _g_gcd(a, b):
-    while b != (0, 0):
-        _, r = _g_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _g_exact_div(a, b):
-    q, r = _g_divmod(a, b)
-    return q if r == (0, 0) else None
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    for a in range(2, p):
-        t = pow(a, (p - 1) // 4, p)
-        if t * t % p == p - 1:
-            return t
-    raise ArithmeticError(f"no sqrt(-1) mod {p}")  # pragma: no cover
-
-
-def _gaussian_prime_factors(g):
-    """Gaussian prime factorization of g (up to units) as [(prime, exponent)]."""
-    n = g[0] * g[0] + g[1] * g[1]
-    out = []
-    for p in sorted(_factor_int(n)):
-        if p == 2:
-            cands = [(1, 1)]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            c = _sqrt_minus_one_mod(p)
-            pi = _g_gcd((p, 0), (c, 1))
-            cands = [pi, (pi[0], -pi[1])]
-        for pi in cands:
-            e = 0
-            h = g
-            while True:
-                q = _g_exact_div(h, pi)
-                if q is None:
-                    break
-                h = q
-                e += 1
-            if e:
-                out.append((pi, e))
-                g = h
-    return out
-
-
-def _gaussian_divisors(g):
-    divs = [(1, 0)]
-    for pi, e in _gaussian_prime_factors(g):
-        divs = [_g_mul(d, pw) for d in divs for pw in _g_powers(pi, e)]
-    return divs
-
-
-def _g_powers(pi, e):
-    out = [(1, 0)]
-    cur = (1, 0)
-    for _ in range(e):
-        cur = _g_mul(cur, pi)
-        out.append(cur)
-    return out
-
-
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        if len(roots) < deg:
+            return []
+        q = p
+        while q <= 2 * bound:
+            q *= q
+            lifted = []
+            for r in roots:
+                fr, fi = _zi_eval(g, r, q)
+                dr, di = _zi_eval(dg, r, q)
+                inv = pow(dr * dr + di * di, -1, q)
+                # r - f(r) / g'(r), with 1/g'(r) = conj(g'(r)) / |g'(r)|^2
+                lifted.append(((r[0] - (fr * dr + fi * di) * inv) % q,
+                               (r[1] - (fi * dr - fr * di) * inv) % q))
+            roots = lifted
+        return [tuple(c - q if 2 * c > q else c for c in r) for r in roots]
 
 
 def _qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     """All Q(i) roots with multiplicity of a monic polynomial over Q(i).
 
     Raises IrrationalSpectrum if the polynomial does not split over Q(i).
-    Strategy: strip zero roots, rescale x -> x/L to make an integral monic
-    polynomial, and run the rational root test in Z[i] on its constant term.
+    Strategy: strip zero roots and take the squarefree part g; x -> y/L
+    turns g into a monic G over Z[i], whose Q(i) roots are Gaussian
+    integers.  Those are found mod an inert prime and lifted by Newton's
+    iteration (``_zi_root_candidates``); no integer is ever factored.  Each
+    candidate is then certified, with its multiplicity, by exact deflation
+    of the original polynomial.
     """
     work = list(coeffs)
     roots: dict[GaussianRational, int] = {}
@@ -768,22 +681,18 @@ def _qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     while len(work) > 1 and work[0].is_zero():
         roots[zero] = roots.get(zero, 0) + 1
         work.pop(0)
-    deg = len(work) - 1
-    if deg == 0:
+    if len(work) == 1:
         return roots
+    g = _squarefree_part(work)
     denom = 1
-    for c in work:
-        denom = denom * c.re.denominator // gcd(denom, c.re.denominator)
-        denom = denom * c.im.denominator // gcd(denom, c.im.denominator)
-    # y = denom*x turns the polynomial monic with Z[i] coefficients; the
-    # constant term of that transform bounds the candidate roots.
-    c0 = work[0] * gr(denom**deg) if denom != 1 else work[0]
-    c0_int = (int(c0.re), int(c0.im))
-    candidates = set()
-    for d in _gaussian_divisors(c0_int):
-        for u in _UNITS:
-            y = _g_mul(d, u)
-            candidates.add(GaussianRational(Fraction(y[0], denom), Fraction(y[1], denom)))
+    for c in g:
+        denom = denom * c.r // gcd(denom, c.r)
+    n = len(g) - 1
+    # y = denom*x: G(y) = denom^n g(y/denom) is monic over Z[i]
+    scaled = [
+        (c.p * denom ** (n - k) // c.r, c.q * denom ** (n - k) // c.r) for k, c in enumerate(g)
+    ]
+    candidates = {GaussianRational._make(a, b, denom) for a, b in _zi_root_candidates(scaled)}
     for cand in sorted(candidates, key=GaussianRational.sort_key):
         while len(work) > 1 and _poly_eval(work, cand).is_zero():
             roots[cand] = roots.get(cand, 0) + 1
@@ -809,18 +718,25 @@ def char_eigenvalues(m: Matrix) -> list[tuple[GaussianRational, int]]:
 # ---------------------------------------------------------------------------
 
 
-def nilpotency_index(m: Matrix) -> int:
-    """Least k >= 1 with m^k = 0 (0 for empty matrices)."""
+def nilpotent_powers(m: Matrix) -> list[Matrix]:
+    """[I, m, m^2, ...] up to the last nonzero power, each power built once;
+    [I] when m is zero or empty."""
     if not m.is_square():
         raise DimensionMismatch("nilpotency of non-square matrix")
-    if m.rows == 0:
-        return 0
+    powers = [Matrix.identity(m.rows)]
     power = m
-    for k in range(1, m.rows + 1):
-        if power.is_zero():
-            return k
+    while not power.is_zero():
+        if len(powers) == m.rows:
+            raise NotNilpotent("matrix is not nilpotent")
+        powers.append(power)
         power = power * m
-    raise NotNilpotent("matrix is not nilpotent")
+    return powers
+
+
+def nilpotency_index(m: Matrix) -> int:
+    """Least k >= 1 with m^k = 0 (0 for empty matrices)."""
+    powers = nilpotent_powers(m)
+    return len(powers) if m.rows else 0
 
 
 def nilpotent_partition(n: Matrix) -> tuple[int, ...]:

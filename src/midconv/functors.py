@@ -23,7 +23,6 @@ from .errors import (
 from .exactalg import (
     GaussianRational,
     Matrix,
-    generalized_eigendecomposition,
     gr,
     nilpotency_index,
     quotient_projection,
@@ -68,10 +67,11 @@ def mc(p: System, alpha: System) -> System:
         raise NonzeroConstantTerm(
             "convolution parameter has a constant term; translate the coordinate first"
         )
-    allowed = {
-        ev: max(1, nilpotency_index(nil))
-        for ev, _, nil in generalized_eigendecomposition(p.constant)
-    }
+    # kappa raises EmptyV on dim 0, where the dual is the zero pair and
+    # every parameter pole is outside the (empty) spectrum
+    h = kappa(p) if p.dimension else None
+    eig = h.s_blocking if h is not None else []
+    allowed = {ev: max(1, nilpotency_index(nil)) for ev, _, nil in eig}
     for part in alpha.parts:
         d = order(part)
         if d == 0:
@@ -84,7 +84,7 @@ def mc(p: System, alpha: System) -> System:
             raise PoleMismatch(
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
-    dual = hd(p)
+    dual = psi(h) if h is not None else zero_pair()
     return hd(add_scalar(dual, alpha))
 
 

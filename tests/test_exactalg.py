@@ -17,6 +17,7 @@ from midconv.exactalg import (
     kernel_basis,
     nilpotent_partition,
     nilpotency_index,
+    nilpotent_powers,
     quotient_projection,
     rank,
     solve,
@@ -181,6 +182,104 @@ class TestEigenvalues:
         assert got == {gr(Fraction(1, 2)): 1, gr(Fraction(-3, 4), Fraction(1, 2)): 1}
 
 
+def companion(coeffs):
+    """Companion matrix of the monic polynomial with ascending coefficients."""
+    n = len(coeffs) - 1
+    return Matrix.from_rows(
+        [[1 if j == i - 1 else 0 for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+    )
+
+
+def poly_from_factors(factors):
+    """Ascending coefficients of the product of the given ascending polynomials."""
+    out = [gr(1)]
+    for f in factors:
+        prod = [gr(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] = prod[i + j] + a * gr(b)
+        out = prod
+    return out
+
+
+def spectrum_of(roots):
+    """char_eigenvalues' answer for a matrix with exactly these eigenvalues."""
+    return sorted(((r, roots.count(r)) for r in set(roots)), key=lambda t: t[0].sort_key())
+
+
+# x^2 - 2, x^2 + x + 1, x^3 - 2, x^2 + i, x^2 + 3: irreducible over Q(i)
+IRREDUCIBLE = ([-2, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [gr(0, 1), 0, 1], [3, 0, 1])
+
+
+class TestRootFinder:
+    def test_matches_sympy_gaussian_factorization(self, rng):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(c):
+            return sympy.Rational(c.p, c.r) + sympy.I * sympy.Rational(c.q, c.r)
+
+        def from_sympy(e):
+            re, im = sympy.re(e), sympy.im(e)
+            return gr(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+        for _ in range(30):
+            roots = [
+                gr(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5])),
+                   Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7])))
+                for _ in range(rng.randint(1, 4))
+            ]
+            roots += rng.sample(roots, rng.randint(0, len(roots)))
+            factors = [[-r, 1] for r in roots]
+            if rng.random() < 0.4:
+                factors.append(rng.choice(IRREDUCIBLE))
+            coeffs = poly_from_factors(factors)
+            expr = sum(to_sympy(c) * x**k for k, c in enumerate(coeffs))
+            _, found = sympy.factor_list(expr, x, gaussian=True)
+            linear = {}
+            for f, mult in found:
+                poly = sympy.Poly(f, x)
+                if poly.degree() == 1:
+                    a, b = poly.all_coeffs()
+                    root = from_sympy(sympy.expand(-b / a))
+                    linear[root] = linear.get(root, 0) + mult
+            if any(sympy.Poly(f, x).degree() > 1 for f, _ in found):
+                with pytest.raises(IrrationalSpectrum):
+                    char_eigenvalues(companion(coeffs))
+            else:
+                expected = sorted(linear.items(), key=lambda t: t[0].sort_key())
+                assert char_eigenvalues(companion(coeffs)) == expected
+                assert expected == spectrum_of(roots)
+
+    def test_large_prime_eigenvalues(self):
+        # 2^60 - 93 and 2^128 - 159 are primes; a^2 + b^2 is a 127-bit prime,
+        # so a + b*i is a Gaussian prime
+        p60, p128 = 2**60 - 93, 2**128 - 159
+        a, b = 2**63 + 1, 2**62 + 586
+        basis = Matrix.from_rows([[1, 1], [1, 2]])
+        for ev1, ev2 in ((gr(p60), gr(p128)), (gr(p60), gr(a, b)), (gr(-p128), gr(a, -b))):
+            m = basis * Matrix.diagonal([ev1, ev2]) * invert(basis)
+            assert char_eigenvalues(m) == spectrum_of([ev1, ev2])
+
+    def test_repeated_fractional_gaussian_roots(self):
+        roots = [gr(Fraction(2, 3), 1)] * 3 + [
+            gr(Fraction(-1, 3), 2),
+            gr(Fraction(-2, 3), -3),
+            gr(Fraction(-2, 3), Fraction(-5, 2)),
+        ]
+        coeffs = poly_from_factors([[-r, 1] for r in roots])
+        assert char_eigenvalues(companion(coeffs)) == spectrum_of(roots)
+
+    def test_prime_dividing_the_discriminant_is_skipped(self):
+        # the discriminant (3*7*11*19*23)^2 rules out the inert primes up to 23
+        roots = [gr(1), gr(1 + 3 * 7 * 11 * 19 * 23)]
+        m = Matrix.from_rows([[1, 1], [0, 1 + 3 * 7 * 11 * 19 * 23]])
+        assert char_eigenvalues(m) == spectrum_of(roots)
+        coeffs = poly_from_factors([[-r, 1] for r in roots] + [IRREDUCIBLE[1]])
+        with pytest.raises(IrrationalSpectrum):
+            char_eigenvalues(companion(coeffs))
+
+
 class TestNilpotent:
     def test_zero(self):
         assert nilpotent_partition(Matrix.zeros(3, 3)) == (1, 1, 1)
@@ -196,6 +295,16 @@ class TestNilpotent:
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotent):
             nilpotent_partition(Matrix.identity(2))
+        with pytest.raises(NotNilpotent):
+            nilpotent_powers(Matrix.identity(2))
+
+    def test_powers_stop_at_the_first_zero_power(self):
+        n = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert nilpotent_powers(n) == [Matrix.identity(3), n, n * n]
+        assert nilpotent_powers(Matrix.zeros(2, 2)) == [Matrix.identity(2)]
+        assert nilpotent_powers(Matrix.zeros(0, 0)) == [Matrix.identity(0)]
+        indices = [nilpotency_index(m) for m in (n, Matrix.zeros(2, 2), Matrix.zeros(0, 0))]
+        assert indices == [3, 1, 0]
 
     def test_conjugation_invariance(self, rng):
         from midconv.checks import random_invertible

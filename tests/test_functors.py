@@ -135,6 +135,11 @@ class TestMc:
         with pytest.raises(PoleMismatch):
             mc(p, scalar_system({0: [1, 1]}))
 
+    def test_zero_pair_convolves_to_zero_pair(self):
+        assert mc(zero_pair(), scalar_system({})) == zero_pair()
+        with pytest.raises(PoleMismatch):
+            mc(zero_pair(), scalar_system({0: [1]}))
+
     def test_translation_parameter_rejected(self):
         p = fuchsian({0: E12, 1: E21})
         with pytest.raises(NonzeroConstantTerm):
