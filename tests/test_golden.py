@@ -1,7 +1,8 @@
 """Golden CLI outputs: stdout of fixture runs must match committed bytes.
 
-Each file under tests/golden/ is the stdout of one accepted (exit 0)
-command line on a fixture.  A mismatch means the program's output moved,
+Each file under tests/golden/ is the stdout of one command line on a
+fixture or on an input document under tests/golden/inputs/, together with
+its expected exit status.  A mismatch means the program's output moved,
 not that the file needs regenerating.
 """
 
@@ -13,43 +14,75 @@ from midconv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = ("alpha-simple", "rank1-irregular", "rigid-triple")
-SINGLE_POLE = ("alpha-simple", "rank1-irregular")
 
+
+def fixture(name: str) -> str:
+    return f"fixtures/{name}.sys"
+
+
+def given(name: str) -> str:
+    return f"tests/golden/inputs/{name}"
+
+
+FIXTURES = tuple(fixture(n) for n in ("alpha-simple", "rank1-irregular", "rigid-triple"))
+SINGLE_POLE = FIXTURES[:2]
+RIGID = FIXTURES[2:]
+DATA = (given("rank1-irregular.datum"), given("rigid-triple.datum"))
+ALPHA = ("--alpha", fixture("alpha-simple"))
+
+# command -> (extra arguments, input files); each run exits 0 and its golden
+# file is named after the command and the input's stem
 COMMANDS = {
     "canon": ((), FIXTURES),
+    "phi": ((), DATA),
     "hd": ((), FIXTURES),
-    "mc": (("--alpha", "fixtures/alpha-simple.sys"), FIXTURES),
+    "add": (ALPHA, FIXTURES),
+    "mc": (ALPHA, FIXTURES),
+    "dr": (("--lambda", "1"), (fixture("alpha-simple"), *RIGID)),
+    "stable": ((), DATA),
     "normal-form": ((), SINGLE_POLE),
     "stab-dim": ((), SINGLE_POLE),
     "select-alpha": ((), SINGLE_POLE),
     "orbit-dim": ((), FIXTURES),
-    "rigidity": ((), ("rigid-triple",)),
-    "katz-reduce": ((), ("rigid-triple",)),
+    "rigidity": ((), RIGID),
+    "katz-step": (ALPHA, RIGID),
+    "katz-reduce": ((), RIGID),
     "irred": ((), FIXTURES),
+    "equiv": ((given("rigid-triple-conjugate.sys"),), RIGID),
+    "okubo": ((), (given("rank2.okubo"),)),
     "check": ((), FIXTURES),
 }
 
+# golden name -> (argv, exit status): an inequivalent pair and error reports
+RUNS = {
+    "equiv__inequivalent": (("equiv", fixture("alpha-simple"), fixture("rank1-irregular")), 0),
+    "mc__pole-mismatch": (("mc", fixture("rank1-irregular"), "--alpha", given("alpha-at-5.sys")), 1),
+    "phi__system-document": (("phi", fixture("rigid-triple")), 1),
+    "dr__not-fuchsian": (("dr", "--lambda", "1", fixture("rank1-irregular")), 1),
+    "equiv__different-rank": (("equiv", fixture("alpha-simple"), fixture("rigid-triple")), 1),
+}
+
 CASES = [
-    (command, fixture, extra)
-    for command, (extra, fixtures) in COMMANDS.items()
-    for fixture in fixtures
-]
+    (f"{command}__{Path(path).stem}", (command, path, *extra), 0)
+    for command, (extra, paths) in COMMANDS.items()
+    for path in paths
+] + [(name, argv, status) for name, (argv, status) in RUNS.items()]
 
 
-def golden_path(command: str, fixture: str) -> Path:
-    return GOLDEN / f"{command}__{fixture}.json"
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.json"
 
 
 @pytest.mark.parametrize(
-    "command,fixture,extra", CASES, ids=[f"{c}-{f}" for c, f, _ in CASES]
+    "name,argv,status", CASES, ids=[name.replace("__", "-") for name, _, _ in CASES]
 )
-def test_golden_stdout(capsysbinary, monkeypatch, command, fixture, extra):
+def test_golden_stdout(capsysbinary, monkeypatch, name, argv, status):
     monkeypatch.chdir(ROOT)
-    assert main([command, f"fixtures/{fixture}.sys", *extra]) == 0
-    assert capsysbinary.readouterr().out == golden_path(command, fixture).read_bytes()
+    assert main(list(argv)) == status
+    assert capsysbinary.readouterr().out == golden_path(name).read_bytes()
 
 
 def test_every_golden_file_is_checked():
     on_disk = {p.name for p in GOLDEN.glob("*.json")}
-    assert on_disk == {golden_path(c, f).name for c, f, _ in CASES}
+    assert on_disk == {golden_path(name).name for name, _, _ in CASES}
+    assert len(CASES) == len(on_disk)
