@@ -1,67 +1,139 @@
 """Command-line interface.
 
-One system per file; every subcommand reads documents, calls the pure
-library, and prints a deterministic JSON report (command echo, result
-payload, diagnostics).  Exit status: 0 success, 1 domain error, 2 usage.
+COMMANDS holds one entry per subcommand: help text, arguments, and a handler
+that reads the documents, calls the pure library and returns the result
+payload.  The parser is built from the table; main runs the chosen handler
+and prints a deterministic JSON report (command echo, result payload,
+diagnostics).  Exit status: 0 success, 1 domain error (an unreadable or
+malformed input file included), 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys as _sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from .checks import run_checks
-from .datum import kappa, phi
-from .documents import (
-    dumps_canonical,
-    harnad_to_document,
-    matrix_to_json,
-    normal_form_to_document,
-    parse_document,
-    parse_scalar_flag,
-    system_to_document,
-    trace_to_document,
-)
+from .datum import is_stable, kappa, phi
+from .documents import DOCUMENT_KINDS, dumps_canonical, harnad_to_document, matrix_to_json
+from .documents import normal_form_to_document, parse_document, parse_scalar_flag
+from .documents import system_to_document, trace_to_document
 from .errors import DomainError, ValidationError
 from .exactalg import Matrix
-from .functors import OkuboTriple, dr_middle_convolution, hd, mc, okubo_to_pair
+from .functors import dr_middle_convolution, hd, mc, okubo_to_pair
 from .normalform import compute_normal_form, select_alpha, stabilizer_dim
 from .rigidity import katz_reduce, katz_step, orbit_dim, rigidity_index
-from .datum import HarnadDatum, is_stable
 from .systems import System, add_scalar, equivalent, is_irreducible
 
 __all__ = ["main"]
 
 
-def _read(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
-
-
-def _read_system(path: str) -> System:
-    doc = _read(path)
-    if not isinstance(doc, System):
-        raise ValidationError(f"{path}: expected a system document")
+def _read(path: str, kind: str = "system"):
+    """The document in path, which must be of the given kind."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    doc = parse_document(text)
+    if not isinstance(doc, DOCUMENT_KINDS[kind].type):
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValidationError(f"{path}: expected {article} {kind} document")
     return doc
 
 
-def _read_datum(path: str) -> HarnadDatum:
-    doc = _read(path)
-    if not isinstance(doc, HarnadDatum):
-        raise ValidationError(f"{path}: expected a datum document")
-    return doc
-
-
-def _pick_part(sys: System, point_flag):
-    if point_flag is not None:
-        pt = parse_scalar_flag(point_flag)
-        part = sys.part_at(pt)
-        if part is None:
-            raise ValidationError(f"no pole at {point_flag}")
-        return part
-    if len(sys.parts) != 1:
+def _part(args):
+    """The principal part of the input system at --point, or its only one."""
+    sys_ = _read(args.file)
+    if args.point is None and len(sys_.parts) != 1:
         raise ValidationError("--point is required when the system has several poles")
-    return sys.parts[0]
+    part = sys_.parts[0] if args.point is None else sys_.part_at(parse_scalar_flag(args.point))
+    if part is None:
+        raise ValidationError(f"no pole at {args.point}")
+    return part
+
+
+def _dr(args) -> dict:
+    lam = parse_scalar_flag(args.lam)
+    return system_to_document(dr_middle_convolution(_read(args.file), lam))
+
+
+def _equiv(args) -> dict:
+    f = equivalent(_read(args.file1), _read(args.file2))
+    if f is None:
+        return {"equivalent": False}
+    return {"equivalent": True, "witness": matrix_to_json(f)}
+
+
+def _normal_form(args) -> dict:
+    part = _part(args)
+    return normal_form_to_document(compute_normal_form(part), point=part.point)
+
+
+def _select_alpha(args) -> dict:
+    return system_to_document(System(1, Matrix.zeros(1, 1), (select_alpha(_part(args)),)))
+
+
+def _rigidity(args) -> dict:
+    idx = rigidity_index(_read(args.file))
+    return {"rigidity_index": idx, "rigid": idx == 0}
+
+
+def _check(args) -> dict:
+    results = run_checks(_read(args.file), args.seed, args.trials)
+    return {"seed": args.seed, "trials": args.trials, "checks": [asdict(r) for r in results]}
+
+
+FILE = (("file", {}),)
+ALPHA = FILE + (("--alpha", {"required": True, "metavar": "FILE"}),)
+POINT = FILE + (("--point", {"metavar": "T"}),)
+
+
+class Command(NamedTuple):
+    help: str
+    args: tuple  # (name or flag, add_argument options) pairs
+    run: Callable[[argparse.Namespace], dict]  # parsed arguments -> result payload
+    status: Callable[[dict], int] = lambda payload: 0  # result payload -> exit status
+
+
+COMMANDS = {
+    "canon": Command("canonical datum of a system", FILE,
+                     lambda a: harnad_to_document(kappa(_read(a.file)))),
+    "phi": Command("system realized by a datum document", FILE,
+                   lambda a: system_to_document(phi(_read(a.file, "datum")))),
+    "hd": Command("Harnad dual pair", FILE, lambda a: system_to_document(hd(_read(a.file)))),
+    "add": Command("add a rank-1 parameter times the identity", ALPHA,
+                   lambda a: system_to_document(add_scalar(_read(a.file), _read(a.alpha)))),
+    "mc": Command("middle convolution with a rank-1 parameter", ALPHA,
+                  lambda a: system_to_document(mc(_read(a.file), _read(a.alpha)))),
+    "dr": Command("classical middle convolution of a Fuchsian pair",
+                  FILE + (("--lambda", {"dest": "lam", "required": True, "metavar": "Q"}),), _dr),
+    "stable": Command("stability of a datum document", FILE,
+                      lambda a: {"stable": is_stable(_read(a.file, "datum").datum)}),
+    "irred": Command("irreducibility of a pair", FILE,
+                     lambda a: {"irreducible": is_irreducible(_read(a.file))}),
+    "equiv": Command("constant-gauge equivalence of two pairs",
+                     (("file1", {}), ("file2", {})), _equiv),
+    "normal-form": Command("normal form at a pole", POINT, _normal_form),
+    "stab-dim": Command("stabilizer dimension at a pole", POINT,
+                        lambda a: {"stabilizer_dimension": stabilizer_dim(_part(a))}),
+    "select-alpha": Command("kernel-maximizing scalar part at a pole", POINT, _select_alpha),
+    "orbit-dim": Command("dimension of the truncated-gauge orbit", FILE,
+                         lambda a: {"orbit_dimension": orbit_dim(_read(a.file))}),
+    "rigidity": Command("rigidity index of a pair", FILE, _rigidity),
+    "katz-step": Command("one add/convolve/add reduction step", ALPHA,
+                         lambda a: system_to_document(katz_step(_read(a.file), _read(a.alpha)))),
+    "katz-reduce": Command("iterated reduction to rank one", FILE,
+                           lambda a: trace_to_document(katz_reduce(_read(a.file)))),
+    "okubo": Command("pair associated with an Okubo-form document", FILE,
+                     lambda a: system_to_document(okubo_to_pair(_read(a.file, "okubo")))),
+    "check": Command("run the invariant suite against the input",
+                     FILE + (("--seed", {"type": int, "default": 0}),
+                             ("--trials", {"type": int, "default": 5})),
+                     _check, lambda r: 0 if all(c["passed"] for c in r["checks"]) else 1),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,133 +142,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact middle convolution, duality, and reduction for linear ODE systems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("file")
-        return p
-
-    cmd("canon", "canonical datum of a system")
-    cmd("phi", "system realized by a datum document")
-    cmd("hd", "Harnad dual pair")
-    p = cmd("add", "add a rank-1 parameter times the identity")
-    p.add_argument("--alpha", required=True, metavar="FILE")
-    p = cmd("mc", "middle convolution with a rank-1 parameter")
-    p.add_argument("--alpha", required=True, metavar="FILE")
-    p = cmd("dr", "classical middle convolution of a Fuchsian pair")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="Q")
-    cmd("stable", "stability of a datum document")
-    cmd("irred", "irreducibility of a pair")
-    p = sub.add_parser("equiv", help="constant-gauge equivalence of two pairs")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p = cmd("normal-form", "normal form at a pole")
-    p.add_argument("--point", metavar="T")
-    p = cmd("stab-dim", "stabilizer dimension at a pole")
-    p.add_argument("--point", metavar="T")
-    p = cmd("select-alpha", "kernel-maximizing scalar part at a pole")
-    p.add_argument("--point", metavar="T")
-    cmd("orbit-dim", "dimension of the truncated-gauge orbit")
-    cmd("rigidity", "rigidity index of a pair")
-    p = cmd("katz-step", "one add/convolve/add reduction step")
-    p.add_argument("--alpha", required=True, metavar="FILE")
-    cmd("katz-reduce", "iterated reduction to rank one")
-    cmd("okubo", "pair associated with an Okubo-form document")
-    p = cmd("check", "run the invariant suite against the input")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in command.args:
+            p.add_argument(flag, **options)
     return ap
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    cmd = args.command
-    if cmd == "canon":
-        h = kappa(_read_system(args.file))
-        return harnad_to_document(h), 0
-    if cmd == "phi":
-        return system_to_document(phi(_read_datum(args.file))), 0
-    if cmd == "hd":
-        return system_to_document(hd(_read_system(args.file))), 0
-    if cmd == "add":
-        return (
-            system_to_document(add_scalar(_read_system(args.file), _read_system(args.alpha))),
-            0,
-        )
-    if cmd == "mc":
-        return (
-            system_to_document(mc(_read_system(args.file), _read_system(args.alpha))),
-            0,
-        )
-    if cmd == "dr":
-        lam = parse_scalar_flag(args.lam)
-        return system_to_document(dr_middle_convolution(_read_system(args.file), lam)), 0
-    if cmd == "stable":
-        h = _read_datum(args.file)
-        return {"stable": is_stable(h.datum)}, 0
-    if cmd == "irred":
-        return {"irreducible": is_irreducible(_read_system(args.file))}, 0
-    if cmd == "equiv":
-        a, b = _read_system(args.file1), _read_system(args.file2)
-        f = equivalent(a, b)
-        if f is None:
-            return {"equivalent": False}, 0
-        return {"equivalent": True, "witness": matrix_to_json(f)}, 0
-    if cmd == "normal-form":
-        sys_ = _read_system(args.file)
-        part = _pick_part(sys_, args.point)
-        nf = compute_normal_form(part)
-        return normal_form_to_document(nf, point=part.point), 0
-    if cmd == "stab-dim":
-        part = _pick_part(_read_system(args.file), args.point)
-        return {"stabilizer_dimension": stabilizer_dim(part)}, 0
-    if cmd == "select-alpha":
-        part = _pick_part(_read_system(args.file), args.point)
-        sel = select_alpha(part)
-        alpha = System(1, Matrix.zeros(1, 1), (sel,))
-        return system_to_document(alpha), 0
-    if cmd == "orbit-dim":
-        return {"orbit_dimension": orbit_dim(_read_system(args.file))}, 0
-    if cmd == "rigidity":
-        idx = rigidity_index(_read_system(args.file))
-        return {"rigidity_index": idx, "rigid": idx == 0}, 0
-    if cmd == "katz-step":
-        res = katz_step(_read_system(args.file), _read_system(args.alpha))
-        return system_to_document(res), 0
-    if cmd == "katz-reduce":
-        return trace_to_document(katz_reduce(_read_system(args.file))), 0
-    if cmd == "okubo":
-        triple = _read(args.file)
-        if not isinstance(triple, OkuboTriple):
-            raise ValidationError(f"{args.file}: expected an okubo document")
-        return system_to_document(okubo_to_pair(triple)), 0
-    if cmd == "check":
-        results = run_checks(_read_system(args.file), args.seed, args.trials)
-        payload = {
-            "seed": args.seed,
-            "trials": args.trials,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "trials": r.trials, "detail": r.detail}
-                for r in results
-            ],
-        }
-        return payload, 0 if all(r.passed for r in results) else 1
-    raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
-
-
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        result, status = _dispatch(args)
+        result = command.run(args)
+        report, status = {"result": result, "diagnostics": []}, command.status(result)
     except DomainError as exc:
-        report = {
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _sys.stdout.write(dumps_canonical(report))
-        return 1
-    report = {"command": args.command, "result": result, "diagnostics": []}
-    _sys.stdout.write(dumps_canonical(report))
+        report, status = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 1
+    _sys.stdout.write(dumps_canonical({"command": args.command, **report}))
     return status
 
 

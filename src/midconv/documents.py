@@ -10,6 +10,7 @@ the canonical form is unambiguous.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 
 from .datum import Block, Datum, HarnadDatum
@@ -20,6 +21,7 @@ from .normalform import NormalForm
 from .systems import PrincipalPart, System
 
 __all__ = [
+    "DOCUMENT_KINDS",
     "dumps_canonical",
     "parse_document",
     "serialize_document",
@@ -52,6 +54,18 @@ def _fraction_from_str(s) -> Fraction:
         raise ValidationError(f"bad rational {s!r}: {exc}") from None
 
 
+def _count(value, field: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"{field} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _list(value, field: str, of: type = object) -> list:
+    if not isinstance(value, list) or not all(isinstance(e, of) for e in value):
+        raise ValidationError(f"{field} must be a list" + (" of objects" if of is dict else ""))
+    return value
+
+
 def scalar_to_json(x: GaussianRational) -> dict:
     return {"re": _fraction_to_str(x.re), "im": _fraction_to_str(x.im)}
 
@@ -67,7 +81,7 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
-    if not isinstance(obj, list):
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ValidationError("matrix must be a list of rows")
     grid = [[scalar_from_json(e) for e in row] for row in obj]
     r = len(grid)
@@ -108,18 +122,20 @@ def system_from_document(doc) -> System:
     if not isinstance(doc, dict) or doc.get("kind") != "system":
         raise ValidationError("expected a document of kind 'system'")
     try:
-        n = int(doc["dimension"])
+        n = _count(doc["dimension"], "dimension")
         constant = matrix_from_json(doc["constant"], rows=n, cols=n)
         parts = []
-        for entry in doc.get("parts", []):
+        for entry in _list(doc.get("parts", []), "parts", dict):
             point = scalar_from_json(entry["point"])
-            coeffs = [matrix_from_json(c, rows=n, cols=n) for c in entry["coefficients"]]
-            parts.append(PrincipalPart(point, tuple(coeffs)))
+            coeffs = _list(entry["coefficients"], "coefficients")
+            parts.append(PrincipalPart(point, tuple(matrix_from_json(c, n, n) for c in coeffs)))
         declaration = None
         if "declarations" in doc:
             decl = doc["declarations"]
-            pts = [scalar_from_json(s) for s in decl["points"]]
-            orders = [int(l) for l in decl["orders"]]
+            if not isinstance(decl, dict):
+                raise ValidationError("declarations must be an object")
+            pts = [scalar_from_json(s) for s in _list(decl["points"], "points")]
+            orders = [_count(l, "order") for l in _list(decl["orders"], "orders")]
             if len(pts) != len(orders):
                 raise ValidationError("declaration points and orders differ in length")
             declaration = tuple(zip(pts, orders))
@@ -150,10 +166,10 @@ def harnad_from_document(doc) -> HarnadDatum:
     if not isinstance(doc, dict) or doc.get("kind") != "datum":
         raise ValidationError("expected a document of kind 'datum'")
     try:
-        n = int(doc["dimension"])
+        n = _count(doc["dimension"], "dimension")
         constant = matrix_from_json(doc["constant"], rows=n, cols=n)
         blocks = []
-        for entry in doc.get("blocks", []):
+        for entry in _list(doc.get("blocks", []), "blocks", dict):
             point = scalar_from_json(entry["point"])
             nil = matrix_from_json(entry["nilpotent"])
             w = nil.rows
@@ -169,7 +185,7 @@ def okubo_from_document(doc) -> OkuboTriple:
     if not isinstance(doc, dict) or doc.get("kind") != "okubo":
         raise ValidationError("expected a document of kind 'okubo'")
     try:
-        w = int(doc["dimension"])
+        w = _count(doc["dimension"], "dimension")
         t = matrix_from_json(doc["t_matrix"], rows=w, cols=w)
         r = matrix_from_json(doc["r_matrix"], rows=w, cols=w)
     except KeyError as exc:
@@ -215,6 +231,15 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
+# the "kind" field of an input document -> its Python type and reader
+DocumentKind = namedtuple("DocumentKind", "type read")
+DOCUMENT_KINDS = {
+    "system": DocumentKind(System, system_from_document),
+    "datum": DocumentKind(HarnadDatum, harnad_from_document),
+    "okubo": DocumentKind(OkuboTriple, okubo_from_document),
+}
+
+
 def parse_document(text: str):
     """JSON text -> typed document object, dispatching on 'kind'."""
     try:
@@ -224,13 +249,9 @@ def parse_document(text: str):
     if not isinstance(obj, dict):
         raise ValidationError("document must be a JSON object")
     kind = obj.get("kind")
-    if kind == "system":
-        return system_from_document(obj)
-    if kind == "datum":
-        return harnad_from_document(obj)
-    if kind == "okubo":
-        return okubo_from_document(obj)
-    raise ValidationError(f"unknown document kind {kind!r}")
+    if not isinstance(kind, str) or kind not in DOCUMENT_KINDS:
+        raise ValidationError(f"unknown document kind {kind!r}")
+    return DOCUMENT_KINDS[kind].read(obj)
 
 
 def serialize_document(value, name=None) -> str:

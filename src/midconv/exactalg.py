@@ -566,7 +566,9 @@ def char_poly(m: Matrix) -> list[GaussianRational]:
         ck = -(mk.trace() / gr(k))
         coeffs[n - k] = ck
         if k < n:
-            mk = m * (mk + ck * Matrix.identity(n))
+            shifted = list(mk.entries())  # mk + ck*I: only the diagonal changes
+            shifted[:: n + 1] = [e + ck for e in shifted[:: n + 1]]
+            mk = m * Matrix(n, n, shifted)
     return coeffs
 
 
@@ -742,28 +744,11 @@ def nilpotency_index(m: Matrix) -> int:
 def nilpotent_partition(n: Matrix) -> tuple[int, ...]:
     """Jordan block sizes of a nilpotent matrix, descending.
 
-    Recovered from ranks of powers: the number of blocks of size >= j is
-    rank n^(j-1) - rank n^j.
+    Recovered from the ranks r_j of the powers n^j: there are
+    r_(j-1) - 2 r_j + r_(j+1) blocks of size j.
     """
-    if not n.is_square():
-        raise DimensionMismatch("partition of non-square matrix")
-    dim = n.rows
-    if dim == 0:
-        return ()
-    ranks = [dim]
-    power = n
-    while not power.is_zero():
-        ranks.append(rank(power))
-        if len(ranks) > dim + 1:
-            raise NotNilpotent("matrix is not nilpotent")
-        power = power * n
-    ranks.append(0)
-    at_least = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-    parts = []
-    for j, count in enumerate(at_least, start=1):
-        exactly = count - (at_least[j] if j < len(at_least) else 0)
-        parts.extend([j] * exactly)
-    return tuple(sorted(parts, reverse=True))
+    r = [n.rows] + [rank(power) for power in nilpotent_powers(n)[1:]] + [0, 0]
+    return tuple(j for j in range(len(r) - 2, 0, -1) for _ in range(r[j - 1] - 2 * r[j] + r[j + 1]))
 
 
 def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Matrix, Matrix]]:

@@ -77,10 +77,6 @@ class PrincipalPart:
     def dimension(self) -> int:
         return self.coefficients[0].rows
 
-    @property
-    def storage_order(self) -> int:
-        return len(self.coefficients)
-
 
 def order(part: PrincipalPart) -> int:
     """The pole order: largest k with A_k nonzero, or 0."""
@@ -137,9 +133,6 @@ class System:
             if p.point == point:
                 return p
         return None
-
-    def pole_points(self) -> tuple[GaussianRational, ...]:
-        return tuple(p.point for p in self.parts)
 
     def _semantic(self):
         parts = {}

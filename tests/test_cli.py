@@ -101,6 +101,34 @@ class TestDocuments:
             assert serialize_document(parsed) == text
 
 
+def _rank_one_document(**changes) -> bytes:
+    doc = system_to_document(scalar_system({0: [3]}))
+    doc.update(changes)
+    return dumps_canonical(doc).encode()
+
+
+UNREADABLE = {
+    "dimension-not-a-number": _rank_one_document(dimension="abc"),
+    "dimension-fractional": _rank_one_document(dimension=1.5),
+    "dimension-boolean": _rank_one_document(dimension=True),
+    "row-not-a-list": _rank_one_document(constant=[1]),
+    "part-not-an-object": _rank_one_document(parts=[[1]]),
+    "kind-not-a-string": b'{"kind": []}',
+    "not-utf-8": b'{"kind": "system", "name": "\xff"}',
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_is_a_validation_report(capsys, tmp_path, case):
+    path = tmp_path / "in.sys"
+    if UNREADABLE[case] is not None:
+        path.write_bytes(UNREADABLE[case])
+    status, report = run_cli(capsys, "irred", str(path))
+    assert status == 1
+    assert report["error"]["type"] == "ValidationError"
+
+
 class TestCli:
     def test_rigidity_of_fixture(self, capsys, triple_file):
         status, report = run_cli(capsys, "rigidity", triple_file)

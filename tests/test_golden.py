@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from midconv import cli
 from midconv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +59,7 @@ RUNS = {
     "equiv__inequivalent": (("equiv", fixture("alpha-simple"), fixture("rank1-irregular")), 0),
     "mc__pole-mismatch": (("mc", fixture("rank1-irregular"), "--alpha", given("alpha-at-5.sys")), 1),
     "phi__system-document": (("phi", fixture("rigid-triple")), 1),
+    "okubo__system-document": (("okubo", fixture("rigid-triple")), 1),
     "dr__not-fuchsian": (("dr", "--lambda", "1", fixture("rank1-irregular")), 1),
     "equiv__different-rank": (("equiv", fixture("alpha-simple"), fixture("rigid-triple")), 1),
 }
@@ -86,3 +88,7 @@ def test_every_golden_file_is_checked():
     on_disk = {p.name for p in GOLDEN.glob("*.json")}
     assert on_disk == {golden_path(name).name for name, _, _ in CASES}
     assert len(CASES) == len(on_disk)
+
+
+def test_every_command_has_a_golden_run():
+    assert {argv[0] for _, argv, _ in CASES} == set(cli.COMMANDS)
