@@ -35,7 +35,7 @@ from .exactalg import (
     rank,
     solve,
 )
-from .systems import PrincipalPart, System, TruncatedGauge, truncated_inverse
+from .systems import PrincipalPart, System, TruncatedGauge, trim, truncated_inverse
 
 __all__ = [
     "Block",
@@ -118,7 +118,7 @@ class Datum:
 
     def t_matrix(self) -> Matrix:
         """T on W = direct sum of the blocks, i.e. t Id + N_t per block."""
-        mats = [b.nilpotent + b.point * Matrix.identity(b.dim_w) for b in self.blocks]
+        mats = [b.nilpotent.shift(b.point) for b in self.blocks]
         return Matrix.block_diagonal(mats) if mats else Matrix.zeros(0, 0)
 
     def q_matrix(self) -> Matrix:
@@ -181,15 +181,6 @@ def hat_matrix(coefficients: Sequence[Matrix]) -> Matrix:
     return Matrix.vstack([Matrix.hstack(r) for r in rows])
 
 
-def _shift_matrix(n: int, k: int) -> Matrix:
-    rows = []
-    for i in range(k):
-        rows.append(
-            [Matrix.identity(n) if j == i + 1 else Matrix.zeros(n, n) for j in range(k)]
-        )
-    return Matrix.vstack([Matrix.hstack(r) for r in rows])
-
-
 def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:
     """The canonical datum for Sum of the given principal parts.
 
@@ -211,7 +202,10 @@ def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:
         r = pi.rows
         if r == 0:
             continue
-        nhat = _shift_matrix(n, k)
+        # N-hat, the hat matrix of I z^{1-k}: identity blocks on the first superdiagonal
+        nhat = hat_matrix(
+            [Matrix.identity(n) if j == k - 2 else Matrix.zeros(n, n) for j in range(k)]
+        )
         qhat = Matrix.hstack(list(reversed(coeffs)))
         phat = Matrix.vstack([Matrix.zeros((k - 1) * n, n), Matrix.identity(n)])
         blocks.append(
@@ -257,17 +251,13 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
         raise PointMismatch(f"no block at point {g.point}")
     if g.dimension != d.dim_v:
         raise DimensionMismatch("gauge dimension differs from dim V")
-    w = target.dim_w
     npows = nilpotent_powers(target.nilpotent)
-    m = len(npows)
-    n = d.dim_v
-    gp = list(g.coefficients) + [Matrix.zeros(n, n)] * max(0, m - len(g.coefficients))
-    hp = truncated_inverse(g.coefficients, m)
-    new_q = Matrix.zeros(n, w)
-    new_p = Matrix.zeros(w, n)
-    for k, npow in enumerate(npows):
-        new_q = new_q + gp[k] * target.q * npow
-        new_p = new_p + npow * target.p * hp[k]
+    new_q = Matrix.zeros(d.dim_v, target.dim_w)
+    new_p = Matrix.zeros(target.dim_w, d.dim_v)
+    for gk, npow in zip(g.coefficients, npows):
+        new_q = new_q + gk * target.q * npow
+    for npow, hk in zip(npows, truncated_inverse(g.coefficients, len(npows))):
+        new_p = new_p + npow * target.p * hk
     blocks = tuple(
         Block(b.point, b.nilpotent, new_q, new_p) if b.point == g.point else b for b in d.blocks
     )
@@ -380,11 +370,9 @@ def resolvent_principal_parts(
         m = b.cols
         lblk = left_c.submatrix(0, out_dim, offset, offset + m)
         rblk = right_c.submatrix(offset, offset + m, 0, right.cols)
-        coeffs = [lblk * power * rblk for power in nilpotent_powers(nil)]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        coeffs = trim(lblk * power * rblk for power in nilpotent_powers(nil))
         if coeffs:
-            parts.append(PrincipalPart(ev, tuple(coeffs)))
+            parts.append(PrincipalPart(ev, coeffs))
         offset += m
     return tuple(parts)
 

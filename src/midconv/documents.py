@@ -264,6 +264,12 @@ def serialize_document(value, name=None) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _flag_rational(text: str) -> Fraction:
+    """An integer or 'p/q'; int() refuses exponents, which Fraction() expands in full."""
+    num, slash, den = text.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
 def parse_scalar_flag(text: str) -> GaussianRational:
     """Lenient scalar syntax for CLI flags: 're' or 're,im', each part an
     integer or 'p/q'."""
@@ -271,8 +277,8 @@ def parse_scalar_flag(text: str) -> GaussianRational:
     if len(parts) > 2:
         raise ValidationError(f"bad scalar {text!r}")
     try:
-        re = Fraction(parts[0].strip())
-        im = Fraction(parts[1].strip()) if len(parts) == 2 else Fraction(0)
+        re = _flag_rational(parts[0])
+        im = _flag_rational(parts[1]) if len(parts) == 2 else Fraction(0)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad scalar {text!r}: {exc}") from None
     return GaussianRational(re, im)

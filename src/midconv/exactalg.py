@@ -383,6 +383,15 @@ class Matrix:
         s = _coerce(s)
         return Matrix(self.rows, self.cols, [s * a for a in self._e])
 
+    def shift(self, c) -> "Matrix":
+        """self + c*I for square self; only the diagonal changes."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("shift of non-square matrix")
+        c = _coerce(c)
+        ents = list(self._e)
+        ents[:: self.cols + 1] = [e + c for e in ents[:: self.cols + 1]]
+        return Matrix(self.rows, self.cols, ents)
+
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("power of non-square matrix")
@@ -566,9 +575,7 @@ def char_poly(m: Matrix) -> list[GaussianRational]:
         ck = -(mk.trace() / gr(k))
         coeffs[n - k] = ck
         if k < n:
-            shifted = list(mk.entries())  # mk + ck*I: only the diagonal changes
-            shifted[:: n + 1] = [e + ck for e in shifted[:: n + 1]]
-            mk = m * Matrix(n, n, shifted)
+            mk = m * mk.shift(ck)
     return coeffs
 
 
@@ -762,7 +769,7 @@ def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Ma
     out = []
     total = 0
     for ev, mult in char_eigenvalues(m):
-        shifted = m - ev * Matrix.identity(n)
+        shifted = m.shift(-ev)
         basis = Matrix.hstack(kernel_basis(shifted**mult))
         total += basis.cols
         out.append((ev, basis, solve(basis, shifted * basis)))

@@ -114,8 +114,7 @@ def dr_middle_convolution(p: System, lam: GaussianRational) -> System:
         return zero_pair()
     q = Matrix.hstack(qs)
     pm = Matrix.vstack(ps)
-    w = q.cols
-    g = pm * q + lam * Matrix.identity(w)
+    g = (pm * q).shift(lam)
     pi, iota = quotient_projection(g)
     m = pi.rows
     if m == 0:

@@ -40,7 +40,7 @@ from .exactalg import (
     sylvester_operator,
 )
 from .datum import hat_matrix
-from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint
+from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint, scalar_coefficients, trim
 
 __all__ = [
     "SpectralBlock",
@@ -73,20 +73,14 @@ class SpectralBlock:
         return self.gamma.rows
 
     def tail_key(self):
-        trimmed = list(self.tail)
-        while trimmed and trimmed[-1].is_zero():
-            trimmed.pop()
-        return tuple(x.sort_key() for x in trimmed)
+        return tuple(x.sort_key() for x in trim(self.tail))
 
     def is_zero_spectrum(self) -> bool:
-        return all(x.is_zero() for x in self.tail)
+        return not trim(self.tail)
 
     def pole_order(self) -> int:
         """ord(lambda(z) + Gamma/z) for this block."""
-        for i in range(len(self.tail), 0, -1):
-            if not self.tail[i - 1].is_zero():
-                return i + 1
-        return 0 if self.gamma.is_zero() else 1
+        return len(trim((self.gamma, *self.tail)))
 
 
 @dataclass(frozen=True)
@@ -135,25 +129,16 @@ def assemble_normal_form(nf: NormalForm) -> list[Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _offdiag(m: Matrix, dims: list[int]) -> Matrix:
-    rows = []
-    starts = [sum(dims[:i]) for i in range(len(dims) + 1)]
-    grid = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
-    for bi in range(len(dims)):
-        for i in range(starts[bi], starts[bi + 1]):
-            for j in range(starts[bi], starts[bi + 1]):
-                grid[i][j] = gr(0)
-    return Matrix.from_rows(grid) if m.rows else m
+def _offdiag(m: Matrix, starts: list[int]) -> Matrix:
+    """m with its diagonal blocks (rows and columns starts[i]..starts[i+1]) zeroed."""
+    diagonal = [m.submatrix(lo, hi, lo, hi) for lo, hi in zip(starts, starts[1:])]
+    return m - Matrix.block_diagonal(diagonal)
 
 
 def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], Matrix]]:
     """Recursive reduction; returns (tail as list indexed 2..k, gamma)."""
     n = coeffs[0].rows
-    d = 0
-    for j in range(k, 0, -1):
-        if not coeffs[j - 1].is_zero():
-            d = j
-            break
+    d = len(trim(coeffs))
     if d <= 1:
         tail = [gr(0)] * max(k - 1, 0)
         return [(tail, coeffs[0] if k >= 1 else Matrix.zeros(n, n))]
@@ -164,7 +149,7 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
     if len(eig) == 1:
         a = eig[0][0]
         sub = list(coeffs)
-        sub[d - 1] = sub[d - 1] - a * Matrix.identity(n)
+        sub[d - 1] = sub[d - 1].shift(-a)
         blocks = _split(sub, k)
         for tail, _ in blocks:
             tail[d - 2] = tail[d - 2] + a
@@ -178,7 +163,7 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
     starts = [sum(dims[:i]) for i in range(len(dims) + 1)]
     for j in range(1, d):
         target = cur[d - j - 1]
-        off = _offdiag(target, dims)
+        off = _offdiag(target, starts)
         if not off.is_zero():
             x_rows = [[gr(0)] * n for _ in range(n)]
             for r in range(len(dims)):
@@ -194,7 +179,7 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
             g = TruncatedGauge(gr(0), tuple(gauge_coeffs))
             new_part = gauge_coadjoint(g, PrincipalPart(gr(0), tuple(cur)))
             cur = list(new_part.coefficients)
-    if any(not _offdiag(c, dims).is_zero() for c in cur):
+    if any(not _offdiag(c, starts).is_zero() for c in cur):
         raise InvariantViolation("off-diagonal elimination failed")
     out = []
     for bi in range(len(dims)):
@@ -296,22 +281,17 @@ def stabilizer_dim(part: PrincipalPart) -> int:
 
 
 def _pad_alpha(alpha: PrincipalPart, k: int) -> list[GaussianRational]:
-    from .systems import scalar_coefficients
-
     coeffs = scalar_coefficients(alpha)
-    if len(coeffs) > k and any(not c.is_zero() for c in coeffs[k:]):
+    if len(trim(coeffs)) > k:
         raise DimensionMismatch("scalar part exceeds the truncation order")
-    coeffs = coeffs[:k] + [gr(0)] * max(0, k - len(coeffs))
-    return coeffs
+    return coeffs[:k] + [gr(0)] * max(0, k - len(coeffs))
 
 
 def hat_kernel_dim(part: PrincipalPart, alpha: PrincipalPart) -> int:
     """dim Ker(A-hat - alpha-hat) computed directly on the block-Toeplitz
     matrices; gauge-invariant."""
-    k = len(part.coefficients)
-    n = part.dimension
-    avals = _pad_alpha(alpha, k)
-    shifted = [part.coefficients[j] - avals[j] * Matrix.identity(n) for j in range(k)]
+    avals = _pad_alpha(alpha, len(part.coefficients))
+    shifted = [c.shift(-a) for c, a in zip(part.coefficients, avals)]
     m = hat_matrix(shifted)
     return m.cols - rank(m)
 
@@ -328,8 +308,7 @@ def hat_kernel_dim_formula(nf: NormalForm, alpha_coeffs: Sequence[GaussianRation
     # level 1: genuine eigenspace of the residue inside the matching block
     for b in nf.blocks:
         if all(b.tail[j - 2] == alpha_coeffs[j - 1] for j in range(2, k + 1)):
-            shifted = b.gamma - alpha_coeffs[0] * Matrix.identity(b.dim)
-            total += len(kernel_basis(shifted))
+            total += len(kernel_basis(b.gamma.shift(-alpha_coeffs[0])))
     return total
 
 
@@ -394,10 +373,7 @@ def predicted_spectra(
         if b.is_zero_spectrum():
             zero_block = b
         else:
-            d = b.pole_order()
-            carried.append(
-                SpectralBlock(b.tail, b.gamma - (gr(d) * beta) * Matrix.identity(b.dim))
-            )
+            carried.append(SpectralBlock(b.tail, b.gamma.shift(-(b.pole_order() * beta))))
             carried_dim += b.dim
     if new_rank < carried_dim:
         raise InconsistentRank(
@@ -407,7 +383,7 @@ def predicted_spectra(
     gamma0 = zero_block.gamma if zero_block is not None else Matrix.zeros(0, 0)
     pi, iota = quotient_projection(gamma0)
     w0 = pi.rows
-    m = pi * gamma0 * iota - beta * Matrix.identity(w0)
+    m = (pi * gamma0 * iota).shift(-beta)
     if v0 < w0:
         raise InconsistentRank("output rank cannot accommodate the residue pencil")
     jordan_blocks: list[tuple[GaussianRational, int]] = []

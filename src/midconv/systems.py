@@ -7,12 +7,18 @@ are stored per part and parts are kept sorted by point, so document output
 and all derived data are reproducible.  Equality of systems is semantic:
 trailing zero coefficients and all-zero parts do not distinguish systems
 (the declared truncation order is storage, the pole order is meaning).
+
+Principal parts and gauges are truncated matrix power series: ``trim``
+drops trailing zero coefficients, and ``series_coefficient`` (the Cauchy
+product coefficient) builds ``truncated_inverse``, ``gauge_compose`` and
+``gauge_coadjoint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -36,6 +42,8 @@ __all__ = [
     "System",
     "TruncatedGauge",
     "order",
+    "trim",
+    "series_coefficient",
     "residue_at_infinity",
     "add_scalar",
     "gauge_coadjoint",
@@ -78,19 +86,18 @@ class PrincipalPart:
         return self.coefficients[0].rows
 
 
-def order(part: PrincipalPart) -> int:
-    """The pole order: largest k with A_k nonzero, or 0."""
-    for k in range(len(part.coefficients), 0, -1):
-        if not part.coefficients[k - 1].is_zero():
-            return k
-    return 0
-
-
-def _trim(coeffs: Sequence[Matrix]) -> tuple[Matrix, ...]:
+def trim(coeffs: Iterable) -> tuple:
+    """The coefficients up to the last nonzero one; any values with
+    ``is_zero``, matrices and scalars alike."""
     out = list(coeffs)
     while out and out[-1].is_zero():
         out.pop()
     return tuple(out)
+
+
+def order(part: PrincipalPart) -> int:
+    """The pole order: largest k with A_k nonzero, or 0."""
+    return len(trim(part.coefficients))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +131,7 @@ class System:
             object.__setattr__(self, "declaration", decl)
             prod = Matrix.identity(n)
             for s, l in decl:
-                prod = prod * (self.constant - s * Matrix.identity(n)) ** l
+                prod = prod * self.constant.shift(-s) ** l
             if not prod.is_zero():
                 raise ValidationError("constant term violates the declared exponent condition")
 
@@ -137,7 +144,7 @@ class System:
     def _semantic(self):
         parts = {}
         for p in self.parts:
-            trimmed = _trim(p.coefficients)
+            trimmed = trim(p.coefficients)
             if trimmed:
                 parts[p.point] = trimmed
         return (self.dimension, self.constant, parts)
@@ -188,7 +195,7 @@ def add_scalar(sys: System, alpha: System) -> System:
     if alpha.dimension != 1:
         raise DimensionMismatch("addition parameter must have rank 1")
     n = sys.dimension
-    const = sys.constant + alpha.constant.scalar() * Matrix.identity(n)
+    const = sys.constant.shift(alpha.constant.scalar())
     if n == 0:
         return System(0, const, ())
     merged = {p.point: list(p.coefficients) for p in sys.parts}
@@ -197,7 +204,7 @@ def add_scalar(sys: System, alpha: System) -> System:
         for j, c in enumerate(scalar_coefficients(ap)):
             while len(coeffs) <= j:
                 coeffs.append(Matrix.zeros(n, n))
-            coeffs[j] = coeffs[j] + c * Matrix.identity(n)
+            coeffs[j] = coeffs[j].shift(c)
     parts = tuple(PrincipalPart(pt, tuple(cs)) for pt, cs in merged.items())
     return System(n, const, parts, sys.declaration)
 
@@ -233,19 +240,25 @@ class TruncatedGauge:
         return self.coefficients[0].rows
 
 
+def series_coefficient(a: Sequence[Matrix], b: Sequence[Matrix], m: int, zero: Matrix) -> Matrix:
+    """The z^m coefficient of a(z) b(z); coefficients past either end of a
+    or b count as zero, and ``zero`` is the result when no term is left."""
+    acc = zero
+    for j in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
+        acc = acc + a[j] * b[m - j]
+    return acc
+
+
 def truncated_inverse(coeffs: Sequence[Matrix], length: int) -> list[Matrix]:
     """Coefficients of g(z)^{-1} mod z^length."""
     g0inv = invert(coeffs[0])
     if g0inv is None:
         raise SingularGauge("constant term of the gauge element is singular")
-    n = coeffs[0].rows
-    padded = list(coeffs) + [Matrix.zeros(n, n)] * max(0, length - len(coeffs))
+    zero = Matrix.zeros(coeffs[0].rows, coeffs[0].rows)
     inv = [g0inv]
     for m in range(1, length):
-        acc = Matrix.zeros(n, n)
-        for j in range(1, m + 1):
-            acc = acc + padded[j] * inv[m - j]
-        inv.append(-(g0inv * acc))
+        # inv[m] is not there yet, so the coefficient is Sum_{j>=1} g_j inv[m-j]
+        inv.append(-(g0inv * series_coefficient(coeffs, inv, m, zero)))
     return inv
 
 
@@ -254,16 +267,9 @@ def gauge_compose(g: TruncatedGauge, h: TruncatedGauge) -> TruncatedGauge:
     if g.point != h.point:
         raise PointMismatch("cannot compose gauges at different points")
     k = max(len(g.coefficients), len(h.coefficients))
-    n = g.dimension
-    gp = list(g.coefficients) + [Matrix.zeros(n, n)] * (k - len(g.coefficients))
-    hp = list(h.coefficients) + [Matrix.zeros(n, n)] * (k - len(h.coefficients))
-    out = []
-    for m in range(k):
-        acc = Matrix.zeros(n, n)
-        for j in range(m + 1):
-            acc = acc + gp[j] * hp[m - j]
-        out.append(acc)
-    return TruncatedGauge(g.point, tuple(out))
+    zero = Matrix.zeros(g.dimension, g.dimension)
+    out = tuple(series_coefficient(g.coefficients, h.coefficients, m, zero) for m in range(k))
+    return TruncatedGauge(g.point, out)
 
 
 def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
@@ -274,22 +280,14 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
     if g.dimension != part.dimension:
         raise DimensionMismatch("gauge dimension differs from the part")
     k = len(part.coefficients)
-    n = part.dimension
-    gp = list(g.coefficients) + [Matrix.zeros(n, n)] * max(0, k - len(g.coefficients))
+    zero = Matrix.zeros(part.dimension, part.dimension)
+    # z^k A(z) is the polynomial A_k + A_{k-1} z + ... + A_1 z^{k-1}; its
+    # conjugate mod z^k, read backwards, is the principal part of g A g^{-1}
+    za = part.coefficients[::-1]
+    gza = [series_coefficient(g.coefficients, za, m, zero) for m in range(k)]
     hp = truncated_inverse(g.coefficients, k)
-    out = []
-    for m in range(1, k + 1):
-        acc = Matrix.zeros(n, n)
-        for j in range(m, k + 1):
-            aj = part.coefficients[j - 1]
-            if aj.is_zero():
-                continue
-            for a in range(0, j - m + 1):
-                b = j - m - a
-                if a < len(gp) and b < len(hp):
-                    acc = acc + gp[a] * aj * hp[b]
-        out.append(acc)
-    return PrincipalPart(part.point, tuple(out))
+    out = [series_coefficient(gza, hp, m, zero) for m in range(k)]
+    return PrincipalPart(part.point, tuple(reversed(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +364,7 @@ def _intertwiner_space(a: System, b: System) -> list[Matrix]:
     cb = {p.point: p.coefficients for p in b.parts}
     pairs = [(a.constant, b.constant)]
     for pt in ca.keys() | cb.keys():
-        xs, ys = ca.get(pt, ()), cb.get(pt, ())
-        for j in range(max(len(xs), len(ys))):
-            pairs.append((xs[j] if j < len(xs) else zero, ys[j] if j < len(ys) else zero))
+        pairs.extend(zip_longest(ca.get(pt, ()), cb.get(pt, ()), fillvalue=zero))
     return intertwiner_basis(pairs)
 
 

@@ -129,6 +129,16 @@ def test_unreadable_input_is_a_validation_report(capsys, tmp_path, case):
     assert report["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("dr", "--lambda", "1e999999999"), ("stab-dim", "--point", "1e9,0"), ("dr", "--lambda", "0.5")],
+)
+def test_scalar_flag_is_an_integer_or_ratio(capsys, triple_file, flags):
+    status, report = run_cli(capsys, *flags, triple_file)
+    assert status == 1
+    assert report["error"]["type"] == "ValidationError"
+
+
 class TestCli:
     def test_rigidity_of_fixture(self, capsys, triple_file):
         status, report = run_cli(capsys, "rigidity", triple_file)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from midconv.errors import IrrationalSpectrum, NotNilpotent
+from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
     Matrix,
     char_eigenvalues,
@@ -71,6 +71,20 @@ class TestScalars:
         assert a.r > 0
         assert gcd(a.p, a.q, a.r) == 1
         assert gr(a.re, a.im) == a
+
+
+class TestShift:
+    @pytest.mark.parametrize("c", [3, Fraction(-5, 7), gr(Fraction(1, 2), -2)])
+    def test_equals_the_dense_sum(self, rng, c):
+        from midconv.checks import random_matrix
+
+        for n in range(5):
+            m = random_matrix(rng, n).scale(gr(Fraction(2, 3), 1))
+            assert m.shift(c) == m + c * Matrix.identity(n)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(2, 3).shift(1)
 
 
 class TestRref:

@@ -22,6 +22,7 @@ from midconv.systems import (
     order,
     residue_at_infinity,
     scalar_system,
+    truncated_inverse,
 )
 from midconv.checks import random_gauge, random_matrix
 
@@ -145,6 +146,42 @@ class TestGauge:
             part = PrincipalPart(gr(0), tuple(random_matrix(rng, n) for _ in range(k)))
             g = random_gauge(rng, gr(0), n, k)
             assert order(gauge_coadjoint(g, part)) == order(part)
+
+
+def laurent_product(a: dict, b: dict) -> dict:
+    """Product of Laurent series given as {exponent: matrix}, written out term by term."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out[i + j] + x * y if i + j in out else x * y
+    return out
+
+
+class TestSeriesAgainstLaurentProducts:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_truncated_inverse(self, rng, k):
+        for n in (1, 2, 3):
+            g = random_gauge(rng, gr(0), n, k).coefficients
+            inv = truncated_inverse(g, k)
+            assert len(inv) == k
+            gser, iser = dict(enumerate(g)), dict(enumerate(inv))
+            for prod in (laurent_product(gser, iser), laurent_product(iser, gser)):
+                for e in range(k):
+                    assert prod[e] == (Matrix.identity(n) if e == 0 else Matrix.zeros(n, n))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_gauge_coadjoint(self, rng, k):
+        # B is the principal part of g A g^{-1} iff g A - B g has no negative powers
+        for n, glen in ((2, k), (2, k - 1), (3, k), (2, k + 1)):
+            part = PrincipalPart(gr(0), tuple(random_matrix(rng, n) for _ in range(k)))
+            g = random_gauge(rng, gr(0), n, glen)
+            res = gauge_coadjoint(g, part)
+            assert len(res.coefficients) == k
+            gser = dict(enumerate(g.coefficients))
+            ga = laurent_product(gser, {-j: a for j, a in enumerate(part.coefficients, 1)})
+            bg = laurent_product({-j: b for j, b in enumerate(res.coefficients, 1)}, gser)
+            for e in range(-k, 0):
+                assert ga[e] == bg[e]
 
 
 class TestIrreducibility:
