@@ -38,6 +38,7 @@ from .normalform import (
     stabilizer_dim_formula,
     stabilizer_dim_linear,
 )
+from .rigidity import rigidity_index
 from .systems import (
     PrincipalPart,
     System,
@@ -49,6 +50,7 @@ from .systems import (
     is_irreducible,
     order,
     residue_at_infinity,
+    scalar_coefficients,
     scalar_system,
 )
 
@@ -207,8 +209,6 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
         for part in sys.parts:
             nf = compute_normal_form(part)
             sel = select_alpha(part)
-            from .systems import scalar_coefficients
-
             coeffs = scalar_coefficients(sel)
             k = len(part.coefficients)
             coeffs = coeffs + [gr(0)] * (k - len(coeffs))
@@ -231,8 +231,6 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
         _require(witness is not None, "double dual is not equivalent to the input")
 
     def rigidity_conjugation():
-        from .rigidity import rigidity_index
-
         if not sys.constant.is_zero() or not residue_at_infinity(sys).is_zero():
             return
         if not is_irreducible(sys):

@@ -35,7 +35,7 @@ from .exactalg import (
     rank,
     solve,
 )
-from .systems import PrincipalPart, System, TruncatedGauge, trim, truncated_inverse
+from .systems import PrincipalPart, System, TruncatedGauge, is_irreducible, trim, truncated_inverse
 
 __all__ = [
     "Block",
@@ -119,7 +119,7 @@ class Datum:
     def t_matrix(self) -> Matrix:
         """T on W = direct sum of the blocks, i.e. t Id + N_t per block."""
         mats = [b.nilpotent.shift(b.point) for b in self.blocks]
-        return Matrix.block_diagonal(mats) if mats else Matrix.zeros(0, 0)
+        return Matrix.block_diagonal(mats)
 
     def q_matrix(self) -> Matrix:
         return Matrix.hstack([b.q for b in self.blocks]) if self.blocks else Matrix.zeros(self.dim_v, 0)
@@ -340,7 +340,7 @@ def datum_isomorphism(d1: Datum, d2: Datum):
         if f is None:
             return None
         fs.append(f)
-    return Matrix.block_diagonal(fs) if fs else Matrix.zeros(0, 0)
+    return Matrix.block_diagonal(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,6 @@ def psi(h: HarnadDatum) -> System:
 def harnad_irreducible(h: HarnadDatum) -> bool:
     """Irreducibility of the sextuple: stability of the underlying datum
     together with irreducibility of the realized pair."""
-    from .systems import is_irreducible
-
     if h.dim_v < 1:
         raise EmptyV("irreducibility needs dim V >= 1")
     return is_stable(h.datum) and is_irreducible(phi(h))

@@ -2,12 +2,14 @@
 
 Scalars are pairs of ``fractions.Fraction`` values; matrices are dense and
 immutable.  Everything downstream (gauge actions, canonical data, duality,
-rigidity) reduces to the primitives here: reduced row echelon form with a
-fixed pivot rule, exact linear solves, eigenvalue extraction inside Q(i),
-and nilpotent/commutant structure.  No floating point is used anywhere.
+rigidity) reduces to the primitives here: the reduced row echelon form,
+exact linear solves, eigenvalue extraction inside Q(i), and
+nilpotent/commutant structure.  No floating point is used anywhere.
 
-The pivot rule (first nonzero entry in column order) is part of the
-contract: repeated runs produce byte-identical bases.
+All elimination is one step, ``echelon_insert``.  Kernels, quotients and
+solutions are read off the reduced row echelon form, which is unique for
+each matrix, so repeated runs produce byte-identical bases whatever order
+the elimination runs in.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "GaussianRational",
     "Matrix",
     "gr",
+    "echelon_insert",
     "rank",
     "kernel_basis",
     "quotient_projection",
@@ -328,9 +331,6 @@ class Matrix:
     def row_list(self, i: int):
         return list(self._e[i * self.cols : (i + 1) * self.cols])
 
-    def col(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, [self._e[i * self.cols + j] for i in range(self.rows)])
-
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         ents = []
         for i in range(r0, r1):
@@ -447,56 +447,73 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(m: Matrix):
-    """Reduced row echelon form; returns (rank, pivot columns, row grid).
+def echelon_insert(rows: list, pivots: list[int], vec) -> bool:
+    """Reduce vec against the echelon rows; append it, pivot scaled to 1,
+    if it is independent of them.
 
-    Rows at or below the working row are zero left of the current column,
-    so elimination only touches columns from the pivot onward.
+    rows[k] has a 1 at column pivots[k], is zero before it and is zero at
+    the pivots of the rows inserted before it, so one pass in insertion
+    order clears every pivot column of vec.
     """
-    grid = [m.row_list(i) for i in range(m.rows)]
-    cols = m.cols
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f.p or f.q:
+            for j in range(c, len(v)):
+                b = row[j]
+                if b.p or b.q:
+                    v[j] = v[j] - f * b
+    for lead, x in enumerate(v):
+        if x.p or x.q:
+            break
+    else:
+        return False
+    inv = x.inverse()
+    v[lead:] = [inv * e if e.p or e.q else e for e in v[lead:]]
+    rows.append(v)
+    pivots.append(lead)
+    return True
+
+
+def _echelon_rows(m: Matrix):
+    """A row echelon basis of the row space of m, in insertion order."""
+    rows: list[list[GaussianRational]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            e = grid[i][c]
-            if e.p or e.q:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        row_r = grid[r]
-        inv = row_r[c].inverse()
-        for j in range(c, cols):
-            e = row_r[j]
-            if e.p or e.q:
-                row_r[j] = inv * e
-        for i in range(m.rows):
-            if i == r:
-                continue
-            f = grid[i][c]
+    for i in range(m.rows):
+        echelon_insert(rows, pivots, m.row_list(i))
+    return rows, pivots
+
+
+def _row_reduce(m: Matrix):
+    """The reduced row echelon form of m; returns (pivot columns, nonzero rows).
+
+    A matrix has exactly one reduced echelon form, so the result does not
+    depend on the order in which the elimination runs.  Each pivot column
+    is cleared from the earlier rows, last inserted row first: a row is
+    zero at the pivots of the rows inserted before it, so a cleared column
+    never refills.
+    """
+    rows, pivots = _echelon_rows(m)
+    for k in range(len(rows) - 1, 0, -1):
+        row_k, c = rows[k], pivots[k]
+        for row_i in rows[:k]:
+            f = row_i[c]
             if f.p or f.q:
-                row_i = grid[i]
-                for j in range(c, cols):
-                    b = row_r[j]
+                for j in range(c, m.cols):
+                    b = row_k[j]
                     if b.p or b.q:
                         row_i[j] = row_i[j] - f * b
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return r, pivots, grid
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return [pivots[k] for k in order], [rows[k] for k in order]
 
 
 def rank(m: Matrix) -> int:
-    return _row_reduce(m)[0]
+    return len(_echelon_rows(m)[0])
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:
     """Echelon-normalized basis of Ker m (leading entry of each vector is 1)."""
-    r, pivots, grid = _row_reduce(m)
+    pivots, grid = _row_reduce(m)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -523,8 +540,9 @@ def quotient_projection(m: Matrix):
     positions come from the reduced echelon form, so the result is
     deterministic.
     """
-    r, pivots, grid = _row_reduce(m)
-    pi = Matrix(r, m.cols, [x for i in range(r) for x in grid[i]])
+    pivots, grid = _row_reduce(m)
+    r = len(pivots)
+    pi = Matrix(r, m.cols, [x for row in grid for x in row])
     ents = [_ZERO] * (m.cols * r)
     for j, pc in enumerate(pivots):
         ents[pc * r + j] = _ONE
@@ -537,7 +555,7 @@ def solve(a: Matrix, b: Matrix):
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
     aug = Matrix.hstack([a, b])
-    r, pivots, grid = _row_reduce(aug)
+    pivots, grid = _row_reduce(aug)
     for pc in pivots:
         if pc >= a.cols:
             return None

@@ -352,7 +352,7 @@ def jordan_matrix(blocks: Sequence[tuple[GaussianRational, int]]) -> Matrix:
             for i in range(size)
         ]
         mats.append(Matrix.from_rows(rows))
-    return Matrix.block_diagonal(mats) if mats else Matrix.zeros(0, 0)
+    return Matrix.block_diagonal(mats)
 
 
 def predicted_spectra(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational, Matrix
 from .functors import mc
-from .normalform import select_alpha
+from .normalform import select_alpha, stabilizer_dim
 from .systems import (
     PrincipalPart,
     System,
@@ -72,8 +72,6 @@ class ReductionTrace:
 def orbit_dim(sys: System) -> int:
     """dim of the truncated-gauge coadjoint orbit: per pole, the group
     dimension k_t (dim V)^2 minus the stabilizer dimension."""
-    from .normalform import stabilizer_dim
-
     n = sys.dimension
     total = 0
     for part in sys.parts:

@@ -31,6 +31,7 @@ from .errors import (
 from .exactalg import (
     GaussianRational,
     Matrix,
+    echelon_insert,
     gr,
     intertwiner_basis,
     invert,
@@ -131,7 +132,8 @@ class System:
             object.__setattr__(self, "declaration", decl)
             prod = Matrix.identity(n)
             for s, l in decl:
-                prod = prod * self.constant.shift(-s) ** l
+                # Ker (S - s)^l stops growing at l = n, so the verdict is the same
+                prod = prod * self.constant.shift(-s) ** min(l, n)
             if not prod.is_zero():
                 raise ValidationError("constant term violates the declared exponent condition")
 
@@ -295,35 +297,6 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
 # ---------------------------------------------------------------------------
 
 
-def _vec(m: Matrix) -> list[GaussianRational]:
-    return list(m.entries())
-
-
-def _span_insert(rows, pivots, vec) -> bool:
-    """Reduce vec against the echelon rows; append if independent."""
-    v = list(vec)
-    for col, row in pivots.items():
-        f = v[col]
-        if f.p or f.q:
-            base = rows[row]
-            for idx in range(len(v)):
-                b = base[idx]
-                if b.p or b.q:
-                    v[idx] = v[idx] - f * b
-    lead = None
-    for idx, x in enumerate(v):
-        if x.p or x.q:
-            lead = idx
-            break
-    if lead is None:
-        return False
-    inv = v[lead].inverse()
-    v = [inv * x for x in v]
-    pivots[lead] = len(rows)
-    rows.append(v)
-    return True
-
-
 def is_irreducible(sys: System) -> bool:
     """True iff the unital algebra generated by the constant term and all
     coefficients is the full endomorphism algebra.
@@ -338,10 +311,10 @@ def is_irreducible(sys: System) -> bool:
     gens = [sys.constant] + [c for p in sys.parts for c in p.coefficients]
     gens = [g for g in gens if not g.is_zero()]
     rows: list[list[GaussianRational]] = []
-    pivots: dict[int, int] = {}
+    pivots: list[int] = []
     frontier: list[Matrix] = []
     for m in [Matrix.identity(n)] + gens:
-        if _span_insert(rows, pivots, _vec(m)):
+        if echelon_insert(rows, pivots, m.entries()):
             frontier.append(m)
     full = n * n
     while frontier and len(rows) < full:
@@ -349,7 +322,7 @@ def is_irreducible(sys: System) -> bool:
         for f in frontier:
             for g in gens:
                 prod = f * g
-                if _span_insert(rows, pivots, _vec(prod)):
+                if echelon_insert(rows, pivots, prod.entries()):
                     nxt.append(prod)
                     if len(rows) == full:
                         return True
@@ -373,16 +346,18 @@ def equivalent(a: System, b: System):
 
     Only defined for irreducible inputs: there the intertwiner space has
     dimension at most one and any nonzero element is invertible, so a
-    single exact solve decides.
+    single exact solve decides.  A nonzero intertwiner from an irreducible
+    a of the same dimension is injective, hence invertible, so b is then
+    irreducible too; b is tested only when there is none.
     """
     if a.dimension == 0 and b.dimension == 0:
         return Matrix.zeros(0, 0)
     if a.dimension != b.dimension:
         raise DimensionMismatch("equivalence of systems of different rank")
-    if not is_irreducible(a) or not is_irreducible(b):
-        raise InconclusiveEquivalence("equivalence is only decided for irreducible pairs")
-    space = _intertwiner_space(a, b)
+    space = _intertwiner_space(a, b) if is_irreducible(a) else None
     if not space:
+        if space is None or not is_irreducible(b):
+            raise InconclusiveEquivalence("equivalence is only decided for irreducible pairs")
         return None
     if len(space) != 1:
         raise InvariantViolation("Schur bound violated for irreducible inputs")

@@ -139,6 +139,50 @@ def test_scalar_flag_is_an_integer_or_ratio(capsys, triple_file, flags):
     assert report["error"]["type"] == "ValidationError"
 
 
+def _declared_jordan_document(order: int) -> dict:
+    doc = system_to_document(System(2, Matrix.from_rows([[2, 1], [0, 2]]), ()))
+    doc["declarations"] = {"points": [{"re": "2/1", "im": "0/1"}], "orders": [order]}
+    return doc
+
+
+def test_huge_declared_order_is_checked_at_the_dimension(tmp_path):
+    # (S - s)^l is formed with l capped at n, so l = 10^8 costs as much as l = 2
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import midconv
+
+    path = tmp_path / "in.sys"
+    path.write_text(dumps_canonical(_declared_jordan_document(100_000_000)))
+    src = str(pathlib.Path(midconv.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-m", "midconv.cli", "irred", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert json.loads(child.stdout)["result"] == {"irreducible": False}
+
+
+@pytest.mark.parametrize("constant", [[[2, 1], [0, 3]], [[3, 0], [0, 3]]])
+def test_declaration_violated_past_the_dimension_is_rejected(constant):
+    for order in (2, 3, 50):
+        doc = _declared_jordan_document(order)
+        doc["constant"] = matrix_to_json(Matrix.from_rows(constant))
+        with pytest.raises(ValidationError):
+            system_from_document(doc)
+
+
+def test_declaration_below_the_dimension_is_still_checked():
+    with pytest.raises(ValidationError):
+        system_from_document(_declared_jordan_document(1))
+    assert system_from_document(_declared_jordan_document(2)).declaration == ((gr(2), 2),)
+
+
 class TestCli:
     def test_rigidity_of_fixture(self, capsys, triple_file):
         status, report = run_cli(capsys, "rigidity", triple_file)

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
     Matrix,
+    _row_reduce,
     char_eigenvalues,
     char_poly,
+    echelon_insert,
     generalized_eigendecomposition,
     gr,
     intertwiner_basis,
@@ -122,6 +124,70 @@ class TestRref:
         pi, iota = quotient_projection(m)
         assert pi * iota == Matrix.identity(1)
         assert m * iota * pi == m
+
+
+def _reduction_cases(rng):
+    """Seeded Q(i) matrices: tall, wide, rank-deficient, with zero rows and
+    zero columns, and the empty shapes."""
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def entry():
+        return gr(0) if rng.random() < 0.3 else gr(rational(), rational())
+
+    def dense(r, c):
+        return Matrix(r, c, [entry() for _ in range(r * c)])
+
+    def low_rank(r, c, k):
+        return dense(r, k) * dense(k, c)
+
+    cases = [dense(6, 3), dense(3, 6), low_rank(5, 4, 2), low_rank(4, 7, 3), low_rank(6, 6, 1)]
+    for m in list(cases):
+        rows = [m.row_list(i) for i in range(m.rows)]
+        rows.insert(1, [gr(0)] * m.cols)
+        cases.append(Matrix.from_rows([[gr(0), *row[:2], gr(0), *row[2:]] for row in rows]))
+    cases += [Matrix.zeros(3, 4), Matrix.zeros(0, 4), Matrix.zeros(4, 0), Matrix.zeros(0, 0)]
+    return cases
+
+
+class TestRowReduce:
+    def test_matches_sympy_rref(self, rng):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(c):
+            return sympy.Rational(c.p, c.r) + sympy.I * sympy.Rational(c.q, c.r)
+
+        def from_sympy(e):
+            e = sympy.expand(e)
+            return gr(Fraction(str(sympy.re(e))), Fraction(str(sympy.im(e))))
+
+        for m in _reduction_cases(rng):
+            expected, expected_pivots = sympy.Matrix(
+                m.rows, m.cols, [to_sympy(c) for c in m.entries()]
+            ).rref()
+            pivots, rows = _row_reduce(m)
+            assert tuple(pivots) == expected_pivots
+            assert rows == [
+                [from_sympy(expected[i, j]) for j in range(m.cols)] for i in range(len(pivots))
+            ]
+
+    def test_rank_is_the_pivot_count(self, rng):
+        for m in _reduction_cases(rng):
+            assert rank(m) == len(_row_reduce(m)[0])
+
+    def test_echelon_insert_rejects_a_dependent_vector(self):
+        rows, pivots = [], []
+        u = [gr(0), gr(2), gr(1, 1), gr(3)]
+        v = [gr(1), gr(0), gr(0, -1), gr(0)]
+        assert echelon_insert(rows, pivots, u)
+        assert echelon_insert(rows, pivots, v)
+        assert pivots == [1, 0]
+        assert all(rows[k][c] == gr(1) for k, c in enumerate(pivots))
+        combination = [gr(2, -1) * a - gr(1, 3) * b for a, b in zip(u, v)]
+        assert not echelon_insert(rows, pivots, combination)
+        assert not echelon_insert(rows, pivots, [gr(0)] * 4)
+        assert len(rows) == len(pivots) == 2
 
 
 class TestSolve:

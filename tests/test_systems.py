@@ -275,3 +275,25 @@ class TestEquivalent:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             equivalent(scalar_system({0: [1]}), fuchsian({0: E12, 1: E21}))
+
+    def test_reducible_target_is_inconclusive(self):
+        a = fuchsian({0: E12, 1: E21})
+        b = fuchsian({0: E11, 1: E21})
+        with pytest.raises(InconclusiveEquivalence):
+            equivalent(a, b)
+
+    def test_equivalent_pair_tests_irreducibility_once(self, monkeypatch, rng):
+        from midconv.checks import random_invertible
+
+        calls = []
+
+        def counted(sys):
+            calls.append(sys)
+            return is_irreducible(sys)
+
+        monkeypatch.setattr("midconv.systems.is_irreducible", counted)
+        s = fuchsian({0: E12, 1: E21})
+        t = conjugate_system(random_invertible(rng, 2), s)
+        f = equivalent(s, t)
+        assert conjugate_system(f, s) == t
+        assert calls == [s]
