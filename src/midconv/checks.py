@@ -25,7 +25,7 @@ from .exactalg import (
     Matrix,
     gr,
     kernel_basis,
-    nilpotency_index,
+    nilpotent_powers,
     rank,
 )
 from .functors import hd_double
@@ -190,7 +190,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
     def equivariance_invariance():
         d = canonical(sys.parts, n)
         for b in d.blocks:
-            k = max(1, nilpotency_index(b.nilpotent))
+            k = len(nilpotent_powers(b.nilpotent))
             g = random_gauge(rng, b.point, n, k)
             gd = gk_action(g, d)
             _require(moment_mu(gd) == moment_mu(d), "moment value moved under the gauge action")

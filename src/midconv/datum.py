@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Union
 from .errors import (
     DimensionMismatch,
     EmptyV,
-    NotNilpotent,
     NotStable,
     PointMismatch,
     ValidationError,
@@ -72,8 +71,7 @@ class Block:
             raise DimensionMismatch("nilpotent part must be square")
         if self.q.cols != w or self.p.rows != w or self.q.rows != self.p.cols:
             raise DimensionMismatch("block shapes are inconsistent")
-        if w and not (self.nilpotent**w).is_zero():
-            raise NotNilpotent("block endomorphism is not nilpotent")
+        nilpotent_powers(self.nilpotent)  # raises NotNilpotent
 
     @property
     def dim_w(self) -> int:
@@ -304,13 +302,18 @@ def moment_mu(d: Datum) -> MomentValue:
 def _block_iso(b1: Block, b2: Block):
     """The f: W_t -> W'_t with f N = N' f, Q' f = Q, f P = P', or None.
 
-    Such an f sends N^k P to N'^k P'.  On a stable block those columns span
-    W_t, so solve finds the only candidate; the rest is checked exactly.
+    Such an f sends N^k P to N'^k P', so N and N' share their nilpotency
+    index.  On a stable block those columns span W_t, so solve finds the
+    only candidate; the rest is checked exactly.
     """
     w = b1.dim_w
     if b2.dim_w != w:
         return None
-    k1, k2 = (Matrix.hstack([b.nilpotent**k * b.p for k in range(w)]) for b in (b1, b2))
+    k1, k2 = (
+        Matrix.hstack([power * b.p for power in nilpotent_powers(b.nilpotent)]) for b in (b1, b2)
+    )
+    if k1.cols != k2.cols:
+        return None
     ft = solve(k1.transpose(), k2.transpose())
     if ft is None:
         return None

@@ -33,7 +33,6 @@ __all__ = [
     "char_poly",
     "char_eigenvalues",
     "nilpotent_partition",
-    "nilpotency_index",
     "nilpotent_powers",
     "generalized_eigendecomposition",
     "sylvester_operator",
@@ -312,15 +311,15 @@ class Matrix:
     def block_diagonal(mats: Sequence["Matrix"]) -> "Matrix":
         r = sum(m.rows for m in mats)
         c = sum(m.cols for m in mats)
-        out = [[_ZERO] * c for _ in range(r)]
+        ents = [_ZERO] * (r * c)
         i0 = j0 = 0
         for m in mats:
             for i in range(m.rows):
-                for j in range(m.cols):
-                    out[i0 + i][j0 + j] = m[i, j]
+                start = (i0 + i) * c + j0
+                ents[start : start + m.cols] = m._e[i * m.cols : (i + 1) * m.cols]
             i0 += m.rows
             j0 += m.cols
-        return Matrix.from_rows(out) if r and c else Matrix(r, c, [_ZERO] * (r * c))
+        return Matrix(r, c, ents)
 
     # -- access -----------------------------------------------------------
 
@@ -391,14 +390,6 @@ class Matrix:
         ents = list(self._e)
         ents[:: self.cols + 1] = [e + c for e in ents[:: self.cols + 1]]
         return Matrix(self.rows, self.cols, ents)
-
-    def __pow__(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of non-square matrix")
-        result = Matrix.identity(self.rows)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def transpose(self) -> "Matrix":
         ents = [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
@@ -747,7 +738,8 @@ def char_eigenvalues(m: Matrix) -> list[tuple[GaussianRational, int]]:
 
 def nilpotent_powers(m: Matrix) -> list[Matrix]:
     """[I, m, m^2, ...] up to the last nonzero power, each power built once;
-    [I] when m is zero or empty."""
+    [I] when m is zero or empty.  Its length is the nilpotency index of m,
+    counted as 1 for zero or empty m."""
     if not m.is_square():
         raise DimensionMismatch("nilpotency of non-square matrix")
     powers = [Matrix.identity(m.rows)]
@@ -758,12 +750,6 @@ def nilpotent_powers(m: Matrix) -> list[Matrix]:
         powers.append(power)
         power = power * m
     return powers
-
-
-def nilpotency_index(m: Matrix) -> int:
-    """Least k >= 1 with m^k = 0 (0 for empty matrices)."""
-    powers = nilpotent_powers(m)
-    return len(powers) if m.rows else 0
 
 
 def nilpotent_partition(n: Matrix) -> tuple[int, ...]:
@@ -782,13 +768,22 @@ def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Ma
     basis holds Ker (m - ev)^mult (algebraic multiplicity) as columns and
     nil is m - ev restricted to it: (m - ev) * basis == basis * nil.  The
     bases concatenate to a full basis of the space.
+
+    The kernel chain Ker (m - ev)^j stops at the Jordan index j, the first
+    with mult vectors (j = 1, no product, for a semisimple ev).  From j on
+    it equals Ker (m - ev)^mult, and so does the echelon form it is read from.
     """
     n = m.rows
     out = []
     total = 0
     for ev, mult in char_eigenvalues(m):
-        shifted = m.shift(-ev)
-        basis = Matrix.hstack(kernel_basis(shifted**mult))
+        shifted = power = m.shift(-ev)
+        for _ in range(mult):
+            kernel = kernel_basis(power)
+            if len(kernel) == mult:
+                break
+            power = power * shifted
+        basis = Matrix.hstack(kernel)
         total += basis.cols
         out.append((ev, basis, solve(basis, shifted * basis)))
     if total != n:  # pragma: no cover - guarded by char_eigenvalues

@@ -24,7 +24,7 @@ from .exactalg import (
     GaussianRational,
     Matrix,
     gr,
-    nilpotency_index,
+    nilpotent_powers,
     quotient_projection,
 )
 from .datum import kappa, psi, resolvent_principal_parts
@@ -71,7 +71,7 @@ def mc(p: System, alpha: System) -> System:
     # every parameter pole is outside the (empty) spectrum
     h = kappa(p) if p.dimension else None
     eig = h.s_blocking if h is not None else []
-    allowed = {ev: max(1, nilpotency_index(nil)) for ev, _, nil in eig}
+    allowed = {ev: len(nilpotent_powers(nil)) for ev, _, nil in eig}
     for part in alpha.parts:
         d = order(part)
         if d == 0:

@@ -129,12 +129,6 @@ def assemble_normal_form(nf: NormalForm) -> list[Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _offdiag(m: Matrix, starts: list[int]) -> Matrix:
-    """m with its diagonal blocks (rows and columns starts[i]..starts[i+1]) zeroed."""
-    diagonal = [m.submatrix(lo, hi, lo, hi) for lo, hi in zip(starts, starts[1:])]
-    return m - Matrix.block_diagonal(diagonal)
-
-
 def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], Matrix]]:
     """Recursive reduction; returns (tail as list indexed 2..k, gamma)."""
     n = coeffs[0].rows
@@ -155,37 +149,30 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
             tail[d - 2] = tail[d - 2] + a
         return blocks
     # several leading eigenvalues: pass to the eigenbasis and eliminate
-    # the off-diagonal blocks one homogeneous gauge degree at a time
-    evs, bases, _ = zip(*eig)
-    basis = Matrix.hstack(bases)
-    dims = [b.cols for b in bases]
+    # the entries between different eigenvalues (the cross pairs) one
+    # homogeneous gauge degree at a time
+    label = [ev for ev, b, _ in eig for _ in range(b.cols)]
+    basis = Matrix.hstack([b for _, b, _ in eig])
     cur = [solve(basis, c * basis) for c in coeffs]
-    starts = [sum(dims[:i]) for i in range(len(dims) + 1)]
+    cross = [(r, s) for r in range(n) for s in range(n) if label[r] != label[s]]
     for j in range(1, d):
         target = cur[d - j - 1]
-        off = _offdiag(target, starts)
-        if not off.is_zero():
-            x_rows = [[gr(0)] * n for _ in range(n)]
-            for r in range(len(dims)):
-                for s in range(len(dims)):
-                    if r == s:
-                        continue
-                    denom = evs[r] - evs[s]
-                    for i in range(starts[r], starts[r + 1]):
-                        for jj in range(starts[s], starts[s + 1]):
-                            x_rows[i][jj] = off[i, jj] / denom
-            x = Matrix.from_rows(x_rows)
-            gauge_coeffs = [Matrix.identity(n)] + [Matrix.zeros(n, n)] * (j - 1) + [x]
+        if any(not target[r, s].is_zero() for r, s in cross):
+            x = [gr(0)] * (n * n)
+            for r, s in cross:
+                x[r * n + s] = target[r, s] / (label[r] - label[s])
+            gauge_coeffs = [Matrix.identity(n)] + [Matrix.zeros(n, n)] * (j - 1) + [Matrix(n, n, x)]
             g = TruncatedGauge(gr(0), tuple(gauge_coeffs))
             new_part = gauge_coadjoint(g, PrincipalPart(gr(0), tuple(cur)))
             cur = list(new_part.coefficients)
-    if any(not _offdiag(c, starts).is_zero() for c in cur):
+    if any(not c[r, s].is_zero() for c in cur for r, s in cross):
         raise InvariantViolation("off-diagonal elimination failed")
     out = []
-    for bi in range(len(dims)):
-        lo, hi = starts[bi], starts[bi + 1]
-        sub = [c.submatrix(lo, hi, lo, hi) for c in cur]
-        out.extend(_split(sub, k))
+    lo = 0
+    for _, b, _ in eig:
+        hi = lo + b.cols
+        out.extend(_split([c.submatrix(lo, hi, lo, hi) for c in cur], k))
+        lo = hi
     return out
 
 

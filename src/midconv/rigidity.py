@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInD0, NotRigid, Reducible, ZeroLambda
+from .errors import InvariantViolation, NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational, Matrix
 from .functors import mc
 from .normalform import select_alpha, stabilizer_dim
@@ -127,7 +127,7 @@ def katz_reduce(p: System) -> ReductionTrace:
     cap = p.dimension
     while current.dimension >= 2:
         if len(steps) >= cap:
-            raise AssertionError("reduction exceeded its iteration cap")  # pragma: no cover
+            raise InvariantViolation("reduction exceeded its iteration cap")  # pragma: no cover
         alpha_parts = []
         for part in current.parts:
             sel = select_alpha(part)
@@ -144,9 +144,7 @@ def katz_reduce(p: System) -> ReductionTrace:
                     index=index,
                     steps=steps,
                 )
-            raise AssertionError(
-                "rank did not decrease on a rigid input"
-            )  # pragma: no cover
+            raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(
             ReductionStep(
                 alpha=alpha,

@@ -132,8 +132,10 @@ class System:
             object.__setattr__(self, "declaration", decl)
             prod = Matrix.identity(n)
             for s, l in decl:
+                shifted = self.constant.shift(-s)
                 # Ker (S - s)^l stops growing at l = n, so the verdict is the same
-                prod = prod * self.constant.shift(-s) ** min(l, n)
+                for _ in range(min(l, n)):
+                    prod = prod * shifted
             if not prod.is_zero():
                 raise ValidationError("constant term violates the declared exponent condition")
 

@@ -9,7 +9,7 @@ import random
 
 from midconv.datum import canonical, gk_action, kappa, moment_mu, phi
 from midconv.errors import DomainError
-from midconv.exactalg import Matrix, gr, invert, nilpotency_index
+from midconv.exactalg import Matrix, gr, invert, nilpotent_powers
 from midconv.functors import dr_middle_convolution, hd, hd_double, mc
 from midconv.normalform import (
     compute_normal_form,
@@ -216,7 +216,7 @@ def test_criterion_7_equivariance_invariance():
         if not d.blocks:
             continue
         b = d.blocks[rng.randrange(len(d.blocks))]
-        k = max(1, nilpotency_index(b.nilpotent))
+        k = len(nilpotent_powers(b.nilpotent))
         g = random_gauge(rng, b.point, sys.dimension, k)
         gd = gk_action(g, d)
         base = phi(d)

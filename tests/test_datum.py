@@ -17,15 +17,21 @@ from midconv.datum import (
     phi,
     psi,
 )
-from midconv.errors import EmptyV, NotStable
-from midconv.exactalg import Matrix, gr, intertwiner_basis, invert, rank
+from midconv.errors import EmptyV, NotNilpotent, NotStable
+from midconv.exactalg import Matrix, gr, intertwiner_basis, invert, nilpotent_powers, rank
 from midconv.systems import PrincipalPart, System, TruncatedGauge, gauge_coadjoint, zero_pair
 from midconv.checks import random_gauge, random_invertible, random_system
 
-from conftest import E11, E12, E21, Z2, fuchsian
+from conftest import E11, E12, E21, SWAP, Z2, fuchsian
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 RANK1_BLOCK = Block(gr(0), J2, Matrix.from_rows([[2, 3]]), Matrix.column([0, 1]))
+
+
+class TestBlock:
+    def test_non_nilpotent_endomorphism_rejected(self):
+        with pytest.raises(NotNilpotent):
+            Block(gr(0), SWAP, Matrix.zeros(1, 2), Matrix.zeros(2, 1))
 
 
 class TestPhi:
@@ -182,9 +188,7 @@ class TestGkAction:
             sys = random_system(rng, max_dim=2)
             d = canonical(sys.parts, sys.dimension)
             for b in d.blocks:
-                from midconv.exactalg import nilpotency_index
-
-                k = max(1, nilpotency_index(b.nilpotent))
+                k = len(nilpotent_powers(b.nilpotent))
                 g = random_gauge(rng, b.point, sys.dimension, k)
                 gd = gk_action(g, d)
                 base = phi(d)
@@ -214,9 +218,7 @@ class TestMoment:
             sys = random_system(rng, max_dim=2)
             d = canonical(sys.parts, sys.dimension)
             for b in d.blocks:
-                from midconv.exactalg import nilpotency_index
-
-                k = max(1, nilpotency_index(b.nilpotent))
+                k = len(nilpotent_powers(b.nilpotent))
                 g = random_gauge(rng, b.point, sys.dimension, k)
                 assert moment_mu(gk_action(g, d)) == moment_mu(d)
 
@@ -274,9 +276,12 @@ class TestDatumIsomorphism:
             part = PrincipalPart(gr(0), (Matrix.from_rows([[3]]), Matrix.from_rows([[c2]])))
             return System(1, Matrix.zeros(1, 1), (part,))
 
+        # I/z against I/z + E12/z^2: equal dim_w, nilpotent indices 1 and 2
+        jordan = PrincipalPart(gr(0), (Matrix.identity(2), E12))
         cases = [
             (fuchsian({0: E11, 1: E12}), fuchsian({0: E12, 1: E11})),
             (irregular(2), irregular(5)),
+            (fuchsian({0: Matrix.identity(2)}), System(2, Z2, (jordan,))),
         ]
         for a, b in cases:
             d1, d2 = canonical(a.parts, a.dimension), canonical(b.parts, b.dimension)

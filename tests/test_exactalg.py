@@ -18,7 +18,6 @@ from midconv.exactalg import (
     invert,
     kernel_basis,
     nilpotent_partition,
-    nilpotency_index,
     nilpotent_powers,
     quotient_projection,
     rank,
@@ -383,8 +382,8 @@ class TestNilpotent:
         assert nilpotent_powers(n) == [Matrix.identity(3), n, n * n]
         assert nilpotent_powers(Matrix.zeros(2, 2)) == [Matrix.identity(2)]
         assert nilpotent_powers(Matrix.zeros(0, 0)) == [Matrix.identity(0)]
-        indices = [nilpotency_index(m) for m in (n, Matrix.zeros(2, 2), Matrix.zeros(0, 0))]
-        assert indices == [3, 1, 0]
+        indices = [len(nilpotent_powers(m)) for m in (n, Matrix.zeros(2, 2), Matrix.zeros(0, 0))]
+        assert indices == [3, 1, 1]
 
     def test_conjugation_invariance(self, rng):
         from midconv.checks import random_invertible
@@ -433,8 +432,12 @@ class TestEigendecomposition:
         from midconv.checks import random_invertible
         from midconv.normalform import jordan_matrix
 
-        for _ in range(10):
-            n, blocks = random_jordan_type(rng)
+        # semisimple with a repeated eigenvalue, derogatory, then random types
+        fixed = [
+            (4, [(gr(2), 1), (gr(0), 1), (gr(2), 1), (gr(2), 1)]),
+            (5, [(gr(1), 2), (gr(-1), 1), (gr(1), 2)]),
+        ]
+        for n, blocks in fixed + [random_jordan_type(rng) for _ in range(10)]:
             c = random_invertible(rng, n)
             m = c * jordan_matrix(blocks) * invert(c)
             ged = generalized_eigendecomposition(m)
@@ -442,9 +445,16 @@ class TestEigendecomposition:
                 {ev for ev, _ in blocks}, key=lambda x: x.sort_key()
             )
             for ev, basis, nil in ged:
-                assert (m - ev * Matrix.identity(n)) * basis == basis * nil
-                assert nilpotency_index(nil) == max(s for e, s in blocks if e == ev)
-                assert basis.cols == sum(s for e, s in blocks if e == ev)
+                shifted = m - ev * Matrix.identity(n)
+                assert shifted * basis == basis * nil
+                assert len(nilpotent_powers(nil)) == max(s for e, s in blocks if e == ev)
+                mult = sum(s for e, s in blocks if e == ev)
+                assert basis.cols == mult
+                # reference: the kernel of (m - ev)^mult
+                power = Matrix.identity(n)
+                for _ in range(mult):
+                    power = power * shifted
+                assert basis == Matrix.hstack(kernel_basis(power))
 
 
 def random_jordan_type(rng, max_dim=5):
