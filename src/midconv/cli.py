@@ -48,7 +48,7 @@ def _part(args):
     """The principal part of the input system at --point, or its only one."""
     sys_ = _read(args.file)
     if args.point is None and len(sys_.parts) != 1:
-        raise ValidationError("--point is required when the system has several poles")
+        raise ValidationError("--point is required unless the system has exactly one pole")
     part = sys_.parts[0] if args.point is None else sys_.part_at(parse_scalar_flag(args.point))
     if part is None:
         raise ValidationError(f"no pole at {args.point}")
@@ -82,6 +82,8 @@ def _rigidity(args) -> dict:
 
 
 def _check(args) -> dict:
+    if args.trials < 1:
+        raise ValidationError("--trials must be at least 1")
     results = run_checks(_read(args.file), args.seed, args.trials)
     return {"seed": args.seed, "trials": args.trials, "checks": [asdict(r) for r in results]}
 

@@ -36,8 +36,8 @@ class PointMismatch(DomainError):
 
 
 class InconclusiveEquivalence(DomainError):
-    """Equivalence was requested for a reducible pair; the Schur-based
-    decision procedure does not apply."""
+    """Equivalence was requested for a pair with an intertwiner space of
+    dimension >= 2, which a single basis element cannot decide."""
 
 
 class EmptyV(DomainError):

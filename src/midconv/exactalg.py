@@ -190,7 +190,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q, self.r))
+        # a real value equals the int or Fraction with the same value, so it hashes like one
+        return hash(self.re) if self.q == 0 else hash((self.p, self.q, self.r))
 
     def __repr__(self):
         if self.q == 0:

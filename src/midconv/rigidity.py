@@ -15,17 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotInD0, NotRigid, Reducible, ZeroLambda
-from .exactalg import GaussianRational, Matrix
+from .exactalg import GaussianRational
 from .functors import mc
 from .normalform import select_alpha, stabilizer_dim
 from .systems import (
-    PrincipalPart,
     System,
     add_scalar,
     is_irreducible,
     lambda_over_z,
     residue_at_infinity,
     scalar_coefficients,
+    scalar_system,
 )
 
 __all__ = [
@@ -128,12 +128,9 @@ def katz_reduce(p: System) -> ReductionTrace:
     while current.dimension >= 2:
         if len(steps) >= cap:
             raise InvariantViolation("reduction exceeded its iteration cap")  # pragma: no cover
-        alpha_parts = []
-        for part in current.parts:
-            sel = select_alpha(part)
-            negated = tuple(Matrix.from_rows([[-c]]) for c in scalar_coefficients(sel))
-            alpha_parts.append(PrincipalPart(part.point, negated))
-        alpha = System(1, Matrix.zeros(1, 1), tuple(alpha_parts))
+        alpha = scalar_system(
+            {part.point: [-c for c in scalar_coefficients(select_alpha(part))] for part in current.parts}
+        )
         lam = residue_at_infinity(alpha).scalar()
         result = katz_step(current, alpha)
         if result.dimension >= current.dimension:

@@ -346,25 +346,24 @@ def _intertwiner_space(a: System, b: System) -> list[Matrix]:
 def equivalent(a: System, b: System):
     """Invertible f with f a(z) f^{-1} = b(z), or None.
 
-    Only defined for irreducible inputs: there the intertwiner space has
-    dimension at most one and any nonzero element is invertible, so a
-    single exact solve decides.  A nonzero intertwiner from an irreducible
-    a of the same dimension is injective, hence invertible, so b is then
-    irreducible too; b is tested only when there is none.
+    Decided from the intertwiner space Hom(a, b) = {f : f a = b f} alone.
+    When it has dimension at most one, every invertible intertwiner is a
+    multiple of its basis element, so that element decides.  By Schur's
+    lemma the dimension is at most one whenever a or b is irreducible; a
+    larger space is inconclusive.
     """
     if a.dimension == 0 and b.dimension == 0:
         return Matrix.zeros(0, 0)
     if a.dimension != b.dimension:
         raise DimensionMismatch("equivalence of systems of different rank")
-    space = _intertwiner_space(a, b) if is_irreducible(a) else None
-    if not space:
-        if space is None or not is_irreducible(b):
-            raise InconclusiveEquivalence("equivalence is only decided for irreducible pairs")
-        return None
-    if len(space) != 1:
-        raise InvariantViolation("Schur bound violated for irreducible inputs")
-    f = space[0]
-    return f if rank(f) == a.dimension else None
+    space = _intertwiner_space(a, b)
+    if len(space) > 1:
+        if is_irreducible(a) or is_irreducible(b):
+            raise InvariantViolation("Schur bound violated for irreducible inputs")
+        raise InconclusiveEquivalence("the intertwiner space has dimension >= 2")
+    if space and rank(space[0]) == a.dimension:
+        return space[0]
+    return None
 
 
 def conjugate_system(c: Matrix, sys: System) -> System:

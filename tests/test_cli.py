@@ -183,6 +183,25 @@ def test_declaration_below_the_dimension_is_still_checked():
     assert system_from_document(_declared_jordan_document(2)).declaration == ((gr(2), 2),)
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_without_trials_is_rejected(capsys, triple_file, trials):
+    status, report = run_cli(capsys, "check", "--trials", trials, triple_file)
+    assert status == 1
+    assert report["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("parts", [{}, {0: [1], 1: [2]}], ids=["no-pole", "two-poles"])
+def test_missing_point_report_covers_every_pole_count(capsys, tmp_path, parts):
+    path = tmp_path / "in.sys"
+    path.write_text(serialize_document(scalar_system(parts)))
+    status, report = run_cli(capsys, "stab-dim", str(path))
+    assert status == 1
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": "--point is required unless the system has exactly one pole",
+    }
+
+
 class TestCli:
     def test_rigidity_of_fixture(self, capsys, triple_file):
         status, report = run_cli(capsys, "rigidity", triple_file)

@@ -53,6 +53,13 @@ class TestScalars:
         with pytest.raises(ZeroDivisionError):
             gr(1) / gr(0)
 
+    @pytest.mark.parametrize("value", [2, -7, 0, Fraction(1, 2), Fraction(-5, 3)])
+    def test_real_values_hash_like_the_numbers_they_equal(self, value):
+        assert gr(value) == value
+        assert hash(gr(value)) == hash(value)
+        assert value in {gr(value)} and gr(value) in {value}
+        assert gr(value, 1) not in {value}
+
     @given(scalars, scalars, scalars)
     @settings(max_examples=80, deadline=None)
     def test_field_axioms(self, a, b, c):

@@ -5,10 +5,11 @@ import pytest
 from midconv.errors import (
     DimensionMismatch,
     InconclusiveEquivalence,
+    InvariantViolation,
     SingularGauge,
     ValidationError,
 )
-from midconv.exactalg import Matrix, gr, invert
+from midconv.exactalg import Matrix, gr, invert, rank
 from midconv.systems import (
     PrincipalPart,
     System,
@@ -26,7 +27,7 @@ from midconv.systems import (
 )
 from midconv.checks import random_gauge, random_matrix
 
-from conftest import E11, E12, E21, Z2, fuchsian
+from conftest import D10, E11, E12, E21, Z2, fuchsian
 
 
 class TestOrder:
@@ -267,8 +268,16 @@ class TestEquivalent:
         b = fuchsian({0: E12, 2: E21})
         assert equivalent(a, b) is None
 
-    def test_reducible_is_inconclusive(self):
+    def test_reducible_pair_with_one_intertwiner_is_decided(self):
+        # lower-triangular algebra: its commutant is the scalars, so dim Hom = 1
         a = fuchsian({0: E11, 1: E21})
+        f = equivalent(a, a)
+        assert f is not None and rank(f) == 2
+        assert conjugate_system(f, a) == a
+
+    def test_two_dimensional_intertwiner_space_is_inconclusive(self):
+        # the commutant of diag(1, 0) is every diagonal matrix
+        a = fuchsian({0: D10})
         with pytest.raises(InconclusiveEquivalence):
             equivalent(a, a)
 
@@ -276,13 +285,12 @@ class TestEquivalent:
         with pytest.raises(DimensionMismatch):
             equivalent(scalar_system({0: [1]}), fuchsian({0: E12, 1: E21}))
 
-    def test_reducible_target_is_inconclusive(self):
+    def test_reducible_target_without_intertwiner_is_not_equivalent(self):
         a = fuchsian({0: E12, 1: E21})
         b = fuchsian({0: E11, 1: E21})
-        with pytest.raises(InconclusiveEquivalence):
-            equivalent(a, b)
+        assert equivalent(a, b) is None
 
-    def test_equivalent_pair_tests_irreducibility_once(self, monkeypatch, rng):
+    def test_equivalent_pair_makes_no_irreducibility_test(self, monkeypatch, rng):
         from midconv.checks import random_invertible
 
         calls = []
@@ -296,4 +304,60 @@ class TestEquivalent:
         t = conjugate_system(random_invertible(rng, 2), s)
         f = equivalent(s, t)
         assert conjugate_system(f, s) == t
-        assert calls == [s]
+        assert equivalent(s, fuchsian({0: E12, 2: E21})) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("which", ["both", "source", "target"])
+    def test_schur_bound_is_checked_for_either_irreducible_argument(self, monkeypatch, which):
+        irreducible = fuchsian({0: E12, 1: E21})
+        reducible = fuchsian({0: E11, 1: E21})
+        a = reducible if which == "target" else irreducible
+        b = reducible if which == "source" else irreducible
+        monkeypatch.setattr(
+            "midconv.systems._intertwiner_space", lambda a, b: [Matrix.identity(2), E12]
+        )
+        with pytest.raises(InvariantViolation):
+            equivalent(a, b)
+
+    def test_random_pairs_get_conjugating_witnesses(self, rng):
+        # half of the sources are upper triangular (reducible); half of the
+        # targets are conjugates of the source, so they must not get None
+        from midconv.checks import random_invertible, random_system
+
+        def upper(m):
+            return Matrix.from_rows(
+                [[m[i, j] if j >= i else 0 for j in range(m.cols)] for i in range(m.rows)]
+            )
+
+        def draw(n=None):
+            while True:
+                sys = random_system(rng, constant=rng.choice(["zero", "diagonal", "full"]))
+                if n is None or sys.dimension == n:
+                    return sys
+
+        decided_reducible = 0
+        for trial in range(40):
+            a = draw()
+            if trial % 2:
+                a = System(
+                    a.dimension,
+                    upper(a.constant),
+                    tuple(PrincipalPart(p.point, tuple(map(upper, p.coefficients))) for p in a.parts),
+                )
+            conjugate = trial % 4 < 2
+            if conjugate:
+                b = conjugate_system(random_invertible(rng, a.dimension), a)
+            else:
+                b = draw(a.dimension)
+            try:
+                f = equivalent(a, b)
+            except InconclusiveEquivalence:
+                continue
+            if f is None:
+                assert not conjugate
+                continue
+            assert rank(f) == a.dimension
+            assert conjugate_system(f, a) == b
+            if not is_irreducible(a):
+                decided_reducible += 1
+        assert decided_reducible > 0
