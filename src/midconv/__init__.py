@@ -5,7 +5,7 @@ point anywhere.  The main entry points:
 
 - exactalg: scalars, matrices, echelon/kernel/eigen primitives
 - systems: pairs (V, A), truncated gauges, irreducibility, equivalence
-- datum: canonical realizations (V, W, T, Q, P), stability, moments
+- datum: canonical realizations (V, W, S, T, Q, P), stability, moments
 - functors: the dual pair, middle convolution, the two-step oracle
 - normalform: local normal forms and stabilizer/kernel dimensions
 - rigidity: rigidity index and the reduction loop
@@ -30,7 +30,6 @@ from .systems import (
 from .datum import (
     Block,
     Datum,
-    HarnadDatum,
     canonical,
     datum_isomorphism,
     gk_action,
@@ -73,7 +72,6 @@ __all__ = [
     "zero_pair",
     "Block",
     "Datum",
-    "HarnadDatum",
     "canonical",
     "datum_isomorphism",
     "gk_action",

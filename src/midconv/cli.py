@@ -113,7 +113,7 @@ COMMANDS = {
     "dr": Command("classical middle convolution of a Fuchsian pair",
                   FILE + (("--lambda", {"dest": "lam", "required": True, "metavar": "Q"}),), _dr),
     "stable": Command("stability of a datum document", FILE,
-                      lambda a: {"stable": is_stable(_read(a.file, "datum").datum)}),
+                      lambda a: {"stable": is_stable(_read(a.file, "datum"))}),
     "irred": Command("irreducibility of a pair", FILE,
                      lambda a: {"irreducible": is_irreducible(_read(a.file))}),
     "equiv": Command("constant-gauge equivalence of two pairs",

@@ -1,10 +1,11 @@
-"""Realizations of systems as quintuples (V, W, T, Q, P).
+"""Realizations of systems as sextuples (V, W, S, T, Q, P).
 
-A Datum stores W in blocks over the pole points: per point a nilpotent
-N_t together with Q_t: W_t -> V and P_t: V -> W_t, so that the system it
-realizes is Sum_t Sum_k Q_t N_t^{k-1} P_t (z-t)^{-k}.  The canonical
-datum quotients the obvious k_t-fold suspension by the kernel of a
-block-Toeplitz matrix built from the coefficients; the quotient is
+A Datum holds S on V and stores W in blocks over the pole points: per
+point a nilpotent N_t together with Q_t: W_t -> V and P_t: V -> W_t, so
+that the system it realizes on V is S + Sum_t Sum_k Q_t N_t^{k-1} P_t
+(z-t)^{-k}, and the dual system on W is T + P (zeta - S)^{-1} Q.  The
+canonical datum quotients the obvious k_t-fold suspension by the kernel
+of a block-Toeplitz matrix built from the coefficients; the quotient is
 represented in the pivot coordinates of that matrix's reduced echelon
 form, which makes the output matrices deterministic and reproduces the
 stability conditions exactly.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -39,7 +40,6 @@ from .systems import PrincipalPart, System, TruncatedGauge, is_irreducible, trim
 __all__ = [
     "Block",
     "Datum",
-    "HarnadDatum",
     "MomentValue",
     "hat_matrix",
     "phi",
@@ -84,15 +84,20 @@ class Block:
 
 @dataclass(frozen=True)
 class Datum:
-    """A quintuple (V, W, T, Q, P) in pole-blocked form.
+    """A sextuple (V, W, S, T, Q, P) in pole-blocked form; S defaults to 0.
 
     The zero datum (no blocks) is legal for any dim_v.
     """
 
     dim_v: int
     blocks: tuple[Block, ...] = ()
+    s_matrix: Optional[Matrix] = None
 
     def __post_init__(self):
+        if self.s_matrix is None:
+            object.__setattr__(self, "s_matrix", Matrix.zeros(self.dim_v, self.dim_v))
+        if self.s_matrix.rows != self.dim_v or not self.s_matrix.is_square():
+            raise DimensionMismatch("S must be an endomorphism of V")
         blocks = sorted(self.blocks, key=lambda b: b.point.sort_key())
         seen = set()
         for b in blocks:
@@ -125,22 +130,6 @@ class Datum:
     def p_matrix(self) -> Matrix:
         return Matrix.vstack([b.p for b in self.blocks]) if self.blocks else Matrix.zeros(0, self.dim_v)
 
-
-@dataclass(frozen=True)
-class HarnadDatum:
-    """A datum together with the constant term S on V."""
-
-    datum: Datum
-    s_matrix: Matrix
-
-    def __post_init__(self):
-        if self.s_matrix.rows != self.datum.dim_v or not self.s_matrix.is_square():
-            raise DimensionMismatch("S must be an endomorphism of V")
-
-    @property
-    def dim_v(self) -> int:
-        return self.datum.dim_v
-
     @cached_property
     def s_blocking(self):
         """(eigenvalue, basis, nil) triples of S, cached; the E-side blocking."""
@@ -152,20 +141,13 @@ class HarnadDatum:
 # ---------------------------------------------------------------------------
 
 
-def phi(d: Union[Datum, HarnadDatum]) -> System:
-    """The realized system: constant (S for a Harnad datum, else 0) plus
-    Sum_k Q_t N_t^{k-1} P_t (z-t)^{-k} per block."""
-    if isinstance(d, HarnadDatum):
-        constant = d.s_matrix
-        datum = d.datum
-    else:
-        constant = Matrix.zeros(d.dim_v, d.dim_v)
-        datum = d
+def phi(d: Datum) -> System:
+    """The realized system: S plus Sum_k Q_t N_t^{k-1} P_t (z-t)^{-k} per block."""
     parts = []
-    for b in datum.blocks:
+    for b in d.blocks:
         coeffs = tuple(b.q * power * b.p for power in nilpotent_powers(b.nilpotent))
         parts.append(PrincipalPart(b.point, coeffs))
-    return System(datum.dim_v, constant, tuple(parts))
+    return System(d.dim_v, d.s_matrix, tuple(parts))
 
 
 def hat_matrix(coefficients: Sequence[Matrix]) -> Matrix:
@@ -180,46 +162,40 @@ def hat_matrix(coefficients: Sequence[Matrix]) -> Matrix:
 
 
 def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:
-    """The canonical datum for Sum of the given principal parts.
+    """The canonical datum for Sum of the given principal parts, with S = 0.
 
-    Per pole, the k-fold suspension (Q-hat, P-hat, N-hat) is quotiented by
-    Ker A-hat; poles whose A-hat vanishes are dropped.  The result is
-    stable whenever dim_v >= 1 and satisfies phi(canonical(A)) = A.
+    Per pole, the k-fold suspension C^{kn} with Q-hat = the first block row
+    of A-hat, P-hat = [0; I] and N-hat the shift sending coordinate c to
+    c - n is quotiented by Ker A-hat.  In the pivot coordinates of
+    quotient_projection(A-hat) = (pi, pivots) each map is read off
+    directly: Q = Q-hat at the pivots, P = the last block column of pi and
+    N = [0 | pi] at the pivots.  Poles whose A-hat vanishes are dropped.
+    The result is stable whenever dim_v >= 1 and satisfies
+    phi(canonical(A)) = A.
     """
-    if dim_v < 1:
-        raise EmptyV("canonical datum needs dim V >= 1")
     blocks = []
     for part in sorted(parts, key=lambda p: p.point.sort_key()):
         if part.dimension != dim_v:
             raise DimensionMismatch("part dimension differs from dim V")
-        coeffs = part.coefficients
-        k = len(coeffs)
         n = dim_v
-        ahat = hat_matrix(coeffs)
-        pi, iota = quotient_projection(ahat)
-        r = pi.rows
-        if r == 0:
+        ahat = hat_matrix(part.coefficients)
+        pi, pivots = quotient_projection(ahat)
+        if not pivots:
             continue
-        # N-hat, the hat matrix of I z^{1-k}: identity blocks on the first superdiagonal
-        nhat = hat_matrix(
-            [Matrix.identity(n) if j == k - 2 else Matrix.zeros(n, n) for j in range(k)]
-        )
-        qhat = Matrix.hstack(list(reversed(coeffs)))
-        phat = Matrix.vstack([Matrix.zeros((k - 1) * n, n), Matrix.identity(n)])
         blocks.append(
             Block(
                 point=part.point,
-                nilpotent=pi * nhat * iota,
-                q=qhat * iota,
-                p=pi * phat,
+                nilpotent=Matrix.hstack([Matrix.zeros(pi.rows, n), pi]).select_columns(pivots),
+                q=ahat.submatrix(0, n, 0, ahat.cols).select_columns(pivots),
+                p=pi.submatrix(0, pi.rows, pi.cols - n, pi.cols),
             )
         )
     return Datum(dim_v, tuple(blocks))
 
 
-def kappa(sys: System) -> HarnadDatum:
+def kappa(sys: System) -> Datum:
     """Section of phi: the canonical datum of the principal parts plus S."""
-    return HarnadDatum(canonical(sys.parts, sys.dimension), sys.constant)
+    return Datum(sys.dimension, canonical(sys.parts, sys.dimension).blocks, sys.constant)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +235,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     blocks = tuple(
         Block(b.point, b.nilpotent, new_q, new_p) if b.point == g.point else b for b in d.blocks
     )
-    return Datum(d.dim_v, blocks)
+    return Datum(d.dim_v, blocks, d.s_matrix)
 
 
 @dataclass(frozen=True)
@@ -351,18 +327,11 @@ def datum_isomorphism(d1: Datum, d2: Datum):
 # ---------------------------------------------------------------------------
 
 
-def resolvent_principal_parts(
-    mid: Matrix, left: Matrix, right: Matrix, eig=None
-) -> tuple[PrincipalPart, ...]:
-    """Principal parts of left (z I - mid)^{-1} right over the eigenvalues
-    of mid, in the ambient coordinates of left/right.
-
-    Raises IrrationalSpectrum when mid does not split over Q(i).
+def resolvent_principal_parts(eig, left: Matrix, right: Matrix) -> tuple[PrincipalPart, ...]:
+    """Principal parts of left (z I - M)^{-1} right over the eigenvalues of
+    M, in the ambient coordinates of left/right, where eig is
+    generalized_eigendecomposition(M).
     """
-    if mid.rows == 0:
-        return ()
-    if eig is None:
-        eig = generalized_eigendecomposition(mid)
     basis = Matrix.hstack([b for _, b, _ in eig])
     left_c = left * basis
     right_c = solve(basis, right)
@@ -380,27 +349,26 @@ def resolvent_principal_parts(
     return tuple(parts)
 
 
-def psi(h: HarnadDatum) -> System:
+def psi(d: Datum) -> System:
     """The dual system on W: T + P (zeta I - S)^{-1} Q.
 
     S is blocked by its generalized eigenspaces (computed on demand); the
     coefficients P_s M_s^{j-1} Q_s are mapped back to the coordinates of
     W fixed by the block order.
     """
-    d = h.datum
     w = d.dim_w
     if w == 0:
         return System(0, Matrix.zeros(0, 0), ())
     t = d.t_matrix()
     q = d.q_matrix()
     p = d.p_matrix()
-    parts = resolvent_principal_parts(h.s_matrix, p, q, eig=h.s_blocking)
+    parts = resolvent_principal_parts(d.s_blocking, p, q)
     return System(w, t, parts)
 
 
-def harnad_irreducible(h: HarnadDatum) -> bool:
-    """Irreducibility of the sextuple: stability of the underlying datum
-    together with irreducibility of the realized pair."""
-    if h.dim_v < 1:
+def harnad_irreducible(d: Datum) -> bool:
+    """Irreducibility of the sextuple: stability of the datum together
+    with irreducibility of the realized pair."""
+    if d.dim_v < 1:
         raise EmptyV("irreducibility needs dim V >= 1")
-    return is_stable(h.datum) and is_irreducible(phi(h))
+    return is_stable(d) and is_irreducible(phi(d))

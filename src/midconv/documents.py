@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .datum import Block, Datum, HarnadDatum
+from .datum import Block, Datum
 from .errors import ParseError, ValidationError
 from .exactalg import GaussianRational, Matrix, gr
 from .functors import OkuboTriple
@@ -144,12 +144,12 @@ def system_from_document(doc) -> System:
     return System(n, constant, tuple(parts), declaration)
 
 
-def harnad_to_document(h: HarnadDatum, name=None) -> dict:
+def harnad_to_document(d: Datum, name=None) -> dict:
     doc = {"kind": "datum"}
     if name:
         doc["name"] = name
-    doc["dimension"] = h.dim_v
-    doc["constant"] = matrix_to_json(h.s_matrix)
+    doc["dimension"] = d.dim_v
+    doc["constant"] = matrix_to_json(d.s_matrix)
     doc["blocks"] = [
         {
             "point": scalar_to_json(b.point),
@@ -157,12 +157,12 @@ def harnad_to_document(h: HarnadDatum, name=None) -> dict:
             "q": matrix_to_json(b.q),
             "p": matrix_to_json(b.p),
         }
-        for b in h.datum.blocks
+        for b in d.blocks
     ]
     return doc
 
 
-def harnad_from_document(doc) -> HarnadDatum:
+def harnad_from_document(doc) -> Datum:
     if not isinstance(doc, dict) or doc.get("kind") != "datum":
         raise ValidationError("expected a document of kind 'datum'")
     try:
@@ -178,7 +178,7 @@ def harnad_from_document(doc) -> HarnadDatum:
             blocks.append(Block(point, nil, q, p))
     except KeyError as exc:
         raise ValidationError(f"missing document field {exc}") from None
-    return HarnadDatum(Datum(n, tuple(blocks)), constant)
+    return Datum(n, tuple(blocks), constant)
 
 
 def okubo_from_document(doc) -> OkuboTriple:
@@ -235,7 +235,7 @@ def dumps_canonical(obj) -> str:
 DocumentKind = namedtuple("DocumentKind", "type read")
 DOCUMENT_KINDS = {
     "system": DocumentKind(System, system_from_document),
-    "datum": DocumentKind(HarnadDatum, harnad_from_document),
+    "datum": DocumentKind(Datum, harnad_from_document),
     "okubo": DocumentKind(OkuboTriple, okubo_from_document),
 }
 
@@ -257,7 +257,7 @@ def parse_document(text: str):
 def serialize_document(value, name=None) -> str:
     if isinstance(value, System):
         return dumps_canonical(system_to_document(value, name=name))
-    if isinstance(value, HarnadDatum):
+    if isinstance(value, Datum):
         return dumps_canonical(harnad_to_document(value, name=name))
     if isinstance(value, dict):
         return dumps_canonical(value)

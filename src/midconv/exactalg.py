@@ -203,13 +203,9 @@ class GaussianRational:
 
 
 def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor accepting ints, Fractions or 'p/q' strings."""
+    """Shorthand constructor accepting ints, Fractions or GaussianRationals."""
     if isinstance(re, GaussianRational):
         return re
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
     return GaussianRational(re, im)
 
 
@@ -336,6 +332,11 @@ class Matrix:
         for i in range(r0, r1):
             ents.extend(self._e[i * self.cols + c0 : i * self.cols + c1])
         return Matrix(r1 - r0, c1 - c0, ents)
+
+    def select_columns(self, indices: Sequence[int]) -> "Matrix":
+        """The columns of self at the given indices, in that order."""
+        ents = [self._e[i * self.cols + j] for i in range(self.rows) for j in indices]
+        return Matrix(self.rows, len(indices), ents)
 
     def entries(self):
         return self._e
@@ -526,20 +527,15 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
 def quotient_projection(m: Matrix):
     """Coordinates on the quotient (domain of m) / Ker m.
 
-    Returns (pi, iota) with pi: C^cols -> C^r the projection along Ker m
-    onto the span of the pivot coordinates, and iota: C^r -> C^cols the
-    section embedding, so that pi*iota = I and m*iota*pi = m.  The pivot
-    positions come from the reduced echelon form, so the result is
-    deterministic.
+    Returns (pi, pivots): pi: C^cols -> C^r is the projection along Ker m,
+    the nonzero rows of the reduced echelon form of m, and pivots are its
+    pivot columns, ascending.  The pivot columns of pi form the identity,
+    so they are the coordinates on the quotient, and
+    m == m.select_columns(pivots) * pi.  The reduced echelon form is
+    unique, so the result is deterministic.
     """
     pivots, grid = _row_reduce(m)
-    r = len(pivots)
-    pi = Matrix(r, m.cols, [x for row in grid for x in row])
-    ents = [_ZERO] * (m.cols * r)
-    for j, pc in enumerate(pivots):
-        ents[pc * r + j] = _ONE
-    iota = Matrix(m.cols, r, ents)
-    return pi, iota
+    return Matrix(len(pivots), m.cols, [x for row in grid for x in row]), pivots
 
 
 def solve(a: Matrix, b: Matrix):
@@ -587,23 +583,6 @@ def char_poly(m: Matrix) -> list[GaussianRational]:
         if k < n:
             mk = m * mk.shift(ck)
     return coeffs
-
-
-def _poly_eval(coeffs: Sequence[GaussianRational], x: GaussianRational) -> GaussianRational:
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs, root):
-    """Divide by (x - root); assumes root is exact."""
-    out = [_ZERO] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + carry * root
-    return out
 
 
 def _poly_divmod(a, b):
@@ -713,9 +692,13 @@ def _qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     ]
     candidates = {GaussianRational._make(a, b, denom) for a, b in _zi_root_candidates(scaled)}
     for cand in sorted(candidates, key=GaussianRational.sort_key):
-        while len(work) > 1 and _poly_eval(work, cand).is_zero():
+        while len(work) > 1:
+            # a root exactly when x - cand leaves no remainder; the quotient is the deflation
+            quo, rem = _poly_divmod(work, [-cand, _ONE])
+            if rem:
+                break
             roots[cand] = roots.get(cand, 0) + 1
-            work = _poly_deflate(work, cand)
+            work = quo
     if len(work) > 1:
         raise IrrationalSpectrum(
             "characteristic polynomial has a factor with no root in Q(i)"

@@ -23,6 +23,7 @@ from .errors import (
 from .exactalg import (
     GaussianRational,
     Matrix,
+    generalized_eigendecomposition,
     gr,
     nilpotent_powers,
     quotient_projection,
@@ -49,8 +50,6 @@ __all__ = [
 def hd(p: System) -> System:
     """The dual pair.  Pure-constant input (no effective poles) dualizes
     to the zero pair."""
-    if p.dimension == 0:
-        return zero_pair()
     return psi(kappa(p))
 
 
@@ -67,11 +66,8 @@ def mc(p: System, alpha: System) -> System:
         raise NonzeroConstantTerm(
             "convolution parameter has a constant term; translate the coordinate first"
         )
-    # kappa raises EmptyV on dim 0, where the dual is the zero pair and
-    # every parameter pole is outside the (empty) spectrum
-    h = kappa(p) if p.dimension else None
-    eig = h.s_blocking if h is not None else []
-    allowed = {ev: len(nilpotent_powers(nil)) for ev, _, nil in eig}
+    h = kappa(p)
+    allowed = {ev: len(nilpotent_powers(nil)) for ev, _, nil in h.s_blocking}
     for part in alpha.parts:
         d = order(part)
         if d == 0:
@@ -84,8 +80,7 @@ def mc(p: System, alpha: System) -> System:
             raise PoleMismatch(
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
-    dual = psi(h) if h is not None else zero_pair()
-    return hd(add_scalar(dual, alpha))
+    return hd(add_scalar(psi(h), alpha))
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:
@@ -106,21 +101,21 @@ def dr_middle_convolution(p: System, lam: GaussianRational) -> System:
         a = part.coefficients[0]
         if a.is_zero():
             continue
-        pi, iota = quotient_projection(a)
+        pi, pivots = quotient_projection(a)
         points.append(part.point)
-        qs.append(a * iota)  # injection W_t -> V induced from A_t
+        qs.append(a.select_columns(pivots))  # injection W_t -> V induced from A_t
         ps.append(pi)  # projection V -> V/Ker A_t
     if not qs:
         return zero_pair()
     q = Matrix.hstack(qs)
     pm = Matrix.vstack(ps)
     g = (pm * q).shift(lam)
-    pi, iota = quotient_projection(g)
+    pi, pivots = quotient_projection(g)
     m = pi.rows
     if m == 0:
         return zero_pair()
     q_lam = pi  # projection W -> V^lambda
-    p_lam = g * iota  # injection V^lambda -> W with P Q = G
+    p_lam = g.select_columns(pivots)  # injection V^lambda -> W with P Q = G
     parts = []
     offset = 0
     for point, qt in zip(points, qs):
@@ -156,13 +151,13 @@ class OkuboTriple:
 
 def okubo_to_pair(o: OkuboTriple) -> System:
     """Factor R = P Q through V = W/Ker R and expand Q (zI - T)^{-1} P."""
-    pi, iota = quotient_projection(o.r_matrix)
+    pi, pivots = quotient_projection(o.r_matrix)
     v = pi.rows
     if v == 0:
         return zero_pair()
     q = pi  # projection W -> V
-    p = o.r_matrix * iota  # injection V -> W with P Q = R
-    parts = resolvent_principal_parts(o.t_matrix, q, p)
+    p = o.r_matrix.select_columns(pivots)  # injection V -> W with P Q = R
+    parts = resolvent_principal_parts(generalized_eigendecomposition(o.t_matrix), q, p)
     return System(v, Matrix.zeros(v, v), parts)
 
 

@@ -368,9 +368,9 @@ def predicted_spectra(
         )
     v0 = new_rank - carried_dim
     gamma0 = zero_block.gamma if zero_block is not None else Matrix.zeros(0, 0)
-    pi, iota = quotient_projection(gamma0)
+    pi, pivots = quotient_projection(gamma0)
     w0 = pi.rows
-    m = (pi * gamma0 * iota).shift(-beta)
+    m = (pi * gamma0.select_columns(pivots)).shift(-beta)
     if v0 < w0:
         raise InconsistentRank("output rank cannot accommodate the residue pencil")
     jordan_blocks: list[tuple[GaussianRational, int]] = []

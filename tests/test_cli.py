@@ -245,6 +245,15 @@ class TestCli:
         status, report = run_cli(capsys, "stable", str(datum_file))
         assert status == 0 and report["result"]["stable"] is True
 
+    def test_canon_of_dimension_zero_is_the_zero_datum(self, capsys, tmp_path):
+        from midconv.systems import zero_pair
+
+        path = tmp_path / "zero.sys"
+        path.write_text(serialize_document(zero_pair()))
+        status, report = run_cli(capsys, "canon", str(path))
+        assert status == 0
+        assert report["result"] == {"kind": "datum", "dimension": 0, "constant": [], "blocks": []}
+
     def test_katz_reduce_trace(self, capsys, triple_file):
         status, report = run_cli(capsys, "katz-reduce", triple_file)
         assert status == 0

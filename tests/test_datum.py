@@ -5,7 +5,6 @@ import pytest
 from midconv.datum import (
     Block,
     Datum,
-    HarnadDatum,
     canonical,
     datum_isomorphism,
     gk_action,
@@ -17,8 +16,16 @@ from midconv.datum import (
     phi,
     psi,
 )
-from midconv.errors import EmptyV, NotNilpotent, NotStable
-from midconv.exactalg import Matrix, gr, intertwiner_basis, invert, nilpotent_powers, rank
+from midconv.errors import DimensionMismatch, EmptyV, NotNilpotent, NotStable
+from midconv.exactalg import (
+    Matrix,
+    gr,
+    intertwiner_basis,
+    invert,
+    nilpotent_powers,
+    quotient_projection,
+    rank,
+)
 from midconv.systems import PrincipalPart, System, TruncatedGauge, gauge_coadjoint, zero_pair
 from midconv.checks import random_gauge, random_invertible, random_system
 
@@ -32,6 +39,33 @@ class TestBlock:
     def test_non_nilpotent_endomorphism_rejected(self):
         with pytest.raises(NotNilpotent):
             Block(gr(0), SWAP, Matrix.zeros(1, 2), Matrix.zeros(2, 1))
+
+
+class TestDatum:
+    def test_s_defaults_to_zero(self):
+        assert Datum(2, ()).s_matrix == Z2
+        assert Datum(2, ()) == Datum(2, (), Z2)
+
+    def test_misshaped_s_rejected(self):
+        for s in (Matrix.zeros(1, 1), Matrix.zeros(2, 3), Matrix.zeros(3, 2)):
+            with pytest.raises(DimensionMismatch):
+                Datum(2, (), s)
+
+    def test_gk_action_keeps_s(self):
+        s = Matrix.from_rows([[5]])
+        g = TruncatedGauge(gr(0), (Matrix.from_rows([[2]]),))
+        assert gk_action(g, Datum(1, (RANK1_BLOCK,), s)).s_matrix == s
+
+    def test_phi_inverts_kappa_with_a_constant(self, rng):
+        nonzero = 0
+        for constant in ("diagonal", "random"):
+            for _ in range(10):
+                sys = random_system(rng, constant=constant)
+                d = kappa(sys)
+                assert d.s_matrix == sys.constant
+                assert phi(d) == sys
+                nonzero += not sys.constant.is_zero()
+        assert nonzero >= 10
 
 
 class TestPhi:
@@ -59,6 +93,41 @@ class TestCanonical:
 
     def test_zero_system_gives_zero_datum(self):
         assert canonical([PrincipalPart(gr(0), (Z2,))], 2).blocks == ()
+
+    def test_dimension_zero_gives_zero_datum(self):
+        empty = Matrix.zeros(0, 0)
+        assert canonical([], 0) == Datum(0, ())
+        assert canonical([PrincipalPart(gr(0), (empty, empty))], 0) == Datum(0, ())
+        assert kappa(zero_pair()) == Datum(0, (), empty)
+
+    def test_blocks_match_the_suspension_formula(self, rng):
+        # the quotient of the k-fold suspension through the section iota:
+        # N = pi N-hat iota, Q = Q-hat iota, P = pi P-hat
+        def entry():
+            return gr(0) if rng.random() < 0.4 else gr(rng.randint(-2, 2), rng.randint(-2, 2))
+
+        for k in (1, 2, 3):
+            for n in (1, 2, 3):
+                for trial in range(4):
+                    coeffs = [Matrix(n, n, [entry() for _ in range(n * n)]) for _ in range(k)]
+                    if trial % 2:
+                        coeffs[-1] = Matrix.zeros(n, n)  # zero leading coefficient
+                    pi, pivots = quotient_projection(hat_matrix(coeffs))
+                    block = canonical([PrincipalPart(gr(1), tuple(coeffs))], n).block_at(1)
+                    if not pivots:
+                        assert block is None
+                        continue
+                    iota = Matrix.from_rows(
+                        [[1 if c == pc else 0 for pc in pivots] for c in range(k * n)]
+                    )
+                    nhat = hat_matrix(
+                        [Matrix.identity(n) if j == k - 2 else Matrix.zeros(n, n) for j in range(k)]
+                    )
+                    qhat = Matrix.hstack(list(reversed(coeffs)))
+                    phat = Matrix.vstack([Matrix.zeros((k - 1) * n, n), Matrix.identity(n)])
+                    assert block.nilpotent == pi * nhat * iota
+                    assert block.q == qhat * iota
+                    assert block.p == pi * phat
 
     def test_fuchsian_projector(self):
         b = canonical([PrincipalPart(gr(0), (E11,))], 2).blocks[0]
@@ -302,20 +371,19 @@ class TestDatumIsomorphism:
 
 class TestHarnad:
     def test_psi_fuchsian_dual(self):
-        h = HarnadDatum(Datum(1, (RANK1_BLOCK,)), Matrix.zeros(1, 1))
-        dual = psi(h)
+        dual = psi(Datum(1, (RANK1_BLOCK,), Matrix.zeros(1, 1)))
         assert dual.constant == J2
         assert dual.part_at(gr(0)).coefficients[0] == RANK1_BLOCK.p * RANK1_BLOCK.q
 
     def test_psi_zero_datum(self):
-        assert psi(HarnadDatum(Datum(2, ()), Z2)) == zero_pair()
+        assert psi(Datum(2, (), Z2)) == zero_pair()
 
     def test_harnad_irreducible_examples(self):
-        assert harnad_irreducible(HarnadDatum(Datum(1, ()), Matrix.from_rows([[5]])))
-        assert not harnad_irreducible(HarnadDatum(Datum(2, ()), Z2))
+        assert harnad_irreducible(Datum(1, (), Matrix.from_rows([[5]])))
+        assert not harnad_irreducible(Datum(2, (), Z2))
         # Q = 0 with W != 0: (0, W) is a subrepresentation
         b = Block(gr(0), Matrix.zeros(1, 1), Matrix.zeros(2, 1), Matrix.from_rows([[1, 0]]))
-        assert not harnad_irreducible(HarnadDatum(Datum(2, (b,)), Z2))
+        assert not harnad_irreducible(Datum(2, (b,), Z2))
 
     def test_kappa_of_irreducible_is_irreducible(self):
         sys = fuchsian({0: E12, 1: E21})

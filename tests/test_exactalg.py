@@ -125,11 +125,18 @@ class TestRref:
         for v in kernel_basis(mat):
             assert (mat * v).is_zero()
 
-    def test_quotient_projection_identities(self):
-        m = Matrix.from_rows([[1, 1], [1, 1]])
-        pi, iota = quotient_projection(m)
-        assert pi * iota == Matrix.identity(1)
-        assert m * iota * pi == m
+    def test_quotient_projection_identities(self, rng):
+        # m factors through its pivot columns, at which pi is the identity
+        for m in [Matrix.from_rows([[1, 1], [1, 1]])] + _reduction_cases(rng):
+            pi, pivots = quotient_projection(m)
+            assert pivots == sorted(pivots) and pi.rows == len(pivots) == rank(m)
+            assert m.select_columns(pivots) * pi == m
+            assert pi.select_columns(pivots) == Matrix.identity(len(pivots))
+
+    def test_select_columns(self):
+        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.select_columns([2, 0]) == Matrix.from_rows([[3, 1], [6, 4]])
+        assert m.select_columns([]) == Matrix.zeros(2, 0)
 
 
 def _reduction_cases(rng):

@@ -48,6 +48,7 @@ class TestHd:
     def test_pure_constant_dualizes_to_zero(self):
         assert hd(System(2, Matrix.diagonal([1, 2]), ())) == zero_pair()
         assert hd(System(1, Matrix.from_rows([[4]]), ())) == zero_pair()
+        assert hd(zero_pair()) == zero_pair()
 
     def test_irrational_constant_spectrum_rejected(self):
         from midconv.errors import IrrationalSpectrum
@@ -268,7 +269,7 @@ class TestOkubo:
         # Q: W -> V is a morphism from (W, (zI-T)^{-1} R) to the produced
         # pair: coefficientwise A_{t,k} Q = Q B_{t,k}
         from midconv.datum import resolvent_principal_parts
-        from midconv.exactalg import quotient_projection
+        from midconv.exactalg import generalized_eigendecomposition, quotient_projection
 
         for _ in range(6):
             t_mat = Matrix.diagonal([rng.choice([0, 1]), rng.choice([0, 1]), 2])
@@ -278,7 +279,8 @@ class TestOkubo:
             if pair.dimension == 0:
                 continue
             pi, _ = quotient_projection(r_mat)
-            full = resolvent_principal_parts(t_mat, Matrix.identity(3), r_mat)
+            eig = generalized_eigendecomposition(t_mat)
+            full = resolvent_principal_parts(eig, Matrix.identity(3), r_mat)
             for part in full:
                 out_part = pair.part_at(part.point)
                 for j, b in enumerate(part.coefficients):
