@@ -54,7 +54,10 @@ COMMANDS = {
     "check": ((), FIXTURES),
 }
 
-# golden name -> (argv, exit status): an inequivalent pair and error reports
+THREE_LEVEL = (given("three-level.sys"), "--point", "0")
+
+# golden name -> (argv, exit status): an inequivalent pair, error reports and
+# runs at a chosen pole
 RUNS = {
     "equiv__inequivalent": (("equiv", fixture("alpha-simple"), fixture("rank1-irregular")), 0),
     "mc__pole-mismatch": (("mc", fixture("rank1-irregular"), "--alpha", given("alpha-at-5.sys")), 1),
@@ -62,6 +65,11 @@ RUNS = {
     "okubo__system-document": (("okubo", fixture("rigid-triple")), 1),
     "dr__not-fuchsian": (("dr", "--lambda", "1", fixture("rank1-irregular")), 1),
     "equiv__different-rank": (("equiv", fixture("alpha-simple"), fixture("rigid-triple")), 1),
+    # nested splits: the three-level model of test_normalform, gauged at 0
+    # by a degree-2 gauge element; pins the residue matrices byte for byte
+    "normal-form__three-level": (("normal-form", *THREE_LEVEL), 0),
+    "select-alpha__three-level": (("select-alpha", *THREE_LEVEL), 0),
+    "stab-dim__three-level": (("stab-dim", *THREE_LEVEL), 0),
 }
 
 CASES = [
