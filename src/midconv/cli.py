@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from .checks import run_checks
 from .datum import is_stable, kappa, phi
-from .documents import DOCUMENT_KINDS, dumps_canonical, harnad_to_document, matrix_to_json
+from .documents import DOCUMENT_KINDS, datum_to_document, dumps_canonical, matrix_to_json
 from .documents import normal_form_to_document, parse_document, parse_scalar_flag
 from .documents import system_to_document, trace_to_document
 from .errors import DomainError, ValidationError
@@ -102,7 +102,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "canon": Command("canonical datum of a system", FILE,
-                     lambda a: harnad_to_document(kappa(_read(a.file)))),
+                     lambda a: datum_to_document(kappa(_read(a.file)))),
     "phi": Command("system realized by a datum document", FILE,
                    lambda a: system_to_document(phi(_read(a.file, "datum")))),
     "hd": Command("Harnad dual pair", FILE, lambda a: system_to_document(hd(_read(a.file)))),

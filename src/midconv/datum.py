@@ -174,7 +174,7 @@ def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:
     phi(canonical(A)) = A.
     """
     blocks = []
-    for part in sorted(parts, key=lambda p: p.point.sort_key()):
+    for part in parts:
         if part.dimension != dim_v:
             raise DimensionMismatch("part dimension differs from dim V")
         n = dim_v

@@ -27,8 +27,8 @@ __all__ = [
     "serialize_document",
     "system_to_document",
     "system_from_document",
-    "harnad_to_document",
-    "harnad_from_document",
+    "datum_to_document",
+    "datum_from_document",
     "okubo_from_document",
     "normal_form_to_document",
     "trace_to_document",
@@ -144,7 +144,7 @@ def system_from_document(doc) -> System:
     return System(n, constant, tuple(parts), declaration)
 
 
-def harnad_to_document(d: Datum, name=None) -> dict:
+def datum_to_document(d: Datum, name=None) -> dict:
     doc = {"kind": "datum"}
     if name:
         doc["name"] = name
@@ -162,7 +162,7 @@ def harnad_to_document(d: Datum, name=None) -> dict:
     return doc
 
 
-def harnad_from_document(doc) -> Datum:
+def datum_from_document(doc) -> Datum:
     if not isinstance(doc, dict) or doc.get("kind") != "datum":
         raise ValidationError("expected a document of kind 'datum'")
     try:
@@ -235,7 +235,7 @@ def dumps_canonical(obj) -> str:
 DocumentKind = namedtuple("DocumentKind", "type read")
 DOCUMENT_KINDS = {
     "system": DocumentKind(System, system_from_document),
-    "datum": DocumentKind(Datum, harnad_from_document),
+    "datum": DocumentKind(Datum, datum_from_document),
     "okubo": DocumentKind(OkuboTriple, okubo_from_document),
 }
 
@@ -258,7 +258,7 @@ def serialize_document(value, name=None) -> str:
     if isinstance(value, System):
         return dumps_canonical(system_to_document(value, name=name))
     if isinstance(value, Datum):
-        return dumps_canonical(harnad_to_document(value, name=name))
+        return dumps_canonical(datum_to_document(value, name=name))
     if isinstance(value, dict):
         return dumps_canonical(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentRank,
     InvariantViolation,
+    IrrationalSpectrum,
     NoNormalForm,
 )
 from .exactalg import (
@@ -130,27 +131,18 @@ def assemble_normal_form(nf: NormalForm) -> list[Matrix]:
 
 
 def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], Matrix]]:
-    """Recursive reduction; returns (tail as list indexed 2..k, gamma)."""
+    """Recursive reduction; returns (tail as list indexed 2..k, gamma) with
+    pairwise distinct tails, as every level splits by distinct eigenvalues."""
     n = coeffs[0].rows
     d = len(trim(coeffs))
     if d <= 1:
-        tail = [gr(0)] * max(k - 1, 0)
-        return [(tail, coeffs[0] if k >= 1 else Matrix.zeros(n, n))]
-    lead = coeffs[d - 1]
-    eig = generalized_eigendecomposition(lead)
+        return [([gr(0)] * (k - 1), coeffs[0])]
+    eig = generalized_eigendecomposition(coeffs[d - 1])
     if any(not nil.is_zero() for _, _, nil in eig):
         raise NoNormalForm("a leading coefficient encountered is not semisimple")
-    if len(eig) == 1:
-        a = eig[0][0]
-        sub = list(coeffs)
-        sub[d - 1] = sub[d - 1].shift(-a)
-        blocks = _split(sub, k)
-        for tail, _ in blocks:
-            tail[d - 2] = tail[d - 2] + a
-        return blocks
-    # several leading eigenvalues: pass to the eigenbasis and eliminate
-    # the entries between different eigenvalues (the cross pairs) one
-    # homogeneous gauge degree at a time
+    # pass to the eigenbasis and eliminate the entries between different
+    # eigenvalues (the cross pairs) one homogeneous gauge degree at a time;
+    # with one eigenvalue the basis is the identity and there are none
     label = [ev for ev, b, _ in eig for _ in range(b.cols)]
     basis = Matrix.hstack([b for _, b, _ in eig])
     cur = [solve(basis, c * basis) for c in coeffs]
@@ -167,11 +159,17 @@ def _split(coeffs: list[Matrix], k: int) -> list[tuple[list[GaussianRational], M
             cur = list(new_part.coefficients)
     if any(not c[r, s].is_zero() for c in cur for r, s in cross):
         raise InvariantViolation("off-diagonal elimination failed")
+    # the leading block of each eigenspace is ev * I: move ev to the tail
     out = []
     lo = 0
-    for _, b, _ in eig:
+    for ev, b, _ in eig:
         hi = lo + b.cols
-        out.extend(_split([c.submatrix(lo, hi, lo, hi) for c in cur], k))
+        sub = [c.submatrix(lo, hi, lo, hi) for c in cur]
+        sub[d - 1] = sub[d - 1].shift(-ev)
+        blocks = _split(sub, k)
+        for tail, _ in blocks:
+            tail[d - 2] = tail[d - 2] + ev
+        out.extend(blocks)
         lo = hi
     return out
 
@@ -186,18 +184,7 @@ def compute_normal_form(part: PrincipalPart) -> NormalForm:
     """
     k = len(part.coefficients)
     blocks = _split(list(part.coefficients), k)
-    merged = {}
-    for tail, gamma in blocks:
-        key = tuple(x.sort_key() for x in tail)
-        if key in merged:
-            prev_tail, prev_gamma = merged[key]
-            merged[key] = (prev_tail, Matrix.block_diagonal([prev_gamma, gamma]))
-        else:
-            merged[key] = (tail, gamma)
-    return NormalForm(
-        k,
-        tuple(SpectralBlock(tuple(tail), gamma) for tail, gamma in merged.values()),
-    )
+    return NormalForm(k, tuple(SpectralBlock(tuple(tail), gamma) for tail, gamma in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +236,14 @@ def stabilizer_dim_formula(nf: NormalForm) -> int:
 
 
 def stabilizer_dim(part: PrincipalPart) -> int:
-    """Stabilizer dimension; when a normal form is computable the formula
-    mode is evaluated too and must agree (InvariantViolation otherwise)."""
+    """Stabilizer dimension by the linear mode.  The formula mode must agree
+    (InvariantViolation otherwise) where it applies: it needs a normal form
+    (NoNormalForm) and residue spectra in Q(i) (IrrationalSpectrum)."""
     linear = stabilizer_dim_linear(part)
     try:
-        nf = compute_normal_form(part)
-    except NoNormalForm:
+        formula = stabilizer_dim_formula(compute_normal_form(part))
+    except (NoNormalForm, IrrationalSpectrum):
         return linear
-    formula = stabilizer_dim_formula(nf)
     if linear != formula:
         raise InvariantViolation(f"stabilizer modes disagree: {linear} vs {formula}")
     return linear
@@ -307,7 +294,6 @@ def select_alpha(part: PrincipalPart) -> PrincipalPart:
     smallest coefficient vector (highest-order coefficient first, ordered
     by (re, im))."""
     nf = compute_normal_form(part)
-    k = len(part.coefficients)
     candidates = {}
     for b in nf.blocks:
         base = [gr(0)] + list(b.tail)  # index j-1 <-> alpha_j

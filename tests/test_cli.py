@@ -15,7 +15,7 @@ from midconv.documents import (
 )
 from midconv.errors import ParseError, ValidationError
 from midconv.exactalg import Matrix, gr
-from midconv.systems import System, scalar_system
+from midconv.systems import PrincipalPart, System, scalar_system
 
 
 
@@ -253,6 +253,16 @@ class TestCli:
         status, report = run_cli(capsys, "canon", str(path))
         assert status == 0
         assert report["result"] == {"kind": "datum", "dimension": 0, "constant": [], "blocks": []}
+
+    def test_stabilizer_and_orbit_of_an_irrational_residue(self, capsys, tmp_path):
+        # one Fuchsian pole with eigenvalues +-sqrt(2): the linear mode answers
+        part = PrincipalPart(gr(0), (Matrix.from_rows([[0, 1], [2, 0]]),))
+        path = tmp_path / "sqrt2.sys"
+        path.write_text(serialize_document(System(2, Matrix.zeros(2, 2), (part,))))
+        assert run_cli(capsys, "stab-dim", str(path)) == (0, {
+            "command": "stab-dim", "result": {"stabilizer_dimension": 2}, "diagnostics": []})
+        assert run_cli(capsys, "orbit-dim", str(path)) == (0, {
+            "command": "orbit-dim", "result": {"orbit_dimension": 2}, "diagnostics": []})
 
     def test_katz_reduce_trace(self, capsys, triple_file):
         status, report = run_cli(capsys, "katz-reduce", triple_file)

@@ -27,7 +27,7 @@ from midconv.exactalg import (
     rank,
 )
 from midconv.systems import PrincipalPart, System, TruncatedGauge, gauge_coadjoint, zero_pair
-from midconv.checks import random_gauge, random_invertible, random_system
+from midconv.checks import random_gauge, random_invertible, random_matrix, random_system
 
 from conftest import E11, E12, E21, SWAP, Z2, fuchsian
 
@@ -141,6 +141,7 @@ class TestCanonical:
             d = canonical(sys.parts, sys.dimension)
             assert phi(d) == System(sys.dimension, Matrix.zeros(sys.dimension, sys.dimension), sys.parts)
             assert is_stable(d)
+            assert canonical(sys.parts[::-1], sys.dimension) == d
 
     def test_block_dim_is_toeplitz_rank(self, rng):
         for _ in range(20):
@@ -151,8 +152,6 @@ class TestCanonical:
                 assert (b.dim_w if b else 0) == rank(hat_matrix(p.coefficients))
 
     def test_high_order_single_pole(self, rng):
-        from midconv.checks import random_matrix
-
         for _ in range(5):
             n = rng.choice([1, 2])
             part = PrincipalPart(gr(0), tuple(random_matrix(rng, n) for _ in range(5)))
@@ -388,3 +387,33 @@ class TestHarnad:
     def test_kappa_of_irreducible_is_irreducible(self):
         sys = fuchsian({0: E12, 1: E21})
         assert harnad_irreducible(kappa(sys))
+
+    def test_resolvent_parts_match_the_expansion_at_infinity(self, rng):
+        # L (zI - M)^{-1} R = sum_k L M^k R z^{-k-1}, and (z - ev)^{-j}
+        # contributes C(k, j-1) ev^{k-j+1} to the coefficient of z^{-k-1}
+        from math import comb
+
+        from midconv.datum import resolvent_principal_parts
+        from midconv.exactalg import generalized_eigendecomposition
+        from midconv.normalform import jordan_matrix
+
+        spectrum = [gr(0), gr(1), gr(-2), gr(0, 1), gr(1, -1)]
+        for _ in range(30):
+            jordan = [(rng.choice(spectrum), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            n = sum(size for _, size in jordan)
+            p = random_invertible(rng, n)
+            m = p * jordan_matrix(jordan) * invert(p)
+            q = rng.randint(1, 3)
+            left, right = random_matrix(rng, q, n), random_matrix(rng, n, q)
+            parts = resolvent_principal_parts(generalized_eigendecomposition(m), left, right)
+            moment = right
+            for k in range(n + 2):
+                total = Matrix.zeros(q, q)
+                for part in parts:
+                    for j, a in enumerate(part.coefficients[: k + 1], start=1):
+                        scale = gr(comb(k, j - 1))
+                        for _ in range(k - j + 1):
+                            scale = scale * part.point
+                        total = total + scale * a
+                assert total == left * moment
+                moment = m * moment

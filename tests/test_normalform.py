@@ -2,7 +2,7 @@
 
 import pytest
 
-from midconv.errors import InconsistentRank, NoNormalForm
+from midconv.errors import InconsistentRank, IrrationalSpectrum, NoNormalForm
 from midconv.exactalg import Matrix, gr
 from midconv.normalform import (
     NormalForm,
@@ -139,6 +139,15 @@ class TestStabilizerDim:
         assert stabilizer_dim(PrincipalPart(gr(0), (Matrix.zeros(3, 3),))) == 9
         part = PrincipalPart(gr(0), (Matrix.zeros(3, 3), Matrix.zeros(3, 3)))
         assert stabilizer_dim_linear(part) == 18
+
+    def test_irrational_residue_falls_back_to_the_linear_mode(self):
+        # eigenvalues +-sqrt(2): the normal form exists, its Jordan data
+        # over Q(i) does not
+        part = PrincipalPart(gr(0), (Matrix.from_rows([[0, 1], [2, 0]]),))
+        nf = compute_normal_form(part)
+        with pytest.raises(IrrationalSpectrum):
+            stabilizer_dim_formula(nf)
+        assert stabilizer_dim(part) == stabilizer_dim_linear(part) == 2
 
     def test_modes_agree_on_corpus(self, rng):
         for part in normal_formable_parts(rng, 15):
