@@ -70,6 +70,8 @@ RUNS = {
     "normal-form__three-level": (("normal-form", *THREE_LEVEL), 0),
     "select-alpha__three-level": (("select-alpha", *THREE_LEVEL), 0),
     "stab-dim__three-level": (("stab-dim", *THREE_LEVEL), 0),
+    # the kernel-modes cross-check of the invariant suite on a nested split
+    "check__three-level": (("check", given("three-level.sys")), 0),
 }
 
 CASES = [
