@@ -21,11 +21,10 @@ from .documents import DOCUMENT_KINDS, datum_to_document, dumps_canonical, matri
 from .documents import normal_form_to_document, parse_document, parse_scalar_flag
 from .documents import system_to_document, trace_to_document
 from .errors import DomainError, ValidationError
-from .exactalg import Matrix
 from .functors import dr_middle_convolution, hd, mc, okubo_to_pair
 from .normalform import compute_normal_form, select_alpha, stabilizer_dim
 from .rigidity import katz_reduce, katz_step, orbit_dim, rigidity_index
-from .systems import System, add_scalar, equivalent, is_irreducible
+from .systems import add_scalar, equivalent, is_irreducible, scalar_system
 
 __all__ = ["main"]
 
@@ -73,7 +72,8 @@ def _normal_form(args) -> dict:
 
 
 def _select_alpha(args) -> dict:
-    return system_to_document(System(1, Matrix.zeros(1, 1), (select_alpha(_part(args)),)))
+    part = _part(args)
+    return system_to_document(scalar_system({part.point: select_alpha(part)}))
 
 
 def _rigidity(args) -> dict:

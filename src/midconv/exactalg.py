@@ -32,6 +32,7 @@ __all__ = [
     "invert",
     "char_poly",
     "char_eigenvalues",
+    "qi_roots",
     "nilpotent_partition",
     "nilpotent_powers",
     "generalized_eigendecomposition",
@@ -662,10 +663,11 @@ def _zi_root_candidates(g):
         return [tuple(c - q if 2 * c > q else c for c in r) for r in roots]
 
 
-def _qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
+def qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     """All Q(i) roots with multiplicity of a monic polynomial over Q(i).
 
-    Raises IrrationalSpectrum if the polynomial does not split over Q(i).
+    Roots outside Q(i) are left out, so the multiplicities sum to less than
+    the degree exactly when the polynomial does not split over Q(i).
     Strategy: strip zero roots and take the squarefree part g; x -> y/L
     turns g into a monic G over Z[i], whose Q(i) roots are Gaussian
     integers.  Those are found mod an inert prime and lifted by Newton's
@@ -699,10 +701,6 @@ def _qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
                 break
             roots[cand] = roots.get(cand, 0) + 1
             work = quo
-    if len(work) > 1:
-        raise IrrationalSpectrum(
-            "characteristic polynomial has a factor with no root in Q(i)"
-        )
     return roots
 
 
@@ -711,7 +709,9 @@ def char_eigenvalues(m: Matrix) -> list[tuple[GaussianRational, int]]:
 
     Raises IrrationalSpectrum when the spectrum leaves Q(i).
     """
-    roots = _qi_roots(char_poly(m))
+    roots = qi_roots(char_poly(m))
+    if sum(roots.values()) < m.rows:
+        raise IrrationalSpectrum("characteristic polynomial has a factor with no root in Q(i)")
     return sorted(roots.items(), key=lambda t: t[0].sort_key())
 
 

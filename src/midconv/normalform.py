@@ -30,18 +30,19 @@ from .errors import (
 from .exactalg import (
     GaussianRational,
     Matrix,
-    char_eigenvalues,
+    char_poly,
     generalized_eigendecomposition,
     gr,
     kernel_basis,
     nilpotent_partition,
+    qi_roots,
     quotient_projection,
     rank,
     solve,
     sylvester_operator,
 )
 from .datum import hat_matrix
-from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint, scalar_coefficients, trim
+from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint, trim
 
 __all__ = [
     "SpectralBlock",
@@ -254,18 +255,14 @@ def stabilizer_dim(part: PrincipalPart) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pad_alpha(alpha: PrincipalPart, k: int) -> list[GaussianRational]:
-    coeffs = scalar_coefficients(alpha)
-    if len(trim(coeffs)) > k:
+def hat_kernel_dim(part: PrincipalPart, alpha: Sequence[GaussianRational]) -> int:
+    """dim Ker(A-hat - alpha-hat) for the scalar coefficients
+    (alpha_1, ..., alpha_k), a shorter vector padded with zeros, computed
+    directly on the block-Toeplitz matrices; gauge-invariant."""
+    k = len(part.coefficients)
+    if len(trim(alpha)) > k:
         raise DimensionMismatch("scalar part exceeds the truncation order")
-    return coeffs[:k] + [gr(0)] * max(0, k - len(coeffs))
-
-
-def hat_kernel_dim(part: PrincipalPart, alpha: PrincipalPart) -> int:
-    """dim Ker(A-hat - alpha-hat) computed directly on the block-Toeplitz
-    matrices; gauge-invariant."""
-    avals = _pad_alpha(alpha, len(part.coefficients))
-    shifted = [c.shift(-a) for c, a in zip(part.coefficients, avals)]
+    shifted = [c.shift(-a) for c, a in zip(part.coefficients, [*alpha, *[gr(0)] * k])]
     m = hat_matrix(shifted)
     return m.cols - rank(m)
 
@@ -286,29 +283,24 @@ def hat_kernel_dim_formula(nf: NormalForm, alpha_coeffs: Sequence[GaussianRation
     return total
 
 
-def select_alpha(part: PrincipalPart) -> PrincipalPart:
-    """A scalar part maximizing dim Ker(A-hat - alpha-hat).
+def select_alpha(part: PrincipalPart) -> tuple[GaussianRational, ...]:
+    """Scalar coefficients (alpha_1, ..., alpha_k) maximizing
+    dim Ker(A-hat - alpha-hat), scored on the normal form.
 
-    Candidates are every spectrum tail, alone and extended by each
-    eigenvalue of its residue matrix; ties break to the lexicographically
-    smallest coefficient vector (highest-order coefficient first, ordered
-    by (re, im))."""
+    Candidates are every spectrum tail, alone and extended by each Q(i)
+    eigenvalue of its residue matrix (alpha lies in Q(i), so no other
+    eigenvalue can match); ties break to the lexicographically smallest
+    coefficient vector (highest-order coefficient first, ordered by
+    (re, im))."""
     nf = compute_normal_form(part)
-    candidates = {}
-    for b in nf.blocks:
-        base = [gr(0)] + list(b.tail)  # index j-1 <-> alpha_j
-        candidates[tuple(x.sort_key() for x in base)] = list(base)
-        for ev, _ in char_eigenvalues(b.gamma):
-            cand = [ev] + list(b.tail)
-            candidates[tuple(x.sort_key() for x in cand)] = cand
     best = None
-    for _, coeffs in sorted(candidates.items()):
-        cand_part = PrincipalPart(part.point, tuple(Matrix.from_rows([[c]]) for c in coeffs))
-        dim = hat_kernel_dim(part, cand_part)
-        key = tuple(x.sort_key() for x in reversed(coeffs))
-        if best is None or dim > best[0] or (dim == best[0] and key < best[1]):
-            best = (dim, key, cand_part)
-    return best[2]
+    for b in nf.blocks:
+        for alpha_1 in {gr(0), *qi_roots(char_poly(b.gamma))}:
+            cand = (alpha_1, *b.tail)
+            score = (-hat_kernel_dim_formula(nf, cand), tuple(x.sort_key() for x in reversed(cand)))
+            if best is None or score < best[0]:
+                best = (score, cand)
+    return best[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotInD0, NotRigid, Reducible, ZeroLambda
-from .exactalg import GaussianRational
+from .errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible, ZeroLambda
+from .exactalg import GaussianRational, char_poly, qi_roots
 from .functors import mc
-from .normalform import select_alpha, stabilizer_dim
+from .normalform import compute_normal_form, select_alpha, stabilizer_dim
 from .systems import (
     System,
     add_scalar,
     is_irreducible,
     lambda_over_z,
     residue_at_infinity,
-    scalar_coefficients,
     scalar_system,
 )
 
@@ -117,7 +116,8 @@ def katz_reduce(p: System) -> ReductionTrace:
     Each round recomputes the per-pole maximizer of the kernel dimension,
     assembles alpha as minus their sum, and applies one step.  Strict rank
     decrease is guaranteed for naively rigid inputs; if a step fails to
-    decrease the rank, NotRigid is raised carrying the index.
+    decrease the rank, NotRigid is raised carrying the index, and on a rigid
+    input IrrationalSpectrum names a pole whose residue spectrum leaves Q(i).
     """
     _require_d0(p)
     if not is_irreducible(p):
@@ -128,9 +128,7 @@ def katz_reduce(p: System) -> ReductionTrace:
     while current.dimension >= 2:
         if len(steps) >= cap:
             raise InvariantViolation("reduction exceeded its iteration cap")  # pragma: no cover
-        alpha = scalar_system(
-            {part.point: [-c for c in scalar_coefficients(select_alpha(part))] for part in current.parts}
-        )
+        alpha = scalar_system({part.point: [-c for c in select_alpha(part)] for part in current.parts})
         lam = residue_at_infinity(alpha).scalar()
         result = katz_step(current, alpha)
         if result.dimension >= current.dimension:
@@ -141,6 +139,11 @@ def katz_reduce(p: System) -> ReductionTrace:
                     index=index,
                     steps=steps,
                 )
+            # the step that drops the rank needs an alpha outside Q(i)
+            for part in current.parts:
+                residues = [b.gamma for b in compute_normal_form(part).blocks]
+                if any(sum(qi_roots(char_poly(g)).values()) < g.rows for g in residues):
+                    raise IrrationalSpectrum(f"a residue at pole {part.point} has eigenvalues outside Q(i)")
             raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(
             ReductionStep(

@@ -56,7 +56,6 @@ __all__ = [
     "zero_pair",
     "scalar_system",
     "lambda_over_z",
-    "scalar_coefficients",
 ]
 
 
@@ -180,12 +179,6 @@ def lambda_over_z(lam) -> System:
     return scalar_system({0: [lam]})
 
 
-def scalar_coefficients(part: PrincipalPart) -> list[GaussianRational]:
-    if part.dimension != 1:
-        raise DimensionMismatch("scalar coefficients of a non-scalar part")
-    return [c.scalar() for c in part.coefficients]
-
-
 def residue_at_infinity(sys: System) -> Matrix:
     """-sum of first-order coefficients; zero iff infinity is regular for A^0."""
     acc = Matrix.zeros(sys.dimension, sys.dimension)
@@ -205,10 +198,10 @@ def add_scalar(sys: System, alpha: System) -> System:
     merged = {p.point: list(p.coefficients) for p in sys.parts}
     for ap in alpha.parts:
         coeffs = merged.setdefault(ap.point, [])
-        for j, c in enumerate(scalar_coefficients(ap)):
+        for j, c in enumerate(ap.coefficients):
             while len(coeffs) <= j:
                 coeffs.append(Matrix.zeros(n, n))
-            coeffs[j] = coeffs[j].shift(c)
+            coeffs[j] = coeffs[j].shift(c.scalar())
     parts = tuple(PrincipalPart(pt, tuple(cs)) for pt, cs in merged.items())
     return System(n, const, parts, sys.declaration)
 

@@ -238,14 +238,10 @@ def test_criterion_8_kernel_and_stabilizer_formulas():
         assert stabilizer_dim_linear(part) == stabilizer_dim_formula(nf)
         k = len(part.coefficients)
         sel = select_alpha(part)
-        from midconv.systems import scalar_coefficients
-
         for b in nf.blocks:
             coeffs = [gr(0)] + list(b.tail)
-            cand = PrincipalPart(part.point, tuple(Matrix.from_rows([[c]]) for c in coeffs))
-            assert hat_kernel_dim(part, cand) == hat_kernel_dim_formula(nf, coeffs)
-        sel_coeffs = scalar_coefficients(sel)
-        assert hat_kernel_dim(part, sel) == hat_kernel_dim_formula(nf, sel_coeffs)
+            assert hat_kernel_dim(part, coeffs) == hat_kernel_dim_formula(nf, coeffs)
+        assert hat_kernel_dim(part, sel) == hat_kernel_dim_formula(nf, sel)
         assert stabilizer_dim_linear(part) <= part.dimension * hat_kernel_dim(part, sel)
     _report(8, f"kernel and stabilizer formulas agree and the maximizer "
                f"inequality holds on {len(parts)} parts")
@@ -305,7 +301,7 @@ def test_criterion_10_rigidity_table(
             alpha_parts.append(
                 PrincipalPart(
                     part.point,
-                    tuple(Matrix.from_rows([[-c.scalar()]]) for c in sel.coefficients),
+                    tuple(Matrix.from_rows([[-c]]) for c in sel),
                 )
             )
         res = katz_step(q, System(1, Matrix.zeros(1, 1), tuple(alpha_parts)))

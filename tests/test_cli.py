@@ -264,6 +264,15 @@ class TestCli:
         assert run_cli(capsys, "orbit-dim", str(path)) == (0, {
             "command": "orbit-dim", "result": {"orbit_dimension": 2}, "diagnostics": []})
 
+    def test_select_alpha_of_an_irrational_residue(self, capsys, tmp_path):
+        # the +-sqrt(2) residue: the zero candidate is the only one in Q(i)
+        part = PrincipalPart(gr(0), (Matrix.from_rows([[0, 1], [2, 0]]),))
+        path = tmp_path / "sqrt2.sys"
+        path.write_text(serialize_document(System(2, Matrix.zeros(2, 2), (part,))))
+        status, report = run_cli(capsys, "select-alpha", "--point", "0", str(path))
+        assert status == 0
+        assert report["result"] == system_to_document(scalar_system({0: [0]}))
+
     def test_katz_reduce_trace(self, capsys, triple_file):
         status, report = run_cli(capsys, "katz-reduce", triple_file)
         assert status == 0

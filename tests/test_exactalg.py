@@ -18,6 +18,7 @@ from midconv.exactalg import (
     invert,
     kernel_basis,
     nilpotent_partition,
+    qi_roots,
     nilpotent_powers,
     quotient_projection,
     rank,
@@ -371,6 +372,10 @@ class TestRootFinder:
         coeffs = poly_from_factors([[-r, 1] for r in roots] + [IRREDUCIBLE[1]])
         with pytest.raises(IrrationalSpectrum):
             char_eigenvalues(companion(coeffs))
+
+    def test_qi_roots_leave_out_the_roots_outside_q_i(self):
+        assert qi_roots(poly_from_factors([[-2, 0, 1]])) == {}
+        assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 1]])) == {gr(1): 1}
 
 
 class TestNilpotent:

@@ -72,6 +72,10 @@ RUNS = {
     "stab-dim__three-level": (("stab-dim", *THREE_LEVEL), 0),
     # the kernel-modes cross-check of the invariant suite on a nested split
     "check__three-level": (("check", given("three-level.sys")), 0),
+    # a rigid triple whose residue at 0 has eigenvalues +-sqrt(2): the zero
+    # candidate is selected there, and the reduction names the pole
+    "select-alpha__sqrt2-triple": (("select-alpha", given("sqrt2-triple.sys"), "--point", "0"), 0),
+    "katz-reduce__sqrt2-triple": (("katz-reduce", given("sqrt2-triple.sys")), 1),
 }
 
 CASES = [

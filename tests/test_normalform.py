@@ -2,8 +2,8 @@
 
 import pytest
 
-from midconv.errors import InconsistentRank, IrrationalSpectrum, NoNormalForm
-from midconv.exactalg import Matrix, gr
+from midconv.errors import DimensionMismatch, InconsistentRank, IrrationalSpectrum, NoNormalForm
+from midconv.exactalg import Matrix, char_poly, gr, qi_roots
 from midconv.normalform import (
     NormalForm,
     SpectralBlock,
@@ -18,7 +18,7 @@ from midconv.normalform import (
     stabilizer_dim_formula,
     stabilizer_dim_linear,
 )
-from midconv.systems import PrincipalPart, scalar_coefficients
+from midconv.systems import PrincipalPart
 
 from conftest import Z2, normal_formable_parts
 
@@ -121,10 +121,7 @@ class TestComputeNormalForm:
             for _ in range(3):
                 probes.append([gr(rng.randint(-2, 2)) for _ in range(k)])
             for coeffs in probes:
-                alpha = PrincipalPart(
-                    part.point, tuple(Matrix.from_rows([[c]]) for c in coeffs)
-                )
-                assert hat_kernel_dim(part, alpha) == hat_kernel_dim(model, alpha)
+                assert hat_kernel_dim(part, coeffs) == hat_kernel_dim(model, coeffs)
 
 
 class TestStabilizerDim:
@@ -158,44 +155,62 @@ class TestStabilizerDim:
 class TestHatKernelDim:
     def test_mismatched_alpha_gives_zero(self):
         part = PrincipalPart(gr(0), (Z2, Matrix.diagonal([1, 2])))
-        assert hat_kernel_dim(part, scalar_part(0, [5, 7])) == 0
+        assert hat_kernel_dim(part, [gr(5), gr(7)]) == 0
 
     def test_split_second_order(self):
         part = PrincipalPart(gr(0), (Z2, Matrix.diagonal([1, 2])))
-        assert hat_kernel_dim(part, scalar_part(0, [0, 1])) == 2
+        assert hat_kernel_dim(part, [gr(0), gr(1)]) == 2
+
+    def test_short_alpha_is_padded_and_long_alpha_rejected(self):
+        part = PrincipalPart(gr(0), (Matrix.diagonal([1, 2]),))
+        assert hat_kernel_dim(part, []) == hat_kernel_dim(part, [gr(0)]) == 0
+        assert hat_kernel_dim(part, [gr(1), gr(0), gr(0)]) == hat_kernel_dim(part, [gr(1)]) == 1
+        with pytest.raises(DimensionMismatch):
+            hat_kernel_dim(part, [gr(1), gr(1)])
 
     def test_scalar_system_full_kernel(self):
         part = PrincipalPart(gr(0), (Matrix.diagonal([3, 3]), Matrix.diagonal([2, 2])))
-        assert hat_kernel_dim(part, scalar_part(0, [3, 2])) == 4
+        assert hat_kernel_dim(part, [gr(3), gr(2)]) == 4
 
     def test_modes_agree_on_corpus(self, rng):
+        # every candidate select_alpha scores with the formula: each tail,
+        # led by 0 and by each Q(i) eigenvalue of its residue
         for part in normal_formable_parts(rng, 12):
             nf = compute_normal_form(part)
-            k = len(part.coefficients)
-            for b in nf.blocks:
-                coeffs = [gr(0)] + list(b.tail)
-                assert hat_kernel_dim(part, scalar_part(0, coeffs)) == hat_kernel_dim_formula(
-                    nf, coeffs
-                )
+            candidates = [
+                [ev] + list(b.tail)
+                for b in nf.blocks
+                for ev in [gr(0), *qi_roots(char_poly(b.gamma))]
+            ]
+            for coeffs in candidates:
+                assert hat_kernel_dim(part, coeffs) == hat_kernel_dim_formula(nf, coeffs)
+            direct = [hat_kernel_dim(part, coeffs) for coeffs in candidates]
+            assert hat_kernel_dim(part, select_alpha(part)) == max(direct)
 
 
 class TestSelectAlpha:
     def test_rank_one_self_spectrum(self):
         part = scalar_part(0, [5, 7])
         sel = select_alpha(part)
-        assert scalar_coefficients(sel) == [gr(5), gr(7)]
+        assert sel == (gr(5), gr(7))
         assert hat_kernel_dim(part, sel) == 2
 
     def test_split_tie_break(self):
         part = PrincipalPart(gr(0), (Z2, Matrix.diagonal([1, 2])))
         sel = select_alpha(part)
-        assert scalar_coefficients(sel) == [gr(0), gr(1)]
+        assert sel == (gr(0), gr(1))
 
     def test_nilpotent_residue(self):
         part = PrincipalPart(gr(0), (J2,))
         sel = select_alpha(part)
-        assert scalar_coefficients(sel) == [gr(0)]
+        assert sel == (gr(0),)
         assert hat_kernel_dim(part, sel) == 1
+
+    def test_irrational_residue_keeps_the_zero_candidate(self):
+        # eigenvalues +-sqrt(2): no Q(i) alpha matches either, 0 still scores
+        part = PrincipalPart(gr(0), (Matrix.from_rows([[0, 1], [2, 0]]),))
+        assert select_alpha(part) == (gr(0),)
+        assert hat_kernel_dim(part, select_alpha(part)) == 0
 
     def test_katz_inequality_on_corpus(self, rng):
         for part in normal_formable_parts(rng, 15):

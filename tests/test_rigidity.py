@@ -2,7 +2,7 @@
 
 import pytest
 
-from midconv.errors import NotInD0, NotRigid, Reducible
+from midconv.errors import IrrationalSpectrum, NotInD0, NotRigid, Reducible
 from midconv.exactalg import Matrix, gr
 from midconv.normalform import select_alpha
 from midconv.rigidity import katz_reduce, katz_step, orbit_dim, rigidity_index
@@ -23,7 +23,7 @@ def greedy_alpha(p):
         sel = select_alpha(part)
         parts.append(
             PrincipalPart(
-                part.point, tuple(Matrix.from_rows([[-c.scalar()]]) for c in sel.coefficients)
+                part.point, tuple(Matrix.from_rows([[-c]]) for c in sel)
             )
         )
     return System(1, Matrix.zeros(1, 1), tuple(parts))
@@ -149,6 +149,16 @@ class TestKatzReduce:
         with pytest.raises(NotRigid) as info:
             katz_reduce(quadruples["1111"])
         assert info.value.index == 2
+
+    def test_irrational_residue_is_named(self):
+        # rigid and irreducible, but the step that drops the rank needs
+        # alpha = +-sqrt(2) at pole 0, the eigenvalues of its residue
+        a0 = Matrix.from_rows([[0, 1], [2, 0]])
+        a1 = Matrix.from_rows([[1, 0], [1, 3]])
+        p = fuchsian({0: a0, 1: a1, -1: -(a0 + a1)})
+        assert rigidity_index(p) == 0
+        with pytest.raises(IrrationalSpectrum, match="at pole 0 has"):
+            katz_reduce(p)
 
     def test_trace_invariants_enforced(self):
         from midconv.rigidity import ReductionStep, ReductionTrace
