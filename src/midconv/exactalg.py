@@ -622,11 +622,11 @@ def _zi_eval(coeffs, x, m):
     return ar, ai
 
 
-def _inert_primes(start: int):
-    """Primes p = 3 (mod 4) with p*p >= start, ascending; Z[i]/p is a field."""
+def _inert_primes():
+    """Primes p = 3 (mod 4), ascending; Z[i]/p is a field."""
     p = 3
     while True:
-        if p * p >= start and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
             yield p
         p += 4
 
@@ -635,19 +635,16 @@ def _zi_root_candidates(g):
     """Gaussian integers that include every Z[i] root of g, a squarefree
     monic polynomial over Z[i] given as ascending (re, im) pairs.
 
-    Empty when some inert prime p proves that g does not split.  Every root
-    mod p is simple at the first p that does not divide the discriminant;
-    Newton's iteration then lifts it mod p^(2^k) past twice the Cauchy bound.
+    Every root mod p is simple at the first p that does not divide the
+    discriminant; Newton's iteration then lifts it mod p^(2^k) past twice
+    the Cauchy bound.  Lifts of roots outside Z[i] are returned as well.
     """
-    deg = len(g) - 1
     dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
     bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
-    for p in _inert_primes(deg):
+    for p in _inert_primes():
         roots = [(a, b) for a in range(p) for b in range(p) if _zi_eval(g, (a, b), p) == (0, 0)]
         if any(_zi_eval(dg, r, p) == (0, 0) for r in roots):
             continue
-        if len(roots) < deg:
-            return []
         q = p
         while q <= 2 * bound:
             q *= q

@@ -332,14 +332,13 @@ def predicted_spectra(
     """
     beta = gr(alpha_residue)
     carried = []
-    carried_dim = 0
     zero_block: Optional[SpectralBlock] = None
     for b in nf.blocks:
         if b.is_zero_spectrum():
             zero_block = b
         else:
             carried.append(SpectralBlock(b.tail, b.gamma.shift(-(b.pole_order() * beta))))
-            carried_dim += b.dim
+    carried_dim = sum(b.dim for b in carried)
     if new_rank < carried_dim:
         raise InconsistentRank(
             f"output rank {new_rank} is below the carried dimension {carried_dim}"
@@ -365,12 +364,11 @@ def predicted_spectra(
     if extra_ones < 0:
         raise InconsistentRank("rank identities are infeasible at the requested rank")
     jordan_blocks.extend([(gr(0), 1)] * extra_ones)
-    blocks = list(carried)
     if v0 > 0:
-        blocks.append(
+        carried.append(
             SpectralBlock(tuple([gr(0)] * max(nf.k - 1, 0)), jordan_matrix(jordan_blocks))
         )
-    return NormalForm(nf.k, tuple(blocks))
+    return NormalForm(nf.k, tuple(carried))
 
 
 def normal_forms_conjugate(a: NormalForm, b: NormalForm) -> bool:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible, ZeroLambda
-from .exactalg import GaussianRational, char_poly, qi_roots
+from .exactalg import GaussianRational, char_poly, gr, kernel_basis, qi_roots
 from .functors import mc
-from .normalform import compute_normal_form, select_alpha, stabilizer_dim
+from .normalform import compute_normal_form, hat_kernel_dim_formula, select_alpha, stabilizer_dim
 from .systems import (
     System,
     add_scalar,
@@ -116,8 +116,8 @@ def katz_reduce(p: System) -> ReductionTrace:
     Each round recomputes the per-pole maximizer of the kernel dimension,
     assembles alpha as minus their sum, and applies one step.  Strict rank
     decrease is guaranteed for naively rigid inputs; if a step fails to
-    decrease the rank, NotRigid is raised carrying the index, and on a rigid
-    input IrrationalSpectrum names a pole whose residue spectrum leaves Q(i).
+    decrease the rank, NotRigid is raised carrying the index, or on a rigid
+    input IrrationalSpectrum if an alpha outside Q(i) could do better.
     """
     _require_d0(p)
     if not is_irreducible(p):
@@ -139,11 +139,16 @@ def katz_reduce(p: System) -> ReductionTrace:
                     index=index,
                     steps=steps,
                 )
-            # the step that drops the rank needs an alpha outside Q(i)
+            # select_alpha is optimal over C unless an eigenvalue outside Q(i) beats it;
+            # conjugates share its multiplicity, at most half of what qi_roots leaves
             for part in current.parts:
-                residues = [b.gamma for b in compute_normal_form(part).blocks]
-                if any(sum(qi_roots(char_poly(g)).values()) < g.rows for g in residues):
-                    raise IrrationalSpectrum(f"a residue at pole {part.point} has eigenvalues outside Q(i)")
+                nf = compute_normal_form(part)
+                best = hat_kernel_dim_formula(nf, select_alpha(part))
+                for b in nf.blocks:
+                    outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
+                    base = hat_kernel_dim_formula(nf, (gr(0), *b.tail)) - len(kernel_basis(b.gamma))
+                    if base + outside // 2 > best:
+                        raise IrrationalSpectrum(f"a residue at pole {part.point} has eigenvalues outside Q(i)")
             raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(
             ReductionStep(

@@ -376,6 +376,8 @@ class TestRootFinder:
     def test_qi_roots_leave_out_the_roots_outside_q_i(self):
         assert qi_roots(poly_from_factors([[-2, 0, 1]])) == {}
         assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 1]])) == {gr(1): 1}
+        # x^3 - 2 has no root mod 7, beside the root 1 that does
+        assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 0, 1]])) == {gr(1): 1}
 
 
 class TestNilpotent:

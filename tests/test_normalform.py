@@ -3,7 +3,7 @@
 import pytest
 
 from midconv.errors import DimensionMismatch, InconsistentRank, IrrationalSpectrum, NoNormalForm
-from midconv.exactalg import Matrix, char_poly, gr, qi_roots
+from midconv.exactalg import Matrix, char_eigenvalues, gr
 from midconv.normalform import (
     NormalForm,
     SpectralBlock,
@@ -174,13 +174,14 @@ class TestHatKernelDim:
 
     def test_modes_agree_on_corpus(self, rng):
         # every candidate select_alpha scores with the formula: each tail,
-        # led by 0 and by each Q(i) eigenvalue of its residue
+        # led by 0 and by each eigenvalue of its residue; the corpus residues
+        # split over Q(i), so char_eigenvalues lists all of them
         for part in normal_formable_parts(rng, 12):
             nf = compute_normal_form(part)
             candidates = [
                 [ev] + list(b.tail)
                 for b in nf.blocks
-                for ev in [gr(0), *qi_roots(char_poly(b.gamma))]
+                for ev in [gr(0), *(ev for ev, _ in char_eigenvalues(b.gamma))]
             ]
             direct = [hat_kernel_dim(part, coeffs) for coeffs in candidates]
             assert direct == [hat_kernel_dim_formula(nf, coeffs) for coeffs in candidates]
@@ -211,6 +212,18 @@ class TestSelectAlpha:
         sel = select_alpha(part)
         assert sel == (gr(0),)
         assert hat_kernel_dim(part, sel) == 0
+
+    def test_rational_eigenvalue_beside_an_irrational_cubic(self):
+        # residue 1 (+) companion(x^3 - 2): only the eigenvalue 1 lies in Q(i)
+        cubic = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 2, 0, 0]])
+        part = PrincipalPart(gr(0), (cubic,))
+        assert select_alpha(part) == (gr(1),)
+        assert hat_kernel_dim(part, (gr(1),)) == 1
+        # the same residue on the spectrum 1 of an irregular part, beside a rank-1 spectrum 3
+        residue = Matrix.block_diagonal([cubic, Matrix.from_rows([[7]])])
+        part = PrincipalPart(gr(0), (residue, Matrix.diagonal([1, 1, 1, 1, 3])))
+        assert select_alpha(part) == (gr(1), gr(1))
+        assert hat_kernel_dim(part, (gr(1), gr(1))) == 5
 
     def test_katz_inequality_on_corpus(self, rng):
         for part in normal_formable_parts(rng, 15):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from midconv.errors import IrrationalSpectrum, NotInD0, NotRigid, Reducible
+from midconv.errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible
 from midconv.exactalg import Matrix, gr
 from midconv.normalform import select_alpha
 from midconv.rigidity import katz_reduce, katz_step, orbit_dim, rigidity_index
@@ -158,6 +158,20 @@ class TestKatzReduce:
         p = fuchsian({0: a0, 1: a1, -1: -(a0 + a1)})
         assert rigidity_index(p) == 0
         with pytest.raises(IrrationalSpectrum, match="at pole 0 has"):
+            katz_reduce(p)
+
+    def test_stall_with_a_dominated_irrational_residue_is_an_invariant_violation(self, monkeypatch):
+        # residue 1 (+) companion(x^2 - 2) at pole 0: alpha = 1 gives a kernel of
+        # dimension 1, which neither of +-sqrt(2) (multiplicity one) can beat,
+        # so a forced stall is an internal fault, not an irrational obstruction
+        import midconv.rigidity as rigidity
+
+        a0 = Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 2, 0]])
+        a1 = Matrix.from_rows([[0, 2, -2], [2, 1, -2], [0, -2, 1]])
+        p = fuchsian({0: a0, 1: a1, -1: -(a0 + a1)})
+        monkeypatch.setattr(rigidity, "rigidity_index", lambda sys: 0)
+        monkeypatch.setattr(rigidity, "katz_step", lambda sys, alpha: sys)
+        with pytest.raises(InvariantViolation, match="rank did not decrease"):
             katz_reduce(p)
 
     def test_trace_invariants_enforced(self):
