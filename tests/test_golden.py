@@ -76,6 +76,10 @@ RUNS = {
     # candidate is selected there, and the reduction names the pole
     "select-alpha__sqrt2-triple": (("select-alpha", given("sqrt2-triple.sys"), "--point", "0"), 0),
     "katz-reduce__sqrt2-triple": (("katz-reduce", given("sqrt2-triple.sys")), 1),
+    # a rigid pair whose pole of order 2 at 0 has leading coefficient with
+    # eigenvalues +-sqrt(2): no normal form exists there
+    "select-alpha__sqrt2-irregular": (("select-alpha", given("sqrt2-irregular.sys"), "--point", "0"), 1),
+    "katz-reduce__sqrt2-irregular": (("katz-reduce", given("sqrt2-irregular.sys")), 1),
 }
 
 CASES = [
