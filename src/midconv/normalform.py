@@ -291,8 +291,11 @@ def select_alpha(part: PrincipalPart) -> tuple[GaussianRational, ...]:
     eigenvalue of its residue matrix (alpha lies in Q(i), so no other
     eigenvalue can match); ties break to the lexicographically smallest
     coefficient vector (highest-order coefficient first, ordered by
-    (re, im))."""
-    nf = compute_normal_form(part)
+    (re, im)).  IrrationalSpectrum from the normal form names the pole."""
+    try:
+        nf = compute_normal_form(part)
+    except IrrationalSpectrum as e:
+        raise IrrationalSpectrum(f"pole {part.point}: {e}") from e
     best = None
     for b in nf.blocks:
         for alpha_1 in {gr(0), *qi_roots(char_poly(b.gamma))}:

@@ -118,6 +118,7 @@ def katz_reduce(p: System) -> ReductionTrace:
     decrease is guaranteed for naively rigid inputs; if a step fails to
     decrease the rank, NotRigid is raised carrying the index, or on a rigid
     input IrrationalSpectrum if an alpha outside Q(i) could do better.
+    IrrationalSpectrum from select_alpha names the step and the pole.
     """
     _require_d0(p)
     if not is_irreducible(p):
@@ -128,7 +129,10 @@ def katz_reduce(p: System) -> ReductionTrace:
     while current.dimension >= 2:
         if len(steps) >= cap:
             raise InvariantViolation("reduction exceeded its iteration cap")  # pragma: no cover
-        alpha = scalar_system({part.point: [-c for c in select_alpha(part)] for part in current.parts})
+        try:
+            alpha = scalar_system({part.point: [-c for c in select_alpha(part)] for part in current.parts})
+        except IrrationalSpectrum as e:
+            raise IrrationalSpectrum(f"reduction step {len(steps) + 1}, {e}") from e
         lam = residue_at_infinity(alpha).scalar()
         result = katz_step(current, alpha)
         if result.dimension >= current.dimension:

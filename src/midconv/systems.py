@@ -292,37 +292,89 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
 # ---------------------------------------------------------------------------
 
 
+# Primes p = 1 (mod 4), each with its square root of -1 mod p: the images
+# of i under the maps Z[i] -> F_p that certify irreducibility mod p
+_CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
+
+
+def _span_is_full(one, gens: list, mul, insert, full: int) -> bool:
+    """Whether the words in gens span a space of dimension ``full``.
+
+    Starts from {one} + gens and multiplies the newest words by generators
+    on the right until the span stops growing; ``insert(rows, pivots, m)``
+    adds m to the echelon rows and says whether it was independent."""
+    rows, pivots = [], []
+    frontier = [m for m in [one, *gens] if insert(rows, pivots, m)]
+    while frontier and len(rows) < full:
+        nxt = []
+        for f in frontier:
+            for g in gens:
+                prod = mul(f, g)
+                if insert(rows, pivots, prod):
+                    nxt.append(prod)
+                    if len(rows) == full:
+                        return True
+        frontier = nxt
+    return len(rows) == full
+
+
+def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
+    """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
+    vec are reduced mod p only when read as a multiplier and at the end."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c] % p
+        if f:
+            v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
+    v = [x % p for x in v]
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
+        return False
+    inv = pow(x, -1, p)
+    rows.append([y * inv % p for y in v])
+    pivots.append(lead)
+    return True
+
+
+def _full_mod(n: int, gens: list[Matrix], p: int, s: int) -> Optional[bool]:
+    """Whether the word span of gens is full over F_p with i -> s, or None
+    when p divides a denominator."""
+    if any(x.r % p == 0 for g in gens for x in g.entries()):
+        return None
+    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        cols = [b[j::n] for j in range(n)]
+        return [sum(map(int.__mul__, a[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols]
+
+    one = [int(k % (n + 1) == 0) for k in range(n * n)]
+    return _span_is_full(one, red, mul, lambda rows, pivots, v: _echelon_insert_mod(rows, pivots, v, p), n * n)
+
+
 def is_irreducible(sys: System) -> bool:
     """True iff the unital algebra generated by the constant term and all
     coefficients is the full endomorphism algebra.
 
     Word-span closure: start from {I, S, A_{t,k}}, multiply by generators
     on the right until the span stabilizes.  The span's dimension over
-    Q(i) equals its dimension over C, so the verdict transfers.
+    Q(i) equals its dimension over C, so the verdict transfers.  It is
+    first built mod each prime in ``_CERT_PRIMES`` that divides no
+    denominator: reduction mod p is a ring map and rank can only drop under
+    it, so a full span mod p certifies True.  Otherwise the exact closure
+    decides, so False is always exact.
     """
     n = sys.dimension
     if n < 1:
         raise DimensionMismatch("irreducibility needs dimension >= 1")
     gens = [sys.constant] + [c for p in sys.parts for c in p.coefficients]
     gens = [g for g in gens if not g.is_zero()]
-    rows: list[list[GaussianRational]] = []
-    pivots: list[int] = []
-    frontier: list[Matrix] = []
-    for m in [Matrix.identity(n)] + gens:
-        if echelon_insert(rows, pivots, m.entries()):
-            frontier.append(m)
-    full = n * n
-    while frontier and len(rows) < full:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                prod = f * g
-                if echelon_insert(rows, pivots, prod.entries()):
-                    nxt.append(prod)
-                    if len(rows) == full:
-                        return True
-        frontier = nxt
-    return len(rows) == full
+    if any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES):
+        return True
+    return _span_is_full(
+        Matrix.identity(n), gens, Matrix.__mul__, lambda rows, pivots, m: echelon_insert(rows, pivots, m.entries()), n * n
+    )
 
 
 def _intertwiner_space(a: System, b: System) -> list[Matrix]:

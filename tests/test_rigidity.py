@@ -160,6 +160,18 @@ class TestKatzReduce:
         with pytest.raises(IrrationalSpectrum, match="at pole 0 has"):
             katz_reduce(p)
 
+    def test_irrational_leading_coefficient_names_the_step_and_the_pole(self):
+        # rigid, but the pole of order 2 at 0 has leading coefficient with
+        # eigenvalues +-sqrt(2), so it has no normal form over Q(i)
+        lead = Matrix.from_rows([[0, 1], [2, 0]])
+        at0 = PrincipalPart(gr(0), (Matrix.diagonal([1, -1]), lead))
+        p = System(2, Z2, (at0, PrincipalPart(gr(1), (Matrix.diagonal([-1, 1]),))))
+        assert rigidity_index(p) == 0
+        with pytest.raises(IrrationalSpectrum, match="^pole 0: characteristic polynomial"):
+            select_alpha(at0)
+        with pytest.raises(IrrationalSpectrum, match="^reduction step 1, pole 0: characteristic polynomial"):
+            katz_reduce(p)
+
     def test_stall_with_a_dominated_irrational_residue_is_an_invariant_violation(self, monkeypatch):
         # residue 1 (+) companion(x^2 - 2) at pole 0: alpha = 1 gives a kernel of
         # dimension 1, which neither of +-sqrt(2) (multiplicity one) can beat,

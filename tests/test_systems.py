@@ -1,5 +1,7 @@
 """System data model, gauge action, irreducibility, equivalence."""
 
+from fractions import Fraction
+
 import pytest
 
 from midconv.errors import (
@@ -25,6 +27,7 @@ from midconv.systems import (
     scalar_system,
     truncated_inverse,
 )
+from midconv import systems
 from midconv.checks import random_gauge, random_matrix
 
 from conftest import D10, E11, E12, E21, Z2, fuchsian
@@ -244,6 +247,124 @@ class TestIrreducibility:
             assert is_irreducible(sys)
             c = random_invertible(rng, n)
             assert is_irreducible(conjugate_system(c, sys))
+
+
+def generators(sys: System) -> list[Matrix]:
+    return [g for g in [sys.constant] + [c for p in sys.parts for c in p.coefficients] if not g.is_zero()]
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; these bases decide every n < 3.4e14."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestIrreducibilityCertificate:
+    """is_irreducible certifies True mod p (here p = 5 with i -> 2, or the
+    module's primes) and otherwise falls back to the exact closure."""
+
+    def test_certificate_primes(self):
+        assert len(systems._CERT_PRIMES) == 2
+        for p, s in systems._CERT_PRIMES:
+            assert p % 4 == 1 and is_prime(p)
+            assert 0 < s < p and s * s % p == p - 1
+        assert [is_prime(n) for n in (1, 2, 5, 25, 561, 1_000_000_007, 3_215_031_751)] == [
+            False, True, True, False, False, True, False,
+        ]
+
+    def test_irreducible_but_not_certified_mod_5_falls_back(self, monkeypatch):
+        # 5 E21 vanishes mod 5, leaving the algebra of E12 alone
+        sys = fuchsian({0: E12, 1: 5 * E21})
+        assert systems._full_mod(2, generators(sys), 5, 2) is False
+        monkeypatch.setattr(systems, "_CERT_PRIMES", ((5, 2),))
+        assert is_irreducible(sys)
+
+    def test_denominator_divisible_by_p_skips_the_prime(self, monkeypatch):
+        sys = fuchsian({0: E12, 1: Fraction(1, 5) * E21})
+        assert systems._full_mod(2, generators(sys), 5, 2) is None
+        assert systems._full_mod(2, generators(sys), 13, 5) is True
+        monkeypatch.setattr(systems, "_CERT_PRIMES", ((5, 2),))
+        assert is_irreducible(sys)
+
+    def test_gaussian_entries_map_i_to_the_root(self):
+        # (i - 2) E21 vanishes under i -> 2 but not under i -> 3
+        sys = fuchsian({0: E12, 1: gr(-2, 1) * E21})
+        assert systems._full_mod(2, generators(sys), 5, 2) is False
+        assert systems._full_mod(2, generators(sys), 5, 3) is True
+
+    def test_reducible_families_never_certified(self, rng):
+        from midconv.checks import random_invertible
+
+        primes = systems._CERT_PRIMES + ((5, 2), (13, 5))
+        families = [fuchsian({0: E11, 1: E21}), fuchsian({0: D10, 1: 5 * E12})]
+        for _ in range(10):
+            n = rng.choice([2, 3, 4])
+            parts = tuple(
+                PrincipalPart(gr(k), tuple(upper_triangular(rng, n) for _ in range(rng.randint(1, 3))))
+                for k in range(rng.randint(1, 3))
+            )
+            families.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
+        for sys in families:
+            for p, s in primes:
+                assert systems._full_mod(sys.dimension, generators(sys), p, s) is not True
+            assert not is_irreducible(sys)
+
+    @pytest.mark.parametrize("primes", [systems._CERT_PRIMES, ((5, 2),)], ids=["module-primes", "mod-5"])
+    def test_verdict_agrees_with_exact_closure(self, monkeypatch, rng, primes):
+        from midconv.checks import random_invertible
+
+        cases = []
+        for trial in range(24):
+            n = rng.choice([2, 3, 4])
+            draw = (upper_triangular, upper_triangular_mod_5, gaussian_matrix)[trial % 3]
+            parts = tuple(
+                PrincipalPart(gr(pt), tuple(draw(rng, n) for _ in range(order)))
+                for pt, order in zip(rng.sample([0, 1, -1, 2], rng.randint(1, 3)), [1, 2, 3])
+            )
+            cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
+        monkeypatch.setattr(systems, "_CERT_PRIMES", ())
+        exact = [is_irreducible(sys) for sys in cases]
+        monkeypatch.setattr(systems, "_CERT_PRIMES", primes)
+        assert [is_irreducible(sys) for sys in cases] == exact
+        assert True in exact and False in exact
+
+
+def upper_triangular(rng, n: int) -> Matrix:
+    return Matrix.from_rows([[rng.randint(-2, 2) if j >= i else 0 for j in range(n)] for i in range(n)])
+
+
+def upper_triangular_mod_5(rng, n: int) -> Matrix:
+    """Upper triangular mod 5: the entries below the diagonal are multiples of 5."""
+    return Matrix.from_rows([[rng.randint(-2, 2) * (5 if j < i else 1) for j in range(n)] for i in range(n)])
+
+
+def gaussian_matrix(rng, n: int) -> Matrix:
+    """Entries with real and imaginary parts in {-2..2}/{1, 2, 3, 5}."""
+    return Matrix.from_rows(
+        [
+            [gr(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3, 5])), rng.randint(-1, 1)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
 
 
 class TestEquivalent:

@@ -1,5 +1,6 @@
-"""The CI workflow file parses as YAML, and its pinned-digest step checks
-every benchmark workload.
+"""The CI workflow file parses as YAML, its pinned-digest step checks
+every benchmark workload, and its console-script smoke test diffs against
+golden files that exist.
 
 A workflow that does not parse shows up on GitHub as a workflow error, never
 as a failed run, so nothing else would catch it.  Skipped where PyYAML is
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 DIGEST_STEP = "Benchmark results match the pinned digests at seed 101"
+SMOKE_STEP = "Console script smoke test"
 
 
 def test_workflow_parses_and_pins_every_workload(monkeypatch):
@@ -26,3 +28,16 @@ def test_workflow_parses_and_pins_every_workload(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
     assert sorted(line.split()[0] for line in pinned.splitlines()) == sorted(workloads.NAMES)
+
+
+def test_console_script_smoke_test_diffs_against_existing_goldens():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    steps = {step.get("name"): step for step in workflow["jobs"]["tests"]["steps"]}
+    runs = [line.split() for line in steps[SMOKE_STEP]["run"].splitlines() if line.startswith("midconv ")]
+    # each line is "midconv COMMAND INPUT | diff - GOLDEN", GOLDEN named COMMAND__STEM.json
+    assert {run[1] for run in runs} >= {"irred", "katz-reduce"}
+    for run in runs:
+        golden = ROOT / run[-1]
+        assert golden.is_file()
+        assert golden.name == f"{run[1]}__{Path(run[2]).stem}.json"
