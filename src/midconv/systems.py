@@ -17,6 +17,7 @@ product coefficient) builds ``truncated_inverse``, ``gauge_compose`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
@@ -339,8 +340,7 @@ def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -
 
 
 def _full_mod(n: int, gens: list[Matrix], p: int, s: int) -> Optional[bool]:
-    """Whether the word span of gens is full over F_p with i -> s, or None
-    when p divides a denominator."""
+    """Whether the word span of gens is full mod p with i -> s; None if p divides a denominator."""
     if any(x.r % p == 0 for g in gens for x in g.entries()):
         return None
     red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
@@ -350,7 +350,7 @@ def _full_mod(n: int, gens: list[Matrix], p: int, s: int) -> Optional[bool]:
         return [sum(map(int.__mul__, a[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols]
 
     one = [int(k % (n + 1) == 0) for k in range(n * n)]
-    return _span_is_full(one, red, mul, lambda rows, pivots, v: _echelon_insert_mod(rows, pivots, v, p), n * n)
+    return _span_is_full(one, red, mul, partial(_echelon_insert_mod, p=p), n * n)
 
 
 def is_irreducible(sys: System) -> bool:
@@ -373,7 +373,8 @@ def is_irreducible(sys: System) -> bool:
     if any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES):
         return True
     return _span_is_full(
-        Matrix.identity(n), gens, Matrix.__mul__, lambda rows, pivots, m: echelon_insert(rows, pivots, m.entries()), n * n
+        Matrix.identity(n), gens, Matrix.__mul__,
+        lambda rows, pivots, m: echelon_insert(rows, pivots, m.entries()), n * n,
     )
 
 

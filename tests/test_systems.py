@@ -28,7 +28,7 @@ from midconv.systems import (
     truncated_inverse,
 )
 from midconv import systems
-from midconv.checks import random_gauge, random_matrix
+from midconv.checks import random_gauge, random_invertible, random_matrix
 
 from conftest import D10, E11, E12, E21, Z2, fuchsian
 
@@ -278,6 +278,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def upper_triangular(rng, n: int) -> Matrix:
+    return Matrix.from_rows([[rng.randint(-2, 2) if j >= i else 0 for j in range(n)] for i in range(n)])
+
+
+def upper_triangular_mod_5(rng, n: int) -> Matrix:
+    """Upper triangular mod 5: the entries below the diagonal are multiples of 5."""
+    return Matrix.from_rows([[rng.randint(-2, 2) * (5 if j < i else 1) for j in range(n)] for i in range(n)])
+
+
+def gaussian_matrix(rng, n: int) -> Matrix:
+    """Real parts in {-2..2}/{1, 2, 3, 5}, imaginary parts in {-1, 0, 1}."""
+    return Matrix.from_rows(
+        [
+            [gr(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3, 5])), rng.randint(-1, 1)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
 class TestIrreducibilityCertificate:
     """is_irreducible certifies True mod p (here p = 5 with i -> 2, or the
     module's primes) and otherwise falls back to the exact closure."""
@@ -312,8 +331,6 @@ class TestIrreducibilityCertificate:
         assert systems._full_mod(2, generators(sys), 5, 3) is True
 
     def test_reducible_families_never_certified(self, rng):
-        from midconv.checks import random_invertible
-
         primes = systems._CERT_PRIMES + ((5, 2), (13, 5))
         families = [fuchsian({0: E11, 1: E21}), fuchsian({0: D10, 1: 5 * E12})]
         for _ in range(10):
@@ -330,8 +347,6 @@ class TestIrreducibilityCertificate:
 
     @pytest.mark.parametrize("primes", [systems._CERT_PRIMES, ((5, 2),)], ids=["module-primes", "mod-5"])
     def test_verdict_agrees_with_exact_closure(self, monkeypatch, rng, primes):
-        from midconv.checks import random_invertible
-
         cases = []
         for trial in range(24):
             n = rng.choice([2, 3, 4])
@@ -346,25 +361,6 @@ class TestIrreducibilityCertificate:
         monkeypatch.setattr(systems, "_CERT_PRIMES", primes)
         assert [is_irreducible(sys) for sys in cases] == exact
         assert True in exact and False in exact
-
-
-def upper_triangular(rng, n: int) -> Matrix:
-    return Matrix.from_rows([[rng.randint(-2, 2) if j >= i else 0 for j in range(n)] for i in range(n)])
-
-
-def upper_triangular_mod_5(rng, n: int) -> Matrix:
-    """Upper triangular mod 5: the entries below the diagonal are multiples of 5."""
-    return Matrix.from_rows([[rng.randint(-2, 2) * (5 if j < i else 1) for j in range(n)] for i in range(n)])
-
-
-def gaussian_matrix(rng, n: int) -> Matrix:
-    """Entries with real and imaginary parts in {-2..2}/{1, 2, 3, 5}."""
-    return Matrix.from_rows(
-        [
-            [gr(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3, 5])), rng.randint(-1, 1)) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
 
 
 class TestEquivalent:
