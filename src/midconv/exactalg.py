@@ -790,8 +790,78 @@ def sylvester_operator(x: Matrix, y: Matrix) -> Matrix:
 
 
 def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
-    """Echelon basis of {f : f*x = y*f for every (x, y) in pairs}; it depends
-    only on that space.  ``intertwiner_basis([(n, n)])`` is the commutant of n."""
+    """Echelon basis of {f : f*x = y*f for every (x, y) in pairs}: the basis
+    ``kernel_basis`` gives on the stacked ``sylvester_operator``s, read as
+    y.rows x x.rows matrices.  ``intertwiner_basis([(n, n)])`` is the
+    commutant of n.
+
+    Solved on a standard basis.  e_1 is spun under the x's, breadth first
+    over (word, generator), with ``echelon_insert`` deciding independence.
+    Where the span stops short, the first standard vector outside it seeds
+    the next spin, until the spun vectors B_j = w_j(X) e_(s_j) form a basis
+    B.  An intertwiner is fixed by the images u_s = f e_s of the m seeds,
+    since f B_j = w_j(Y) u_(s_j), so there are p*m unknowns instead of p*q
+    (m is 1 when the x's act irreducibly, q when they are all zero).  With
+    x B = B C the conditions read Sum_k C[k, j] w_k(Y) u_(s_k) =
+    y w_j(Y) u_(s_j) for every pair and every j, one small kernel; each
+    solution maps back to f = [f B_j]_j B^-1.
+
+    The Sylvester-kernel basis depends only on the space: it has one vector
+    per free column c, in ascending c, which before scaling is 1 at c, 0 at
+    the other free columns and 0 after c.  Those are the rows of the
+    reduced echelon form of the space with its columns reversed, which is
+    how the basis is put back, each vector then scaled so that its first
+    nonzero entry in row-major order is 1.
+    """
     p, q = pairs[0][1].rows, pairs[0][0].rows
-    op = Matrix.vstack([sylvester_operator(x, y) for x, y in pairs])
-    return [Matrix(p, q, v.entries()) for v in kernel_basis(op)]
+    if not p or not q:
+        return []
+    pairs = [(x, y) for x, y in pairs if not (x.is_zero() and y.is_zero())]
+    rows, pivots = [], []
+    spun, seeds, words = [], [], []  # B_j, the seed number of B_j, w_j(Y)
+    m = 0
+    for s in range(q):
+        if len(spun) == q:
+            break
+        unit = Matrix(q, 1, [_ONE if k == s else _ZERO for k in range(q)])
+        if not echelon_insert(rows, pivots, unit.entries()):
+            continue
+        j = len(spun)
+        spun.append(unit)
+        seeds.append(m)
+        words.append(Matrix.identity(p))
+        while j < len(spun) < q:
+            for x, y in pairs:
+                v = x * spun[j]
+                if echelon_insert(rows, pivots, v.entries()):
+                    spun.append(v)
+                    seeds.append(m)
+                    words.append(y * words[j])
+            j += 1
+        m += 1
+    w = p * m
+    # F_k = f B_k = W_k u, with W_k = w_k(Y) in the columns of its seed's image
+    blocks = [
+        Matrix.hstack([Matrix.zeros(p, seed * p), word, Matrix.zeros(p, w - (seed + 1) * p)])
+        for seed, word in zip(seeds, words)
+    ]
+    stacked = Matrix.vstack(blocks)
+    by_basis = Matrix(q, p * w, stacked.entries())  # row k is W_k, flattened
+    b = Matrix.hstack(spun)
+    binv = invert(b)
+    conditions = []
+    for x, y in pairs:
+        lhs = (binv * (x * b)).transpose() * by_basis  # row j: Sum_k C[k, j] W_k
+        rhs = Matrix.vstack([y * block for block in blocks])
+        conditions += [a - c if c.p or c.q else a for a, c in zip(lhs.entries(), rhs.entries())]
+    kernel = kernel_basis(Matrix(len(conditions) // w, w, conditions))
+    flat = []
+    for u in kernel:
+        # stacked * u holds the columns F_j = W_j u of F = f B in turn
+        flat += (Matrix(q, p, (stacked * u).entries()).transpose() * binv).entries()
+    _, reduced = _row_reduce(Matrix(len(kernel), p * q, flat[::-1]))
+    basis = []
+    for row in reversed(reduced):
+        lead = next(x for x in reversed(row) if x.p or x.q).inverse()
+        basis.append(Matrix(p, q, [lead * x for x in reversed(row)]))
+    return basis

@@ -555,3 +555,160 @@ class TestSylvester:
         assert [f.entries() for f in intertwiner_basis([d])] == [(gr(0), gr(1))]
         assert intertwiner_basis([d, (J2, Matrix.zeros(1, 1))]) == intertwiner_basis([d])
         assert intertwiner_basis([d, (J2.transpose(), Matrix.zeros(1, 1))]) == []
+
+
+def sylvester_kernel(pairs):
+    """The reference for intertwiner_basis: the Kronecker solve, the kernel
+    of the stacked Sylvester operators read back as p x q matrices."""
+    p, q = pairs[0][1].rows, pairs[0][0].rows
+    op = Matrix.vstack([sylvester_operator(x, y) for x, y in pairs])
+    return [Matrix(p, q, v.entries()) for v in kernel_basis(op)]
+
+
+def spun_dimension(xs, v) -> int:
+    """dim of the span of the words in xs applied to the column v."""
+    rows, pivots = [], []
+    frontier = [v] if echelon_insert(rows, pivots, v.entries()) else []
+    while frontier:
+        images = [x * f for f in frontier for x in xs]
+        frontier = [u for u in images if echelon_insert(rows, pivots, u.entries())]
+    return len(rows)
+
+
+def gaussian_matrix(rng, rows, cols=None):
+    cols = rows if cols is None else cols
+    return Matrix.from_rows(
+        [[gr(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def conjugated(c, xs):
+    cinv = invert(c)
+    return [(x, c * x * cinv) for x in xs]
+
+
+def e1(n: int) -> Matrix:
+    return Matrix.column([1] + [0] * (n - 1))
+
+
+sparse_scalars = st.sampled_from(
+    [gr(0), gr(0), gr(0), gr(1), gr(-1), gr(2), gr(0, 1), gr(Fraction(1, 2), -1)]
+)
+
+
+@st.composite
+def intertwiner_pairs(draw):
+    """1-2 pairs with sparse entries: y = c x c^-1 for c a product of two
+    unitriangular matrices, or x and y of independent sizes."""
+
+    def matrix(n, below=True, above=True, diagonal=None):
+        def entry(i, j):
+            if i == j and diagonal is not None:
+                return diagonal
+            if (i > j and not below) or (i < j and not above):
+                return gr(0)
+            return draw(sparse_scalars)
+
+        return Matrix(n, n, [entry(i, j) for i in range(n) for j in range(n)])
+
+    q = draw(st.integers(1, 3))
+    xs = [matrix(q) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        c = matrix(q, below=False, diagonal=gr(1)) * matrix(q, above=False, diagonal=gr(1))
+        return conjugated(c, xs)
+    p = draw(st.integers(1, 3))
+    return [(x, matrix(p)) for x in xs]
+
+
+class TestIntertwinerAgainstSylvesterKernel:
+    """intertwiner_basis solves on a spun standard basis; the Kronecker
+    solve it replaced must give the same basis, entry for entry."""
+
+    def check(self, pairs):
+        basis = intertwiner_basis(pairs)
+        assert basis == sylvester_kernel(pairs)
+        for f in basis:
+            assert all(f * x == y * f for x, y in pairs)
+        return basis
+
+    def test_conjugated_pairs(self, rng):
+        from midconv.checks import random_invertible, random_matrix
+
+        for n in (2, 3, 4):
+            for _ in range(3):
+                xs = [random_matrix(rng, n) for _ in range(rng.randint(1, 3))]
+                assert len(self.check(conjugated(random_invertible(rng, n), xs))) >= 1
+
+    def test_block_triangular_domain_needs_several_seeds(self, rng):
+        # span(e_1..e_k) is invariant under every x, so spinning e_1 stops short
+        from midconv.checks import random_invertible, random_matrix
+
+        for n in (3, 4, 5):
+            k = rng.randint(1, n - 1)
+            for _ in range(3):
+                xs = []
+                for _ in range(rng.randint(1, 3)):
+                    m = random_matrix(rng, n)
+                    ents = [gr(0) if i >= k > j else m[i, j] for i in range(n) for j in range(n)]
+                    xs.append(Matrix(n, n, ents))
+                assert spun_dimension(xs, e1(n)) <= k < n
+                assert len(self.check(conjugated(random_invertible(rng, n), xs))) >= 1
+
+    def test_direct_sum_with_repeated_summand(self, rng):
+        # x = s + s + t on C^5: e_1 spins inside the first summand
+        from midconv.checks import random_invertible, random_matrix
+
+        s, t = random_matrix(rng, 2), random_matrix(rng, 1)
+        x = Matrix.block_diagonal([s, s, t])
+        assert spun_dimension([x], e1(5)) <= 2
+        assert len(self.check([(x, x)])) >= 5
+        self.check(conjugated(random_invertible(rng, 5), [x]))
+
+    def test_rectangular_pairs(self, rng):
+        from midconv.checks import random_matrix
+
+        s = random_matrix(rng, 2)
+        # C^3 = s + (1): the projection onto the s summand and nothing else
+        x = Matrix.block_diagonal([s, Matrix.diagonal([7])])
+        assert len(self.check([(x, s)])) >= 1
+        assert len(self.check([(s, x)])) >= 1
+        for _ in range(6):
+            p, q = rng.sample([1, 2, 3, 4], 2)
+            pairs = [(random_matrix(rng, q), random_matrix(rng, p)) for _ in range(2)]
+            self.check(pairs)
+            self.check([(x, Matrix.zeros(p, p)) for x, _ in pairs])
+
+    def test_all_zero_generators(self):
+        for p, q in [(1, 1), (2, 3), (3, 2), (3, 3)]:
+            zero = (Matrix.zeros(q, q), Matrix.zeros(p, p))
+            assert len(self.check([zero, zero])) == p * q
+        # zero on the domain only: f lands in Ker y
+        y = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
+        assert len(self.check([(Matrix.zeros(2, 2), y)])) == 2
+
+    def test_jordan_type_commutants(self, rng):
+        from midconv.checks import random_invertible
+        from midconv.normalform import jordan_matrix
+
+        for _ in range(8):
+            n, blocks = random_jordan_type(rng)
+            m = jordan_matrix(blocks)
+            self.check([(m, m)])
+            c = random_invertible(rng, n)
+            self.check([(m, c * m * invert(c))])
+
+    def test_gaussian_entries(self, rng):
+        for n in (2, 3):
+            for _ in range(3):
+                xs = [gaussian_matrix(rng, n) for _ in range(2)]
+                c = gaussian_matrix(rng, n)
+                if rank(c) == n:
+                    self.check(conjugated(c, xs))
+                self.check([(x, gaussian_matrix(rng, n + 1)) for x in xs])
+        nilpotent = Matrix.from_rows([[0, gr(1, 1)], [0, 0]])
+        assert len(self.check([(nilpotent, nilpotent)])) == 2
+
+    @given(intertwiner_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_property(self, pairs):
+        self.check(pairs)

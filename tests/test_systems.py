@@ -392,6 +392,24 @@ class TestEquivalent:
         assert f is not None and rank(f) == 2
         assert conjugate_system(f, a) == a
 
+    def test_reducible_pair_whose_first_basis_vector_is_not_cyclic(self, rng):
+        # E11 and E12 fix the line of e_1, so spinning it needs a second seed;
+        # the upper-triangular algebra they generate has only scalars as commutant
+        a = fuchsian({0: E11, 1: E12})
+        assert not is_irreducible(a)
+        for _ in range(4):
+            c = random_invertible(rng, 2)
+            lead = next(x for x in c.entries() if not x.is_zero())
+            f = equivalent(a, conjugate_system(c, a))
+            assert f == c.scale(lead.inverse())
+        # a + a' with a' = a + 5 at pole 0: no map between the summands, so dim End = 2
+        b = fuchsian(
+            {0: Matrix.block_diagonal([E11, E11.shift(5)]), 1: Matrix.block_diagonal([E12, E12])}
+        )
+        assert len(systems._intertwiner_space(b, b)) == 2
+        with pytest.raises(InconclusiveEquivalence):
+            equivalent(b, b)
+
     def test_two_dimensional_intertwiner_space_is_inconclusive(self):
         # the commutant of diag(1, 0) is every diagonal matrix
         a = fuchsian({0: D10})
