@@ -118,7 +118,7 @@ def katz_reduce(p: System) -> ReductionTrace:
     decrease is guaranteed for naively rigid inputs; if a step fails to
     decrease the rank, NotRigid is raised carrying the index, or on a rigid
     input IrrationalSpectrum if an alpha outside Q(i) could do better.
-    IrrationalSpectrum from select_alpha names the step and the pole.
+    Either IrrationalSpectrum names the step and the pole.
     """
     _require_d0(p)
     if not is_irreducible(p):
@@ -152,7 +152,10 @@ def katz_reduce(p: System) -> ReductionTrace:
                     outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
                     base = hat_kernel_dim_formula(nf, (gr(0), *b.tail)) - len(kernel_basis(b.gamma))
                     if base + outside // 2 > best:
-                        raise IrrationalSpectrum(f"a residue at pole {part.point} has eigenvalues outside Q(i)")
+                        raise IrrationalSpectrum(
+                            f"reduction step {len(steps) + 1}, "
+                            f"a residue at pole {part.point} has eigenvalues outside Q(i)"
+                        )
             raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(
             ReductionStep(
