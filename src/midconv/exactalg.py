@@ -855,13 +855,17 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
         rhs = Matrix.vstack([y * block for block in blocks])
         conditions += [a - c if c.p or c.q else a for a, c in zip(lhs.entries(), rhs.entries())]
     kernel = kernel_basis(Matrix(len(conditions) // w, w, conditions))
-    flat = []
-    for u in kernel:
-        # stacked * u holds the columns F_j = W_j u of F = f B in turn
-        flat += (Matrix(q, p, (stacked * u).entries()).transpose() * binv).entries()
-    _, reduced = _row_reduce(Matrix(len(kernel), p * q, flat[::-1]))
+    if not kernel:
+        return []
+    n = len(kernel)
+    # stacked * u lists the columns F_j = W_j u of F = f B in turn: read as q x p it is F^T,
+    # and f^T = B^-T F^T
+    ft = Matrix(q, p * n, (stacked * Matrix.hstack(kernel)).entries())
+    ft = (binv.transpose() * ft).entries()
+    flat = [ft[(j * p + r) * n + i] for i in range(n) for r in range(p) for j in range(q)]
+    _, reduced = _row_reduce(Matrix(n, p * q, flat[::-1]))
     basis = []
     for row in reversed(reduced):
         lead = next(x for x in reversed(row) if x.p or x.q).inverse()
-        basis.append(Matrix(p, q, [lead * x for x in reversed(row)]))
+        basis.append(Matrix(p, q, [lead * x if x.p or x.q else x for x in reversed(row)]))
     return basis

@@ -1,6 +1,7 @@
 """Shared fixtures: named example systems and seeded random corpora."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,17 @@ def fuchsian(residues: dict, dim=None) -> System:
     n = dim if dim is not None else mats[0].rows
     parts = tuple(PrincipalPart(gr(pt), (m,)) for pt, m in residues.items())
     return System(n, Matrix.zeros(n, n), parts)
+
+
+def gaussian_matrix(rng, rows: int, cols=None) -> Matrix:
+    """Real parts in {-2..2}/{1, 2, 3, 5}, imaginary parts in {-1, 0, 1}."""
+    cols = rows if cols is None else cols
+    return Matrix.from_rows(
+        [
+            [gr(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3, 5])), rng.randint(-1, 1)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    )
 
 
 @pytest.fixture

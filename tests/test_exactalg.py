@@ -26,6 +26,8 @@ from midconv.exactalg import (
     sylvester_operator,
 )
 
+from conftest import gaussian_matrix
+
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
 
 
@@ -573,13 +575,6 @@ def spun_dimension(xs, v) -> int:
         images = [x * f for f in frontier for x in xs]
         frontier = [u for u in images if echelon_insert(rows, pivots, u.entries())]
     return len(rows)
-
-
-def gaussian_matrix(rng, rows, cols=None):
-    cols = rows if cols is None else cols
-    return Matrix.from_rows(
-        [[gr(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)] for _ in range(rows)]
-    )
 
 
 def conjugated(c, xs):

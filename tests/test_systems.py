@@ -30,7 +30,7 @@ from midconv.systems import (
 from midconv import systems
 from midconv.checks import random_gauge, random_invertible, random_matrix
 
-from conftest import D10, E11, E12, E21, Z2, fuchsian
+from conftest import D10, E11, E12, E21, Z2, fuchsian, gaussian_matrix
 
 
 class TestOrder:
@@ -285,16 +285,6 @@ def upper_triangular(rng, n: int) -> Matrix:
 def upper_triangular_mod_5(rng, n: int) -> Matrix:
     """Upper triangular mod 5: the entries below the diagonal are multiples of 5."""
     return Matrix.from_rows([[rng.randint(-2, 2) * (5 if j < i else 1) for j in range(n)] for i in range(n)])
-
-
-def gaussian_matrix(rng, n: int) -> Matrix:
-    """Real parts in {-2..2}/{1, 2, 3, 5}, imaginary parts in {-1, 0, 1}."""
-    return Matrix.from_rows(
-        [
-            [gr(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3, 5])), rng.randint(-1, 1)) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
 
 
 class TestIrreducibilityCertificate:
