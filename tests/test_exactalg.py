@@ -663,7 +663,7 @@ class TestIntertwinerAgainstSylvesterKernel:
         from midconv.checks import random_matrix
 
         s = random_matrix(rng, 2)
-        # C^3 = s + (1): the projection onto the s summand and nothing else
+        # x = s + (7) on C^3: Hom(x, s) holds the projection onto s, Hom(s, x) the inclusion
         x = Matrix.block_diagonal([s, Matrix.diagonal([7])])
         assert len(self.check([(x, s)])) >= 1
         assert len(self.check([(s, x)])) >= 1
@@ -671,7 +671,7 @@ class TestIntertwinerAgainstSylvesterKernel:
             p, q = rng.sample([1, 2, 3, 4], 2)
             pairs = [(random_matrix(rng, q), random_matrix(rng, p)) for _ in range(2)]
             self.check(pairs)
-            self.check([(x, Matrix.zeros(p, p)) for x, _ in pairs])
+            self.check([(a, Matrix.zeros(p, p)) for a, _ in pairs])
 
     def test_all_zero_generators(self):
         for p, q in [(1, 1), (2, 3), (3, 2), (3, 3)]:
