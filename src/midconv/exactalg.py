@@ -37,6 +37,7 @@ __all__ = [
     "nilpotent_powers",
     "generalized_eigendecomposition",
     "sylvester_operator",
+    "spin",
     "intertwiner_basis",
 ]
 
@@ -789,22 +790,52 @@ def sylvester_operator(x: Matrix, y: Matrix) -> Matrix:
     return Matrix(size, size, ents)
 
 
+def spin(seeds, gens, act, insert, full: int):
+    """The span of the seeds under the generators, breadth first.
+
+    Each seed that is not yet in the span is inserted and spun: ``act(g,
+    e)`` is inserted for every inserted element e in turn and every
+    generator g, until the span stops growing.  ``insert(rows, pivots, e)``
+    reduces e against the echelon rows and says whether it was independent
+    (``echelon_insert`` or a twin over another field).  The spin stops as
+    soon as ``full`` elements are in.  Returns the inserted elements and
+    their tree: None for a seed, (j, i) when element k is act(gens[i],
+    element j).
+    """
+    rows, pivots, elems, tree = [], [], [], []
+    for seed in seeds:
+        if len(elems) < full and insert(rows, pivots, seed):
+            j = len(elems)
+            elems.append(seed)
+            tree.append(None)
+            while j < len(elems) < full:
+                for i, g in enumerate(gens):
+                    e = act(g, elems[j])
+                    if insert(rows, pivots, e):
+                        elems.append(e)
+                        tree.append((j, i))
+                        if len(elems) == full:
+                            break
+                j += 1
+    return elems, tree
+
+
 def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     """Echelon basis of {f : f*x = y*f for every (x, y) in pairs}: the basis
     ``kernel_basis`` gives on the stacked ``sylvester_operator``s, read as
     y.rows x x.rows matrices.  ``intertwiner_basis([(n, n)])`` is the
     commutant of n.
 
-    Solved on a standard basis.  e_1 is spun under the x's, breadth first
-    over (word, generator), with ``echelon_insert`` deciding independence.
-    Where the span stops short, the first standard vector outside it seeds
-    the next spin, until the spun vectors B_j = w_j(X) e_(s_j) form a basis
-    B.  An intertwiner is fixed by the images u_s = f e_s of the m seeds,
-    since f B_j = w_j(Y) u_(s_j), so there are p*m unknowns instead of p*q
-    (m is 1 when the x's act irreducibly, q when they are all zero).  With
-    x B = B C the conditions read Sum_k C[k, j] w_k(Y) u_(s_k) =
-    y w_j(Y) u_(s_j) for every pair and every j, one small kernel; each
-    solution maps back to f = [f B_j]_j B^-1.
+    Solved on a standard basis: ``spin`` spins the standard columns under
+    the x's, a column seeding only where the span so far stops short, into
+    a basis B of vectors B_k = w_k(X) e_(s_k).  An intertwiner is fixed by
+    the images u_s = f e_s of the m seeds: f B_k = w_k(Y) u_(s_k) = G_k u,
+    so there are p*m unknowns instead of p*q (m is 1 when the x's act
+    irreducibly, q when they are all zero).  G_k is read off the spin's
+    tree: its seed's identity block, or y_i G_j when B_k = x_i B_j.  With
+    x B = B C the conditions read Sum_k C[k, j] G_k u = y G_j u for every
+    pair and every j (on a tree edge y_i G_j is G_k), one small kernel;
+    each solution maps back to f = [G_k u]_k B^-1.
 
     The Sylvester-kernel basis depends only on the space: it has one vector
     per free column c, in ascending c, which before scaling is 1 at c, 0 at
@@ -817,48 +848,32 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     if not p or not q:
         return []
     pairs = [(x, y) for x, y in pairs if not (x.is_zero() and y.is_zero())]
-    rows, pivots = [], []
-    spun, seeds, words = [], [], []  # B_j, the seed number of B_j, w_j(Y)
-    m = 0
-    for s in range(q):
-        if len(spun) == q:
-            break
-        unit = Matrix(q, 1, [_ONE if k == s else _ZERO for k in range(q)])
-        if not echelon_insert(rows, pivots, unit.entries()):
-            continue
-        j = len(spun)
-        spun.append(unit)
-        seeds.append(m)
-        words.append(Matrix.identity(p))
-        while j < len(spun) < q:
-            for x, y in pairs:
-                v = x * spun[j]
-                if echelon_insert(rows, pivots, v.entries()):
-                    spun.append(v)
-                    seeds.append(m)
-                    words.append(y * words[j])
-            j += 1
-        m += 1
-    w = p * m
-    # F_k = f B_k = W_k u, with W_k = w_k(Y) in the columns of its seed's image
-    blocks = [
-        Matrix.hstack([Matrix.zeros(p, seed * p), word, Matrix.zeros(p, w - (seed + 1) * p)])
-        for seed, word in zip(seeds, words)
-    ]
+    units = (Matrix(q, 1, [_ONE if k == s else _ZERO for k in range(q)]) for s in range(q))
+    spun, tree = spin(
+        units, [x for x, _ in pairs], Matrix.__mul__,
+        lambda rows, pivots, v: echelon_insert(rows, pivots, v.entries()), q,
+    )
+    w = p * tree.count(None)
+    eye = Matrix.identity(w)
+    seed_blocks = (eye.submatrix(s, s + p, 0, w) for s in range(0, w, p))
+    blocks = []  # G_k, with f B_k = G_k u
+    for link in tree:
+        blocks.append(next(seed_blocks) if link is None else pairs[link[1]][1] * blocks[link[0]])
+    edges = {link: k for k, link in enumerate(tree) if link}
     stacked = Matrix.vstack(blocks)
-    by_basis = Matrix(q, p * w, stacked.entries())  # row k is W_k, flattened
+    by_basis = Matrix(q, p * w, stacked.entries())  # row k is G_k, flattened
     b = Matrix.hstack(spun)
     binv = invert(b)
     conditions = []
-    for x, y in pairs:
-        lhs = (binv * (x * b)).transpose() * by_basis  # row j: Sum_k C[k, j] W_k
-        rhs = Matrix.vstack([y * block for block in blocks])
+    for i, (x, y) in enumerate(pairs):
+        lhs = (binv * (x * b)).transpose() * by_basis  # row j: Sum_k C[k, j] G_k
+        rhs = Matrix.vstack([blocks[edges[j, i]] if (j, i) in edges else y * g for j, g in enumerate(blocks)])
         conditions += [a - c if c.p or c.q else a for a, c in zip(lhs.entries(), rhs.entries())]
     kernel = kernel_basis(Matrix(len(conditions) // w, w, conditions))
     if not kernel:
         return []
     n = len(kernel)
-    # stacked * u lists the columns F_j = W_j u of F = f B in turn: read as q x p it is F^T,
+    # stacked * u lists the columns F_k = G_k u of F = f B in turn: read as q x p it is F^T,
     # and f^T = B^-T F^T
     ft = Matrix(q, p * n, (stacked * Matrix.hstack(kernel)).entries())
     ft = (binv.transpose() * ft).entries()

@@ -37,6 +37,7 @@ from .exactalg import (
     intertwiner_basis,
     invert,
     rank,
+    spin,
 )
 
 __all__ = [
@@ -298,27 +299,6 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
 _CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
 
 
-def _span_is_full(one, gens: list, mul, insert, full: int) -> bool:
-    """Whether the words in gens span a space of dimension ``full``.
-
-    Starts from {one} + gens and multiplies the newest words by generators
-    on the right until the span stops growing; ``insert(rows, pivots, m)``
-    adds m to the echelon rows and says whether it was independent."""
-    rows, pivots = [], []
-    frontier = [m for m in [one, *gens] if insert(rows, pivots, m)]
-    while frontier and len(rows) < full:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                prod = mul(f, g)
-                if insert(rows, pivots, prod):
-                    nxt.append(prod)
-                    if len(rows) == full:
-                        return True
-        frontier = nxt
-    return len(rows) == full
-
-
 def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
     """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
     vec are reduced mod p only when read as a multiplier and at the end."""
@@ -345,25 +325,26 @@ def _full_mod(n: int, gens: list[Matrix], p: int, s: int) -> Optional[bool]:
         return None
     red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        cols = [b[j::n] for j in range(n)]
-        return [sum(map(int.__mul__, a[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols]
+    def act(g: list[int], w: list[int]) -> list[int]:
+        cols = [g[j::n] for j in range(n)]
+        return [sum(map(int.__mul__, w[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols]
 
     one = [int(k % (n + 1) == 0) for k in range(n * n)]
-    return _span_is_full(one, red, mul, partial(_echelon_insert_mod, p=p), n * n)
+    return len(spin([one], red, act, partial(_echelon_insert_mod, p=p), n * n)[0]) == n * n
 
 
 def is_irreducible(sys: System) -> bool:
     """True iff the unital algebra generated by the constant term and all
     coefficients is the full endomorphism algebra.
 
-    Word-span closure: start from {I, S, A_{t,k}}, multiply by generators
-    on the right until the span stabilizes.  The span's dimension over
-    Q(i) equals its dimension over C, so the verdict transfers.  It is
-    first built mod each prime in ``_CERT_PRIMES`` that divides no
-    denominator: reduction mod p is a ring map and rank can only drop under
-    it, so a full span mod p certifies True.  Otherwise the exact closure
-    decides, so False is always exact.
+    Word-span closure: ``spin`` spins the identity under the nonzero
+    generators, multiplying each new word by every generator on the right,
+    until the span stops growing or is all of End(V).  The span's
+    dimension over Q(i) equals its dimension over C, so the verdict
+    transfers.  The spin is first run mod each prime in ``_CERT_PRIMES``
+    that divides no denominator: reduction mod p is a ring map and rank can
+    only drop under it, so a full span mod p certifies True.  Otherwise the
+    exact spin decides, so False is always exact.
     """
     n = sys.dimension
     if n < 1:
@@ -372,10 +353,11 @@ def is_irreducible(sys: System) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES):
         return True
-    return _span_is_full(
-        Matrix.identity(n), gens, Matrix.__mul__,
+    words, _ = spin(
+        [Matrix.identity(n)], gens, lambda g, w: w * g,
         lambda rows, pivots, m: echelon_insert(rows, pivots, m.entries()), n * n,
     )
+    return len(words) == n * n
 
 
 def _intertwiner_space(a: System, b: System) -> list[Matrix]:
