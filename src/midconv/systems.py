@@ -193,19 +193,21 @@ def add_scalar(sys: System, alpha: System) -> System:
     """sys(z) + alpha(z) * Id, merging poles."""
     if alpha.dimension != 1:
         raise DimensionMismatch("addition parameter must have rank 1")
-    n = sys.dimension
-    const = sys.constant.shift(alpha.constant.scalar())
+    n, c = sys.dimension, alpha.constant.scalar()
+    const = sys.constant.shift(c)
     if n == 0:
         return System(0, const, ())
     merged = {p.point: list(p.coefficients) for p in sys.parts}
     for ap in alpha.parts:
         coeffs = merged.setdefault(ap.point, [])
-        for j, c in enumerate(ap.coefficients):
+        for j, a in enumerate(ap.coefficients):
             while len(coeffs) <= j:
                 coeffs.append(Matrix.zeros(n, n))
-            coeffs[j] = coeffs[j].shift(c.scalar())
+            coeffs[j] = coeffs[j].shift(a.scalar())
     parts = tuple(PrincipalPart(pt, tuple(cs)) for pt, cs in merged.items())
-    return System(n, const, parts, sys.declaration)
+    # S + c has the exponents of S shifted by c
+    decl = sys.declaration and tuple((s + c, l) for s, l in sys.declaration)
+    return System(n, const, parts, decl)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,16 @@ def test_missing_point_report_covers_every_pole_count(capsys, tmp_path, parts):
 
 
 class TestCli:
+    def test_add_keeps_a_declared_input_valid(self, capsys, tmp_path):
+        decl = tmp_path / "decl.sys"
+        decl.write_text(serialize_document(System(1, Matrix.from_rows([[1]]), (), ((1, 1),))))
+        alpha = tmp_path / "alpha.sys"
+        alpha.write_text(serialize_document(scalar_system({0: [1]}, constant=2)))
+        status, report = run_cli(capsys, "add", str(decl), "--alpha", str(alpha))
+        assert status == 0
+        out = system_from_document(report["result"])
+        assert out.declaration == ((gr(3), 1),)
+
     def test_rigidity_of_fixture(self, capsys, triple_file):
         status, report = run_cli(capsys, "rigidity", triple_file)
         assert status == 0
@@ -332,6 +342,32 @@ class TestCli:
         assert s1 == s2 == 0
         assert r1 == r2
         assert all(c["passed"] for c in r1["result"]["checks"])
+
+    def test_check_skips_normal_form_checks_without_a_normal_form(self, capsys, tmp_path):
+        # the order-2 pole's leading coefficient J_2 is nilpotent: no normal form
+        j2 = Matrix.from_rows([[0, 1], [0, 0]])
+        path = tmp_path / "j2.sys"
+        part = PrincipalPart(gr(0), (Matrix.diagonal([1, 0]), j2))
+        path.write_text(serialize_document(System(2, Matrix.zeros(2, 2), (part,))))
+        status, report = run_cli(capsys, "check", "--trials", "2", str(path))
+        assert status == 0
+        checks = {c["name"]: c for c in report["result"]["checks"]}
+        skipped = ["stabilizer_two_modes", "kernel_two_modes_and_katz_inequality", "normal_form_gauge_invariance"]
+        for name in skipped:
+            assert checks[name] == {"name": name, "passed": True, "trials": 0, "detail": "skipped: NoNormalForm"}
+        assert all(c["passed"] and not c["detail"] for name, c in checks.items() if name not in skipped)
+
+    def test_failed_check_is_reported_and_exits_1(self, capsys, monkeypatch, triple_file):
+        import midconv.checks as checks
+        from midconv.systems import TruncatedGauge
+
+        monkeypatch.setattr(checks, "gauge_compose", lambda g, h: TruncatedGauge(g.point, h.coefficients))
+        status, report = run_cli(capsys, "check", "--trials", "2", triple_file)
+        assert status == 1
+        failed = [c for c in report["result"]["checks"] if not c["passed"]]
+        assert failed == [
+            {"name": "gauge_group_law", "passed": False, "trials": 0, "detail": "gauge action is not a group action"}
+        ]
 
     def test_check_failures_survive_optimize(self, triple_file):
         # a wrong gauge composition must fail gauge_group_law under -O too

@@ -26,6 +26,7 @@ from midconv.systems import (
     residue_at_infinity,
     scalar_system,
     truncated_inverse,
+    zero_pair,
 )
 from midconv import systems
 from midconv.checks import random_gauge, random_invertible, random_matrix
@@ -105,6 +106,13 @@ class TestAddScalar:
             lhs = residue_at_infinity(add_scalar(s, alpha))
             rhs = residue_at_infinity(s) + residue_at_infinity(alpha).scalar() * Matrix.identity(n)
             assert lhs == rhs
+
+    def test_declared_exponents_shift_with_the_constant(self):
+        # (S - 1) = 0 for S = (1), so S + 2 satisfies (S + 2 - 3) = 0
+        s = System(1, Matrix.from_rows([[1]]), (), ((1, 1),))
+        r = add_scalar(s, scalar_system({0: [1]}, constant=2))
+        assert r.constant == Matrix.from_rows([[3]])
+        assert r.declaration == ((gr(3), 1),)
 
 
 class TestGauge:
@@ -354,6 +362,9 @@ class TestIrreducibilityCertificate:
 
 
 class TestEquivalent:
+    def test_dimension_zero_gives_the_empty_matrix(self):
+        assert equivalent(zero_pair(), zero_pair()) == Matrix.zeros(0, 0)
+
     def test_self_equivalence(self):
         s = fuchsian({0: E12, 1: E21})
         f = equivalent(s, s)
