@@ -23,8 +23,10 @@ from midconv.exactalg import (
     quotient_projection,
     rank,
     solve,
+    spin,
     sylvester_operator,
 )
+from midconv.systems import _echelon_insert_mod
 
 from conftest import gaussian_matrix
 
@@ -707,3 +709,153 @@ class TestIntertwinerAgainstSylvesterKernel:
     @settings(max_examples=80, deadline=None)
     def test_property(self, pairs):
         self.check(pairs)
+
+
+class SpinField:
+    """Vectors as lists over Q(i) with ``echelon_insert``, or over F_5 with
+    i -> 2 and ``_echelon_insert_mod``; generators as lists of rows."""
+
+    def __init__(self, p=None):
+        self.p = p
+
+    def lift(self, x):
+        x = gr(x)
+        return x if self.p is None else (x.p + 2 * x.q) * pow(x.r, -1, self.p) % self.p
+
+    def insert(self, rows, pivots, v) -> bool:
+        if self.p is None:
+            return echelon_insert(rows, pivots, v)
+        return _echelon_insert_mod(rows, pivots, v, self.p)
+
+    def act(self, g, v):
+        out = [sum((a * b for a, b in zip(row, v)), self.lift(0)) for row in g]
+        return out if self.p is None else [x % self.p for x in out]
+
+    def rank(self, vectors) -> int:
+        rows, pivots = [], []
+        return sum(self.insert(rows, pivots, v) for v in vectors)
+
+    def in_span(self, vectors, v) -> bool:
+        return self.rank([*vectors, v]) == self.rank(vectors)
+
+
+SPIN_FIELDS = [SpinField(), SpinField(5)]
+SPIN_IDS = ["echelon_insert", "mod-5"]
+
+
+def krylov_dimension(field, seeds, gens) -> int:
+    """dim of the span of every word of length < d in gens applied to the
+    seeds: the words of length d add nothing, so this is the spun span."""
+    level, vectors = list(seeds), list(seeds)
+    for _ in range(len(seeds[0]) - 1):
+        level = [field.act(g, v) for v in level for g in gens]
+        vectors += level
+    return field.rank(vectors)
+
+
+def check_spin(field, seeds, gens, full):
+    elems, tree = spin(seeds, gens, field.act, field.insert, full)
+    assert len(elems) == len(tree)
+    for k, link in enumerate(tree):
+        if link is not None:
+            j, i = link
+            assert j < k and elems[k] == field.act(gens[i], elems[j])
+    # seeds are taken in the given order, each one outside the span so far
+    starts = [k for k, link in enumerate(tree) if link is None] + [len(elems)]
+    taken = 0
+    for seed in seeds:
+        before = elems[: starts[taken]]
+        if taken < len(starts) - 1 and elems[starts[taken]] == seed and not field.in_span(before, seed):
+            taken += 1
+        else:
+            assert field.in_span(before, seed) or len(before) == full
+    assert taken == len(starts) - 1
+    assert field.rank(elems) == len(elems)
+    assert len(elems) == min(full, krylov_dimension(field, seeds, gens))
+    return elems, tree
+
+
+def spin_case(rng, field, d: int, triangular: bool):
+    """1-3 generators on F^d with small Gaussian entries; with triangular,
+    span(e_1..e_k) is invariant, so e_1 spins short of F^d."""
+    k = rng.randint(1, d)
+
+    def entry(i, j):
+        if triangular and i >= k > j:
+            return field.lift(0)
+        return field.lift(gr(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])), rng.randint(-1, 1)))
+
+    gens = [[[entry(i, j) for j in range(d)] for i in range(d)] for _ in range(rng.randint(1, 3))]
+    return gens, [[field.lift(int(r == c)) for r in range(d)] for c in range(d)]
+
+
+@pytest.mark.parametrize("field", SPIN_FIELDS, ids=SPIN_IDS)
+class TestSpin:
+    def test_standard_seeds(self, rng, field):
+        for trial in range(30):
+            d = rng.randint(1, 4)
+            gens, units = spin_case(rng, field, d, triangular=trial % 2 == 0)
+            elems, _ = check_spin(field, units, gens, d)
+            assert len(elems) == d
+            if field.p is None:
+                xs = [Matrix.from_rows(g) for g in gens]
+                assert len(spin(units[:1], gens, field.act, field.insert, d)[0]) == spun_dimension(
+                    xs, Matrix.column(units[0])
+                )
+
+    def test_repeated_and_dependent_seeds(self, rng, field):
+        for _ in range(20):
+            d = rng.randint(2, 4)
+            gens, units = spin_case(rng, field, d, triangular=True)
+            zero = [field.lift(0)] * d
+            seeds = [units[-1], zero, units[-1], field.act(gens[0], units[0]), *units]
+            check_spin(field, seeds, gens, d)
+
+    def test_no_generators_takes_each_independent_seed(self, field):
+        units = [[field.lift(int(r == c)) for r in range(3)] for c in range(3)]
+        seeds = [units[0], units[0], [field.lift(2)] * 3, units[2], units[1]]
+        elems, tree = check_spin(field, seeds, [], 3)
+        assert elems == [units[0], seeds[2], units[2]]
+        assert tree == [None, None, None]
+
+    def test_stops_at_full(self, rng, field):
+        for _ in range(20):
+            d = rng.randint(2, 4)
+            gens, units = spin_case(rng, field, d, triangular=False)
+            whole = spin(units, gens, field.act, field.insert, d)
+            for full in range(1, d + 1):
+                calls = []
+
+                def act(g, v):
+                    calls.append(field.act(g, v))
+                    return calls[-1]
+
+                elems, tree = check_spin(field, units, gens, full)
+                assert (elems, tree) == (whole[0][:full], whole[1][:full])
+                elems, tree = spin(units, gens, act, field.insert, full)
+                if tree[-1] is not None:
+                    # no product is formed after the full-th element
+                    assert calls[-1] == elems[-1]
+
+    def test_words_of_matrices(self, field):
+        # is_irreducible's use: words w g on the flattened 2 x 2 matrices
+        e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+
+        def act(g, w):
+            prod = [[sum(w[2 * i + l] * g[l][j] for l in range(2)) for j in range(2)] for i in range(2)]
+            return [field.lift(x) for row in prod for x in row]
+
+        one = [field.lift(x) for x in (1, 0, 0, 1)]
+        words, tree = spin([one], [e12, e21], act, field.insert, 4)
+        assert len(words) == 4 and tree[1:] == [(0, 0), (0, 1), (1, 1)]
+        assert len(spin([one], [e12], act, field.insert, 4)[0]) == 2
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, field, data):
+        d = data.draw(st.integers(1, 4))
+        small = st.sampled_from([0, 0, 0, 1, -1, 2, gr(0, 1), gr(Fraction(1, 2), -1)]).map(field.lift)
+        vector = st.lists(small, min_size=d, max_size=d)
+        gens = data.draw(st.lists(st.lists(vector, min_size=d, max_size=d), max_size=2))
+        seeds = data.draw(st.lists(vector, min_size=1, max_size=4))
+        check_spin(field, seeds, gens, data.draw(st.integers(1, d)))
