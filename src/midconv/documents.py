@@ -144,13 +144,8 @@ def system_from_document(doc) -> System:
     return System(n, constant, tuple(parts), declaration)
 
 
-def datum_to_document(d: Datum, name=None) -> dict:
-    doc = {"kind": "datum"}
-    if name:
-        doc["name"] = name
-    doc["dimension"] = d.dim_v
-    doc["constant"] = matrix_to_json(d.s_matrix)
-    doc["blocks"] = [
+def datum_to_document(d: Datum) -> dict:
+    blocks = [
         {
             "point": scalar_to_json(b.point),
             "nilpotent": matrix_to_json(b.nilpotent),
@@ -159,7 +154,7 @@ def datum_to_document(d: Datum, name=None) -> dict:
         }
         for b in d.blocks
     ]
-    return doc
+    return {"kind": "datum", "dimension": d.dim_v, "constant": matrix_to_json(d.s_matrix), "blocks": blocks}
 
 
 def datum_from_document(doc) -> Datum:
@@ -254,14 +249,8 @@ def parse_document(text: str):
     return DOCUMENT_KINDS[kind].read(obj)
 
 
-def serialize_document(value, name=None) -> str:
-    if isinstance(value, System):
-        return dumps_canonical(system_to_document(value, name=name))
-    if isinstance(value, Datum):
-        return dumps_canonical(datum_to_document(value, name=name))
-    if isinstance(value, dict):
-        return dumps_canonical(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def serialize_document(sys: System, name=None) -> str:
+    return dumps_canonical(system_to_document(sys, name=name))
 
 
 def _flag_rational(text: str) -> Fraction:

@@ -144,10 +144,6 @@ class OkuboTriple:
         ):
             raise DimensionMismatch("Okubo triple needs square T, R of equal size")
 
-    @property
-    def dim_w(self) -> int:
-        return self.t_matrix.rows
-
 
 def okubo_to_pair(o: OkuboTriple) -> System:
     """Factor R = P Q through V = W/Ker R and expand Q (zI - T)^{-1} P."""
