@@ -80,6 +80,10 @@ RUNS = {
     # eigenvalues +-sqrt(2): no normal form exists there
     "select-alpha__sqrt2-irregular": (("select-alpha", given("sqrt2-irregular.sys"), "--point", "0"), 1),
     "katz-reduce__sqrt2-irregular": (("katz-reduce", given("sqrt2-irregular.sys")), 1),
+    # irreducible although its residue at 0 has no eigenvalue in Q(i), and a
+    # conjugated block-upper-triangular triple with an invariant plane
+    "irred__sqrt2-triple": (("irred", given("sqrt2-triple.sys")), 0),
+    "irred__reducible-triple": (("irred", given("reducible-triple.sys")), 0),
 }
 
 CASES = [
