@@ -835,7 +835,9 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     tree: its seed's identity block, or y_i G_j when B_k = x_i B_j.  With
     x B = B C the conditions read Sum_k C[k, j] G_k u = y G_j u for every
     pair and every j (on a tree edge y_i G_j is G_k), one small kernel;
-    each solution maps back to f = [G_k u]_k B^-1.
+    each solution maps back to f = [G_k u]_k B^-1.  When the y's are zero
+    as well, as for the commutant of a zero nilpotent block, every f
+    intertwines and the matrix units are returned directly.
 
     The Sylvester-kernel basis depends only on the space: it has one vector
     per free column c, in ascending c, which before scaling is 1 at c, 0 at
@@ -848,6 +850,8 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     if not p or not q:
         return []
     pairs = [(x, y) for x, y in pairs if not (x.is_zero() and y.is_zero())]
+    if not pairs:
+        return [Matrix(p, q, [_ONE if k == j else _ZERO for k in range(p * q)]) for j in range(p * q)]
     units = (Matrix(q, 1, [_ONE if k == s else _ZERO for k in range(q)]) for s in range(q))
     spun, tree = spin(
         units, [x for x, _ in pairs], Matrix.__mul__,

@@ -1,5 +1,6 @@
 """System data model, gauge action, irreducibility, equivalence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from midconv.errors import (
     ValidationError,
 )
 from midconv.exactalg import Matrix, gr, invert, rank
+from midconv.functors import mc
 from midconv.systems import (
     PrincipalPart,
     System,
@@ -22,6 +24,7 @@ from midconv.systems import (
     gauge_coadjoint,
     gauge_compose,
     is_irreducible,
+    lambda_over_z,
     order,
     residue_at_infinity,
     scalar_system,
@@ -359,6 +362,63 @@ class TestIrreducibilityCertificate:
         monkeypatch.setattr(systems, "_CERT_PRIMES", primes)
         assert [is_irreducible(sys) for sys in cases] == exact
         assert True in exact and False in exact
+
+    @pytest.mark.parametrize("meataxe_dim", [systems._MEATAXE_DIM, 2], ids=["as-shipped", "meataxe"])
+    def test_irreducible_over_f5_but_not_absolutely(self, monkeypatch, meataxe_dim):
+        # g^2 = 2 and 2 is no square mod 5: the algebra of g is F_25, which has
+        # no line over F_5 to fix, but every element of it with an eigenvalue
+        # in F_5 is a scalar, whose eigenspace is all of V
+        monkeypatch.setattr(systems, "_MEATAXE_DIM", meataxe_dim)
+        sys = fuchsian({0: Matrix.from_rows([[0, 2], [1, 0]])})
+        assert systems._full_mod(2, generators(sys), 5, 2) is not True
+        monkeypatch.setattr(systems, "_CERT_PRIMES", ((5, 2),))
+        assert is_irreducible(sys) is False
+
+    def test_middle_convolutions_are_certified_at_both_module_primes(self):
+        # a certificate that never fires would leave every other verdict in place
+        corpus = random.Random(8)
+        outputs = []
+        while len(outputs) < 4:
+            residues = {pt: random_matrix(corpus, 3, bound=1) for pt in (0, 1, -1)}
+            sys = fuchsian(residues)
+            if is_irreducible(sys):
+                out = mc(sys, lambda_over_z(1))
+                if out.dimension in (8, 9):
+                    outputs.append(out)
+        assert systems._MEATAXE_DIM <= 8
+        for out in outputs:
+            for p, s in systems._CERT_PRIMES:
+                assert systems._full_mod(out.dimension, generators(out), p, s) is True
+
+    @pytest.mark.parametrize("primes", [systems._CERT_PRIMES, ((5, 2), (13, 5))], ids=["module-primes", "small"])
+    def test_meataxe_below_its_dimension_never_beats_the_word_span(self, monkeypatch, rng, primes):
+        # the word span mod p is exact for the algebra mod p, so it bounds the certificate
+        cases = []
+        for trial in range(24):
+            n = rng.choice([2, 3, 4])
+            draw = (upper_triangular, random_matrix, gaussian_matrix)[trial % 3]
+            parts = tuple(PrincipalPart(gr(pt), (draw(rng, n),)) for pt in rng.sample([0, 1, -1, 2], rng.randint(1, 3)))
+            cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
+        verdicts = {}
+        for dim in (99, 2):
+            monkeypatch.setattr(systems, "_MEATAXE_DIM", dim)
+            verdicts[dim] = [systems._full_mod(c.dimension, generators(c), p, s) for c in cases for p, s in primes]
+        assert all(m is not True or w is True for m, w in zip(verdicts[2], verdicts[99]))
+        assert verdicts[2].count(True) > len(verdicts[2]) // 3
+        # the MeatAxe stays forced for the verdicts below
+        monkeypatch.setattr(systems, "_CERT_PRIMES", ())
+        exact = [is_irreducible(c) for c in cases]
+        monkeypatch.setattr(systems, "_CERT_PRIMES", primes)
+        assert [is_irreducible(c) for c in cases] == exact
+
+    def test_global_random_state_is_left_alone(self):
+        random.seed(7)
+        state = random.getstate()
+        corpus = random.Random(9)
+        for n in (2, 5, 6):
+            assert is_irreducible(fuchsian({pt: random_matrix(corpus, n) for pt in (0, 1, -1)}))
+        assert not is_irreducible(fuchsian({0: E11, 1: E21}))
+        assert random.getstate() == state
 
 
 class TestEquivalent:
