@@ -572,19 +572,59 @@ def invert(m: Matrix):
 
 
 def char_poly(m: Matrix) -> list[GaussianRational]:
-    """Coefficients c_0..c_n of det(x*I - m), ascending, via Faddeev-LeVerrier."""
+    """Coefficients c_0..c_n of det(x*I - m), ascending, in O(n^3) field
+    operations (Cohen, A Course in Computational Algebraic Number Theory,
+    2.2.4).
+
+    Similarity transforms bring m to upper Hessenberg form h: column j is
+    cleared below the subdiagonal by a row operation against the pivot row
+    j + 1 (a nonzero entry swapped in when h[j+1][j] is zero), each paired
+    with the inverse column operation.  The leading i x i minors p_i then
+    obey p_(k+1) = x p_k - Sum_(i<=k) h_(i+1,i) ... h_(k,k-1) h_ik p_i,
+    where a zero subdiagonal entry cuts the sum short.
+    """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of non-square matrix")
     n = m.rows
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    mk = m
-    for k in range(1, n + 1):
-        ck = -(mk.trace() / gr(k))
-        coeffs[n - k] = ck
-        if k < n:
-            mk = m * mk.shift(ck)
-    return coeffs
+    h = [m.row_list(i) for i in range(n)]
+    for j in range(n - 2):
+        k = j + 1
+        pivot = next((i for i in range(k, n) if h[i][j].p or h[i][j].q), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            h[pivot], h[k] = h[k], h[pivot]
+            for row in h:
+                row[pivot], row[k] = row[k], row[pivot]
+        inv = h[k][j].inverse()
+        for r in range(k + 1, n):
+            u = h[r][j]
+            if not (u.p or u.q):
+                continue
+            u = u * inv
+            # row r -= u * row k, then column k += u * column r
+            hr, hk = h[r], h[k]
+            for c in range(j, n):
+                b = hk[c]
+                if b.p or b.q:
+                    hr[c] = hr[c] - u * b
+            for row in h:
+                b = row[r]
+                if b.p or b.q:
+                    row[k] = row[k] + u * b
+    polys = [[_ONE]]
+    for k in range(n):
+        p, t = [_ZERO, *polys[k]], _ONE
+        for i in range(k, -1, -1):
+            c = t * h[i][k]  # t = h_(i+1,i) ... h_(k,k-1)
+            if c.p or c.q:
+                for a, x in enumerate(polys[i]):
+                    p[a] = p[a] - c * x
+            t = t * h[i][i - 1] if i else _ZERO
+            if not (t.p or t.q):
+                break
+        polys.append(p)
+    return polys[n]
 
 
 def _poly_divmod(a, b):
@@ -834,7 +874,8 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     irreducibly, q when they are all zero).  G_k is read off the spin's
     tree: its seed's identity block, or y_i G_j when B_k = x_i B_j.  With
     x B = B C the conditions read Sum_k C[k, j] G_k u = y G_j u for every
-    pair and every j (on a tree edge y_i G_j is G_k), one small kernel;
+    pair and every j, one small kernel; on a tree edge B_k = x_i B_j both
+    sides are G_k, so only the other j give conditions;
     each solution maps back to f = [G_k u]_k B^-1.  When the y's are zero
     as well, as for the commutant of a zero nilpotent block, every f
     intertwines and the matrix units are returned directly.
@@ -863,15 +904,17 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     blocks = []  # G_k, with f B_k = G_k u
     for link in tree:
         blocks.append(next(seed_blocks) if link is None else pairs[link[1]][1] * blocks[link[0]])
-    edges = {link: k for k, link in enumerate(tree) if link}
+    edges = set(tree)
     stacked = Matrix.vstack(blocks)
     by_basis = Matrix(q, p * w, stacked.entries())  # row k is G_k, flattened
     b = Matrix.hstack(spun)
     binv = invert(b)
     conditions = []
     for i, (x, y) in enumerate(pairs):
-        lhs = (binv * (x * b)).transpose() * by_basis  # row j: Sum_k C[k, j] G_k
-        rhs = Matrix.vstack([blocks[edges[j, i]] if (j, i) in edges else y * g for j, g in enumerate(blocks)])
+        # on a tree edge (j, i) column j of C is a unit vector and the condition is 0 = 0
+        js = [j for j in range(q) if (j, i) not in edges]
+        lhs = (binv * (x * b)).select_columns(js).transpose() * by_basis  # row j: Sum_k C[k, j] G_k
+        rhs = Matrix.vstack([y * blocks[j] for j in js])
         conditions += [a - c if c.p or c.q else a for a, c in zip(lhs.entries(), rhs.entries())]
     kernel = kernel_basis(Matrix(len(conditions) // w, w, conditions))
     if not kernel:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
@@ -278,6 +278,59 @@ class TestEigenvalues:
         m = Matrix.diagonal([gr(Fraction(1, 2)), gr(Fraction(-3, 4), Fraction(1, 2))])
         got = dict(char_eigenvalues(m))
         assert got == {gr(Fraction(1, 2)): 1, gr(Fraction(-3, 4), Fraction(1, 2)): 1}
+
+
+def faddeev_leverrier(m):
+    """Reference: coefficients of det(x I - m), ascending, from the traces
+    of n exact matrix products."""
+    n = m.rows
+    coeffs = [gr(0)] * n + [gr(1)]
+    mk = m
+    for k in range(1, n + 1):
+        ck = -(mk.trace() / gr(k))
+        coeffs[n - k] = ck
+        if k < n:
+            mk = m * mk.shift(ck)
+    return coeffs
+
+
+# a zero subdiagonal pivot in column 0 that row 2 must be swapped in for,
+# and a block-diagonal matrix whose Hessenberg form splits at (2, 1)
+SWAP_PIVOT = Matrix.from_rows([[1, 2, 3], [0, 4, 5], [6, 7, gr(0, 1)]])
+SPLIT = Matrix.block_diagonal([Matrix.from_rows([[1, 2], [3, 4]]), Matrix.from_rows([[0, 1, 1], [2, 0, 1], [1, 1, 0]])])
+sparse_entries = st.one_of(
+    st.just(gr(0)),
+    st.builds(
+        lambda a, b, c: gr(Fraction(a, b), c),
+        st.integers(-2, 2), st.sampled_from([1, 2, 3]), st.integers(-1, 1),
+    ),
+)
+
+
+@st.composite
+def gaussian_square(draw):
+    n = draw(st.integers(0, 8))
+    return Matrix(n, n, draw(st.lists(sparse_entries, min_size=n * n, max_size=n * n)))
+
+
+class TestCharPolyAgainstFaddeevLeverrier:
+    @given(gaussian_square())
+    @example(SWAP_PIVOT)
+    @example(SPLIT)
+    @example(Matrix.block_diagonal([SWAP_PIVOT, SPLIT, Matrix.from_rows([[gr(1, -1)]])]))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_reference(self, m):
+        assert char_poly(m) == faddeev_leverrier(m)
+
+    def test_examples_take_the_swap_and_the_split(self):
+        assert SWAP_PIVOT[1, 0].is_zero() and not SWAP_PIVOT[2, 0].is_zero()
+        assert char_poly(SWAP_PIVOT) == faddeev_leverrier(SWAP_PIVOT)
+        blocks = (SPLIT.submatrix(0, 2, 0, 2), SPLIT.submatrix(2, 5, 2, 5))
+        assert char_poly(SPLIT) == poly_from_factors([faddeev_leverrier(b) for b in blocks])
+
+    def test_empty_and_one_by_one(self):
+        assert char_poly(Matrix.zeros(0, 0)) == [gr(1)]
+        assert char_poly(Matrix.from_rows([[gr(2, 1)]])) == [gr(-2, -1), gr(1)]
 
 
 def companion(coeffs):
