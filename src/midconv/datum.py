@@ -135,6 +135,19 @@ class Datum:
         """(eigenvalue, basis, nil) triples of S, cached; the E-side blocking."""
         return generalized_eigendecomposition(self.s_matrix)
 
+    def t_blocking(self):
+        """generalized_eigendecomposition(T) read off the blocks, with no
+        spectrum computed: T's generalized eigenspaces are the coordinate
+        blocks, whose reduced echelon bases are unit vectors, and the
+        points are distinct and in eigenvalue sort order."""
+        eye = Matrix.identity(self.dim_w)
+        out = []
+        offset = 0
+        for b in self.blocks:
+            out.append((b.point, eye.submatrix(0, eye.rows, offset, offset + b.dim_w), b.nilpotent))
+            offset += b.dim_w
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Phi and the canonical datum
@@ -356,14 +369,16 @@ def psi(d: Datum) -> System:
     coefficients P_s M_s^{j-1} Q_s are mapped back to the coordinates of
     W fixed by the block order.
     """
-    w = d.dim_w
-    if w == 0:
+    if d.dim_w == 0:
         return System(0, Matrix.zeros(0, 0), ())
-    t = d.t_matrix()
-    q = d.q_matrix()
-    p = d.p_matrix()
-    parts = resolvent_principal_parts(d.s_blocking, p, q)
-    return System(w, t, parts)
+    return _psi(d, d.s_blocking)
+
+
+def _psi(d: Datum, s_blocking) -> System:
+    """psi(d) with S blocked by s_blocking, which must equal
+    generalized_eigendecomposition(S)."""
+    parts = resolvent_principal_parts(s_blocking, d.p_matrix(), d.q_matrix())
+    return System(d.dim_w, d.t_matrix(), parts)
 
 
 def harnad_irreducible(d: Datum) -> bool:

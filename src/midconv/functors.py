@@ -28,7 +28,7 @@ from .exactalg import (
     nilpotent_powers,
     quotient_projection,
 )
-from .datum import kappa, psi, resolvent_principal_parts
+from .datum import _psi, kappa, psi, resolvent_principal_parts
 from .systems import (
     PrincipalPart,
     System,
@@ -80,7 +80,8 @@ def mc(p: System, alpha: System) -> System:
             raise PoleMismatch(
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
-    return hd(add_scalar(psi(h), alpha))
+    # the second hd dualizes a datum whose S is h's T, so T's blocking is handed on
+    return _psi(kappa(add_scalar(psi(h), alpha)), h.t_blocking())
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:

@@ -1,9 +1,12 @@
 """Duality and convolution functors."""
 
+import random
+
 import pytest
 
+from midconv.datum import kappa, psi
 from midconv.errors import Exceptional, NonzeroConstantTerm, NotFuchsian, PoleMismatch
-from midconv.exactalg import Matrix, gr
+from midconv.exactalg import Matrix, generalized_eigendecomposition, gr, invert
 from midconv.functors import (
     OkuboTriple,
     dr_middle_convolution,
@@ -15,13 +18,14 @@ from midconv.functors import (
 from midconv.systems import (
     PrincipalPart,
     System,
+    add_scalar,
     equivalent,
     is_irreducible,
     lambda_over_z,
     scalar_system,
     zero_pair,
 )
-from midconv.checks import random_matrix
+from midconv.checks import random_invertible, random_matrix
 
 from conftest import E12, E21, Z2, fuchsian, irreducible_corpus
 
@@ -174,6 +178,61 @@ class TestMc:
         assert is_irreducible(p)
         back, witness = hd_double(p)
         assert witness is not None
+
+
+def jordan_constant_input(rng, n):
+    """(p, alpha) built like the bigcoef benchmark inputs, with small entries:
+    constant term C J C^-1, J with distinct eigenvalues but one 2-block at
+    s, poles of order 1, 2 and 3 at 0, 1, -1, and alpha = w / (z - s)."""
+    spectrum = rng.sample([-2, -1, 1, 2, 3], n - 1)
+    s = spectrum[0]
+    j = Matrix.diagonal([s] + spectrum)
+    j = j + Matrix(n, n, [gr(1) if k == 1 else gr(0) for k in range(n * n)])
+    c = random_invertible(rng, n)
+    parts = tuple(
+        PrincipalPart(gr(pt), tuple(random_matrix(rng, n) for _ in range(k)))
+        for pt, k in ((0, 1), (1, 2), (-1, 3))
+    )
+    weight = gr(rng.choice((-2, -1, 1, 2, 3)))
+    return System(n, c * j * invert(c), parts), scalar_system({s: [weight]})
+
+
+def t_blocking_inputs():
+    """(p, alpha) pairs: seeded Fuchsian pairs, pairs with poles of order 2
+    and 3, and constant terms with a Jordan block."""
+    rng = random.Random(1601)
+    out = []
+    for orders in ((1, 1, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 3, 1)):
+        n = rng.randint(2, 3)
+        parts = tuple(
+            PrincipalPart(gr(pt), tuple(random_matrix(rng, n) for _ in range(k)))
+            for pt, k in zip((0, 1, -1), orders)
+        )
+        out.append((System(n, Matrix.zeros(n, n), parts), lambda_over_z(rng.choice((1, -2, gr(1, 1))))))
+    for n in (2, 3, 4):
+        out.append(jordan_constant_input(rng, n))
+    return out
+
+
+class TestMcHandsOnTBlocking:
+    @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
+    def test_t_blocking_is_the_eigendecomposition_of_t(self, p, alpha):
+        h = kappa(p)
+        assert len(h.blocks) >= 2
+        # entry for entry, in order: the S of the second duality is psi(h)'s constant T
+        assert h.t_blocking() == generalized_eigendecomposition(psi(h).constant)
+        assert psi(h).constant == h.t_matrix()
+
+    @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
+    def test_mc_equals_the_composite_of_its_three_functors(self, p, alpha):
+        assert mc(p, alpha) == hd(add_scalar(hd(p), alpha))
+
+    def test_jordan_constant_blocks_at_the_pole_of_alpha(self):
+        p, alpha = jordan_constant_input(random.Random(7), 3)
+        s = alpha.parts[0].point
+        nil = {ev: nil for ev, _, nil in kappa(p).s_blocking}[s]
+        assert not nil.is_zero()
+        assert mc(p, alpha) == hd(add_scalar(hd(p), alpha))
 
 
 class TestDrOracle:
