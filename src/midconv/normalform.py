@@ -33,7 +33,6 @@ from .exactalg import (
     char_poly,
     generalized_eigendecomposition,
     gr,
-    kernel_basis,
     nilpotent_partition,
     qi_roots,
     quotient_projection,
@@ -267,20 +266,47 @@ def hat_kernel_dim(part: PrincipalPart, alpha: Sequence[GaussianRational]) -> in
     return m.cols - rank(m)
 
 
+def _tail_dim(nf: NormalForm, tail: tuple) -> int:
+    """Levels 2..k of the formula: Sum_i dim V(alpha_i, ..., alpha_k) for
+    the tail (alpha_2, ..., alpha_k)."""
+    return sum(b.dim for i in range(2, nf.k + 1) for b in nf.blocks if b.tail[i - 2 :] == tail[i - 2 :])
+
+
 def hat_kernel_dim_formula(nf: NormalForm, alpha_coeffs: Sequence[GaussianRational]) -> int:
     """Sum over levels i of the simultaneous eigenspace dimensions
-    dim V(alpha_i, ..., alpha_k) of the normal form coefficients."""
+    dim V(alpha_i, ..., alpha_k) of the normal form coefficients, for the
+    scalar coefficients (alpha_1, ..., alpha_k), a shorter vector padded
+    with zeros."""
     k = nf.k
-    total = 0
-    for i in range(2, k + 1):
-        for b in nf.blocks:
-            if all(b.tail[j - 2] == alpha_coeffs[j - 1] for j in range(i, k + 1)):
-                total += b.dim
+    if len(trim(alpha_coeffs)) > k:
+        raise DimensionMismatch("scalar part exceeds the truncation order")
+    alpha_1, *tail = (*alpha_coeffs, *[gr(0)] * k)[:k]
+    total = _tail_dim(nf, tuple(tail))
     # level 1: genuine eigenspace of the residue inside the matching block
     for b in nf.blocks:
-        if all(b.tail[j - 2] == alpha_coeffs[j - 1] for j in range(2, k + 1)):
-            total += len(kernel_basis(b.gamma.shift(-alpha_coeffs[0])))
+        if b.tail == tuple(tail):
+            shifted = b.gamma.shift(-alpha_1)
+            total += shifted.cols - rank(shifted)
     return total
+
+
+def _candidate_scores(nf: NormalForm) -> dict[tuple, int]:
+    """hat_kernel_dim_formula of every candidate of select_alpha.
+
+    Tails are pairwise distinct, so only the candidate's own block meets
+    level 1, where it adds the geometric multiplicity of alpha_1 in the
+    residue.  That is read off the algebraic multiplicity m from
+    ``qi_roots``: it is m when m <= 1 and needs a rank only when m >= 2.
+    """
+    scores = {}
+    for b in nf.blocks:
+        levels = _tail_dim(nf, b.tail)
+        for alpha_1, m in {gr(0): 0, **qi_roots(char_poly(b.gamma))}.items():
+            if m >= 2:
+                shifted = b.gamma.shift(-alpha_1)
+                m = shifted.cols - rank(shifted)
+            scores[(alpha_1, *b.tail)] = levels + m
+    return scores
 
 
 def select_alpha(part: PrincipalPart) -> tuple[GaussianRational, ...]:
@@ -296,14 +322,8 @@ def select_alpha(part: PrincipalPart) -> tuple[GaussianRational, ...]:
         nf = compute_normal_form(part)
     except IrrationalSpectrum as e:
         raise IrrationalSpectrum(f"pole {part.point}: {e}") from e
-    best = None
-    for b in nf.blocks:
-        for alpha_1 in {gr(0), *qi_roots(char_poly(b.gamma))}:
-            cand = (alpha_1, *b.tail)
-            score = (-hat_kernel_dim_formula(nf, cand), tuple(x.sort_key() for x in reversed(cand)))
-            if best is None or score < best[0]:
-                best = (score, cand)
-    return best[1]
+    scores = _candidate_scores(nf)
+    return min(scores, key=lambda cand: (-scores[cand], tuple(x.sort_key() for x in reversed(cand))))
 
 
 # ---------------------------------------------------------------------------

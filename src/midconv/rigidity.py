@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible, ZeroLambda
-from .exactalg import GaussianRational, char_poly, gr, kernel_basis, qi_roots
+from .exactalg import GaussianRational, char_poly, qi_roots
 from .functors import mc
-from .normalform import compute_normal_form, hat_kernel_dim_formula, select_alpha, stabilizer_dim
+from .normalform import _tail_dim, compute_normal_form, hat_kernel_dim_formula, select_alpha, stabilizer_dim
 from .systems import (
     System,
     add_scalar,
@@ -150,7 +150,7 @@ def katz_reduce(p: System) -> ReductionTrace:
                 best = hat_kernel_dim_formula(nf, select_alpha(part))
                 for b in nf.blocks:
                     outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
-                    base = hat_kernel_dim_formula(nf, (gr(0), *b.tail)) - len(kernel_basis(b.gamma))
+                    base = _tail_dim(nf, b.tail)
                     if base + outside // 2 > best:
                         raise IrrationalSpectrum(
                             f"reduction step {len(steps) + 1}, "

@@ -3,10 +3,11 @@
 import pytest
 
 from midconv.errors import DimensionMismatch, InconsistentRank, IrrationalSpectrum, NoNormalForm
-from midconv.exactalg import Matrix, char_eigenvalues, gr
+from midconv.exactalg import Matrix, char_eigenvalues, gr, invert
 from midconv.normalform import (
     NormalForm,
     SpectralBlock,
+    _candidate_scores,
     compute_normal_form,
     hat_kernel_dim,
     hat_kernel_dim_formula,
@@ -186,6 +187,76 @@ class TestHatKernelDim:
             direct = [hat_kernel_dim(part, coeffs) for coeffs in candidates]
             assert direct == [hat_kernel_dim_formula(nf, coeffs) for coeffs in candidates]
             assert hat_kernel_dim(part, select_alpha(part)) == max(direct)
+
+    def test_formula_pads_a_short_alpha_and_rejects_a_long_one(self):
+        # k = 2, spectra 1 (residue diag(1, 2)) and 0 (residue [1])
+        part = PrincipalPart(gr(0), (Matrix.diagonal([1, 2, 1]), Matrix.diagonal([1, 1, 0])))
+        nf = compute_normal_form(part)
+        for alpha in ([], [gr(0)], [gr(1)], [gr(2)], [gr(1), gr(0), gr(0)], [gr(1), gr(1), gr(0)]):
+            assert hat_kernel_dim_formula(nf, alpha) == hat_kernel_dim(part, alpha)
+        assert hat_kernel_dim_formula(nf, (gr(1),)) == 2  # (1, 0): the spectrum 0, residue [1]
+        for alpha in ([gr(1), gr(1), gr(1)], [gr(0), gr(0), gr(0), gr(2)]):
+            with pytest.raises(DimensionMismatch):
+                hat_kernel_dim_formula(nf, alpha)
+            with pytest.raises(DimensionMismatch):
+                hat_kernel_dim(part, alpha)
+
+
+C3 = Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+C4 = Matrix.block_diagonal([C3, Matrix.from_rows([[1]])]) * Matrix.from_rows(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 1]]
+)
+
+
+def conjugated(m):
+    c = C3 if m.rows == 3 else C4
+    return c * m * invert(c)
+
+
+# (name, residue): each conjugated, so no eigenspace is a coordinate block
+SCORED_RESIDUES = (
+    ("semisimple double root", Matrix.diagonal([2, 2, 5])),
+    ("2x2 Jordan block", Matrix.from_rows([[3, 1, 0], [0, 3, 0], [0, 0, -1]])),
+    ("triple root with partition (2, 1)", Matrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])),
+    ("0 off the spectrum", Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, gr(0, 1)]])),
+)
+
+
+class TestCandidateScores:
+    """select_alpha scores each candidate from the root multiplicities of
+    its block's residue; the scores must be the direct kernel dimensions."""
+
+    def parts(self, residue):
+        n = residue.rows
+        yield PrincipalPart(gr(0), (conjugated(residue),))
+        # the same residue on the spectrum 7 of an order-2 part, beside a rank-1 spectrum -1
+        leading = Matrix.diagonal([7] * n + [-1])
+        full = Matrix.block_diagonal([residue, Matrix.from_rows([[2]])])
+        c = Matrix.block_diagonal([C3 if n == 3 else C4, Matrix.from_rows([[1]])])
+        yield PrincipalPart(gr(1), (c * full * invert(c), leading))
+
+    @pytest.mark.parametrize("name, residue", SCORED_RESIDUES)
+    def test_scores_are_kernel_dimensions(self, name, residue):
+        roots = {ev for ev, _ in char_eigenvalues(residue)}
+        for part in self.parts(residue):
+            nf = compute_normal_form(part)
+            scores = _candidate_scores(nf)
+            own = {cand[0] for cand in scores if cand[1:] == nf.blocks[-1].tail}
+            assert own == roots | {gr(0)}
+            for cand, score in scores.items():
+                assert score == hat_kernel_dim(part, cand) == hat_kernel_dim_formula(nf, cand)
+            assert hat_kernel_dim(part, select_alpha(part)) == max(scores.values())
+
+    def test_geometric_not_algebraic_multiplicity(self):
+        # the Jordan block at 3 and the (2, 1) triple root at 1 are scored
+        # by their eigenspaces, one dimension short of their multiplicity
+        for (_, residue), root, dim in zip(SCORED_RESIDUES[1:3], (3, 1), (1, 2)):
+            part = PrincipalPart(gr(0), (conjugated(residue),))
+            assert _candidate_scores(compute_normal_form(part))[(gr(root),)] == dim
+        part = PrincipalPart(gr(0), (conjugated(SCORED_RESIDUES[0][1]),))
+        assert _candidate_scores(compute_normal_form(part))[(gr(2),)] == 2
+        part = PrincipalPart(gr(0), (conjugated(SCORED_RESIDUES[3][1]),))
+        assert _candidate_scores(compute_normal_form(part))[(gr(0),)] == 0
 
 
 class TestSelectAlpha:
