@@ -280,11 +280,12 @@ def hat_kernel_dim_formula(nf: NormalForm, alpha_coeffs: Sequence[GaussianRation
     k = nf.k
     if len(trim(alpha_coeffs)) > k:
         raise DimensionMismatch("scalar part exceeds the truncation order")
-    alpha_1, *tail = (*alpha_coeffs, *[gr(0)] * k)[:k]
-    total = _tail_dim(nf, tuple(tail))
+    padded = (*alpha_coeffs, *[gr(0)] * k)[:k]
+    alpha_1, tail = padded[0], padded[1:]
+    total = _tail_dim(nf, tail)
     # level 1: genuine eigenspace of the residue inside the matching block
     for b in nf.blocks:
-        if b.tail == tuple(tail):
+        if b.tail == tail:
             shifted = b.gamma.shift(-alpha_1)
             total += shifted.cols - rank(shifted)
     return total
