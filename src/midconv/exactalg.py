@@ -180,7 +180,8 @@ class GaussianRational:
         return self.p == 0 and self.q == 0
 
     def sort_key(self):
-        return (Fraction(self.p, self.r), Fraction(self.q, self.r))
+        # ints compare with Fractions, so an integer key orders the same way
+        return (self.p, self.q) if self.r == 1 else (Fraction(self.p, self.r), Fraction(self.q, self.r))
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -193,7 +194,7 @@ class GaussianRational:
 
     def __hash__(self):
         # a real value equals the int or Fraction with the same value, so it hashes like one
-        return hash(self.re) if self.q == 0 else hash((self.p, self.q, self.r))
+        return hash((self.p, self.q, self.r)) if self.q else hash(self.p if self.r == 1 else self.re)
 
     def __repr__(self):
         if self.q == 0:

@@ -23,12 +23,11 @@ from .errors import (
 from .exactalg import (
     GaussianRational,
     Matrix,
-    generalized_eigendecomposition,
     gr,
     nilpotent_powers,
     quotient_projection,
 )
-from .datum import _psi, kappa, psi, resolvent_principal_parts
+from .datum import Block, Datum, _psi, kappa, psi
 from .systems import (
     PrincipalPart,
     System,
@@ -147,15 +146,13 @@ class OkuboTriple:
 
 
 def okubo_to_pair(o: OkuboTriple) -> System:
-    """Factor R = P Q through V = W/Ker R and expand Q (zI - T)^{-1} P."""
+    """Factor R = P Q through V = W/Ker R; Q (zI - T)^{-1} P is psi of the
+    datum on W with S = T and one block V at 0, with N = 0, whose maps are
+    the injection P: V -> W and the projection Q: W -> V."""
     pi, pivots = quotient_projection(o.r_matrix)
     v = pi.rows
-    if v == 0:
-        return zero_pair()
-    q = pi  # projection W -> V
-    p = o.r_matrix.select_columns(pivots)  # injection V -> W with P Q = R
-    parts = resolvent_principal_parts(generalized_eigendecomposition(o.t_matrix), q, p)
-    return System(v, Matrix.zeros(v, v), parts)
+    block = Block(0, Matrix.zeros(v, v), o.r_matrix.select_columns(pivots), pi)
+    return psi(Datum(o.t_matrix.rows, (block,), o.t_matrix))
 
 
 def hd_double(p: System):

@@ -201,15 +201,6 @@ def stabilizer_dim_linear(part: PrincipalPart) -> int:
     return m.cols - rank(m)
 
 
-def _tail_groups(nf: NormalForm, i: int) -> dict:
-    """Group spectra by the coefficients (lambda_i, ..., lambda_k)."""
-    groups: dict[tuple, int] = {}
-    for b in nf.blocks:
-        key = tuple(x.sort_key() for x in b.tail[i - 2 :])
-        groups[key] = groups.get(key, 0) + b.dim
-    return groups
-
-
 def jordan_data(m: Matrix) -> tuple:
     """Sorted ((eigenvalue, jordan partition), ...); the conjugacy class."""
     return tuple(
@@ -229,10 +220,9 @@ def stabilizer_dim_formula(nf: NormalForm) -> int:
     for b in nf.blocks:
         for _, partition in jordan_data(b.gamma):
             total += sum(c * c for c in _conjugate_partition(partition))
-    for i in range(2, nf.k + 1):
-        for _, dim in _tail_groups(nf, i).items():
-            total += dim * dim
-    return total
+    # level i adds the squared dimension of each group of spectra sharing
+    # (lambda_i, ..., lambda_k), that is Sum_b dim b * (dim of b's group)
+    return total + sum(b.dim * _tail_dim(nf, b.tail) for b in nf.blocks)
 
 
 def stabilizer_dim(part: PrincipalPart) -> int:

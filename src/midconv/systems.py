@@ -16,9 +16,7 @@ product coefficient) builds ``truncated_inverse``, ``gauge_compose`` and
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +38,7 @@ from .exactalg import (
     rank,
     spin,
 )
+from .modp import _meataxe_mod, _reduce_mod, _word_span_mod
 
 __all__ = [
     "PrincipalPart",
@@ -300,194 +299,21 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
 # Primes p = 1 (mod 4), each with its square root of -1 mod p: the images
 # of i under the maps Z[i] -> F_p that certify irreducibility mod p
 _CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
-# Random algebra elements _meataxe_mod draws before it gives up
-_DRAWS = 8
 # The dimension from which _full_mod runs the MeatAxe instead of the word span
 _MEATAXE_DIM = 5
 
 
-def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
-    """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
-    vec are reduced mod p only when read as a multiplier and at the end."""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        f = v[c] % p
-        if f:
-            v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
-    v = [x % p for x in v]
-    for lead, x in enumerate(v):
-        if x:
-            break
-    else:
-        return False
-    inv = pow(x, -1, p)
-    rows.append([y * inv % p for y in v])
-    pivots.append(lead)
-    return True
-
-
-def _matmul_mod(a: list[int], b: list[int], n: int, p: int) -> list[int]:
-    """The product of two n x n matrices over F_p, as flat row-major lists."""
-    cols = [b[j::n] for j in range(n)]
-    return [sum(map(int.__mul__, a[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols]
-
-
-def _rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod the monic f over F_p (ascending coefficients), without zero top
-    coefficients."""
-    a = list(a)
-    d = len(f) - 1
-    for k in range(len(a) - 1, d - 1, -1):
-        c = a.pop() % p
-        if c:
-            for j in range(d):
-                a[k - d + j] -= c * f[j]
-    a = [x % p for x in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _gcd_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """The monic gcd over F_p of a and the monic f."""
-    a = _rem_mod(a, f, p)
-    while a:
-        inv = pow(a[-1], -1, p)
-        monic = [x * inv % p for x in a]
-        a, f = _rem_mod(f, monic, p), monic
-    return f
-
-
-def _root_mod(f: list[int], p: int, rng: random.Random) -> Optional[int]:
-    """A root in F_p of the monic f over F_p, or None if it has none.
-
-    Equal-degree splitting of f itself, until a linear factor is left: for
-    a random d with f(-d) != 0, h = (x + d)^((p-1)/2) mod f is 1 or -1 at
-    each root r in F_p, by whether r + d is a square, and neither at a root
-    outside F_p, whose r + d has no (p-1)-th power 1.  So gcd(h - 1, f) and
-    gcd(h + 1, f) split the roots in F_p between them and share none outside
-    it (one squaring chain does the work of gcd(x^p - x, f) and of the first
-    split); the smaller nontrivial one is split again.
-    """
-    while len(f) > 2:
-        d = rng.randrange(p)
-        if not _rem_mod(f, [d, 1], p):
-            return -d % p
-        m = len(f) - 1
-        # x^m, .., x^(2m-2) mod f, read by columns to reduce a square
-        powers = [[-c % p for c in f[:-1]]]
-        for _ in range(m - 2):
-            t = powers[-1]
-            powers.append([(a - t[-1] * c) % p for a, c in zip([0] + t[:-1], f)])
-        cols = list(zip(*powers))
-        h = [1] + [0] * (m - 1)
-        for bit in bin((p - 1) // 2)[2:]:
-            sq = [0] * (2 * m - 1)
-            for i, x in enumerate(h):
-                if x:
-                    for k, y in enumerate(h, i):
-                        sq[k] += x * y
-            top = sq[m:]
-            h = [(a + sum(map(int.__mul__, c, top))) % p for a, c in zip(sq, cols)]
-            if bit == "1":
-                t = h[-1]
-                h = [(x + d * y + t * c) % p for x, y, c in zip([0] + h[:-1], h, powers[0])]
-        factors = [g for g in (_gcd_mod([h[0] + c] + h[1:], f, p) for c in (-1, 1)) if len(g) > 1]
-        if not factors:
-            return None
-        f = min(factors, key=len)
-    return -f[0] % p
-
-
-def _left_kernel_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """A basis of {w : w m = 0} over F_p, for the matrix m with these rows,
-    in echelon form: each row is inserted beside its unit vector, and a row
-    whose m part reduces to zero leaves its combination."""
-    k, n = len(rows), len(rows[0])
-    ech: list = []
-    pivots: list[int] = []
-    for i, r in enumerate(rows):
-        _echelon_insert_mod(ech, pivots, r + [int(j == i) for j in range(k)], p)
-    return [e[n:] for e, c in zip(ech, pivots) if c >= n]
-
-
-def _meataxe_mod(n: int, red: list[list[int]], p: int) -> bool:
-    """Whether Norton's test with a degree-1 factor (the MeatAxe of Holt and
-    Rees) certifies that the nonzero flat matrices red generate M_n(F_p).
-
-    A random element theta of their algebra A, drawn from a generator
-    seeded by p, is tried until some lam in F_p has Ker(theta - lam) of
-    dimension one; lam is a root in F_p of the minimal polynomial of a
-    random vector under theta.  Then V = F_p^n is irreducible if v in that
-    kernel spins to V under red and w in Ker(theta - lam)^T spins to V
-    under the transposes.  A proper submodule W would miss v, so theta - lam would be
-    invertible on W and singular on V/W, and the annihilator of W would
-    contain w.  End_A(V) is then a field commuting with theta, so it acts on
-    the one-dimensional kernel, and is F_p: V is absolutely irreducible and,
-    by Burnside's theorem, A = M_n(F_p).  A short spin, or no such lam in
-    ``_DRAWS`` draws, gives False.
-    """
-    rows = [[g[i : i + n] for i in range(0, n * n, n)] for g in red]
-    cols = [[g[j::n] for j in range(n)] for g in red]
-
-    def act(g: list[list[int]], v: list[int]) -> list[int]:
-        return [sum(map(int.__mul__, r, v)) % p for r in g]
-
-    insert = partial(_echelon_insert_mod, p=p)
-    rng = random.Random(p)
-    words = list(red)
-    for _ in range(_DRAWS):
-        words.append(_matmul_mod(rng.choice(words), rng.choice(words), n, p))
-        coeffs = [rng.randrange(p) for _ in words]
-        theta = [sum(map(int.__mul__, coeffs, entry)) % p for entry in zip(*words)]
-        by_rows = [theta[i : i + n] for i in range(0, n * n, n)]
-        krylov = [[1] + [rng.randrange(p) for _ in range(n - 1)]]
-        while len(krylov) <= n:
-            krylov.append(act(by_rows, krylov[-1]))
-        # the first dependency among u, theta u, .. is the minimal polynomial
-        # of u under theta, whose roots are eigenvalues of theta
-        poly = _left_kernel_mod(krylov, p)[0]
-        while not poly[-1]:
-            poly.pop()
-        lam = _root_mod([x * pow(poly[-1], -1, p) % p for x in poly], p, rng)
-        if lam is None:
-            continue
-        shifted = [x - lam if k % (n + 1) == 0 else x for k, x in enumerate(theta)]
-        right = _left_kernel_mod([shifted[j::n] for j in range(n)], p)
-        if len(right) != 1:
-            continue
-        if len(spin(right, rows, act, insert, n)[0]) < n:
-            return False
-        left = _left_kernel_mod([shifted[i : i + n] for i in range(0, n * n, n)], p)
-        return len(spin(left, cols, act, insert, n)[0]) == n
-    return False
-
-
 def _full_mod(n: int, gens: list[Matrix], p: int, s: int) -> Optional[bool]:
     """Whether the algebra of gens mod p, with i -> s, is certified to be all
-    of M_n(F_p); None if p divides a denominator.
-
-    From dimension ``_MEATAXE_DIM`` on, ``_meataxe_mod`` decides by Norton's
-    criterion with a degree-1 factor: an element of the algebra with a
-    one-dimensional eigenspace, whose vectors spin to all of F_p^n under the
-    generators and under their transposes, makes F_p^n absolutely
-    irreducible, since End_A(F_p^n) is then a field acting on that line.
-    Below it, and when no generator is left nonzero mod p, ``spin`` spins
-    the identity under the generators, multiplying each new word by every
-    generator on the right, and the span decides: there its n^2 words cost
-    less than the MeatAxe's root finding, which squares about log2(p) times.
-    """
-    if any(x.r % p == 0 for g in gens for x in g.entries()):
+    of M_n(F_p); None if p divides a denominator.  The MeatAxe decides from
+    dimension ``_MEATAXE_DIM`` on; below it, where n^2 words cost less than
+    its root finding, or when every generator vanishes mod p, the word span does."""
+    red = _reduce_mod(gens, p, s)
+    if red is None:
         return None
-    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
-    red = [g for g in red if any(g)]
     if n >= _MEATAXE_DIM and red:
         return _meataxe_mod(n, red, p)
-    one = [int(k % (n + 1) == 0) for k in range(n * n)]
-    words, _ = spin(
-        [one], red, lambda g, w: _matmul_mod(w, g, n, p), partial(_echelon_insert_mod, p=p), n * n
-    )
-    return len(words) == n * n
+    return _word_span_mod(n, red, p)
 
 
 def is_irreducible(sys: System) -> bool:
@@ -495,19 +321,14 @@ def is_irreducible(sys: System) -> bool:
     coefficients is the full endomorphism algebra.
 
     Certified first mod each prime in ``_CERT_PRIMES`` that divides no
-    denominator, by ``_full_mod``: from dimension ``_MEATAXE_DIM`` on by the
-    MeatAxe, where a one-dimensional eigenspace of some element of the
-    algebra, with full spins of a vector in it and of one in its transpose,
-    makes the module absolutely irreducible mod p (Norton's criterion; a
-    degree-1 factor leaves End of the module no room beyond F_p), so by
-    Burnside the algebra mod p is all of M_n(F_p); below it by the word
-    span mod p.  Reduction mod p is a ring map and rank can only drop under
-    it, so the word span over Q(i) is full as well.  Otherwise the exact
-    word-span closure decides, so False is always exact: ``spin`` spins the
-    identity under the nonzero generators, multiplying each new word by
-    every generator on the right, until the span stops growing or is all of
-    End(V).  The span's dimension over Q(i) equals its dimension over C, so
-    the verdict transfers.
+    denominator, by ``_full_mod``: by the MeatAxe (Norton's criterion, see
+    ``modp._meataxe_mod``) or by the word span mod p.  Reduction mod p is a
+    ring map and rank can only drop under it, so the word span over Q(i) is
+    full as well.  Otherwise the exact word-span closure decides, so False
+    is always exact: ``spin`` spins the identity under the nonzero
+    generators, multiplying each new word by every generator on the right,
+    until the span stops growing or is all of End(V).  The span's dimension
+    over Q(i) equals its dimension over C, so the verdict transfers.
     """
     n = sys.dimension
     if n < 1:

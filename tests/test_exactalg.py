@@ -1,5 +1,6 @@
 """Exact scalar/matrix primitives: worked examples and algebraic properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from midconv.exactalg import (
     spin,
     sylvester_operator,
 )
-from midconv.systems import _echelon_insert_mod
+from midconv.modp import _echelon_insert_mod
 
 from conftest import gaussian_matrix
 
@@ -58,12 +59,19 @@ class TestScalars:
         with pytest.raises(ZeroDivisionError):
             gr(1) / gr(0)
 
-    @pytest.mark.parametrize("value", [2, -7, 0, Fraction(1, 2), Fraction(-5, 3)])
+    @pytest.mark.parametrize("value", [2, -7, 0, Fraction(1, 2), Fraction(-5, 3), 2**61 - 1, -(10**30)])
     def test_real_values_hash_like_the_numbers_they_equal(self, value):
         assert gr(value) == value
         assert hash(gr(value)) == hash(value)
         assert value in {gr(value)} and gr(value) in {value}
         assert gr(value, 1) not in {value}
+
+    def test_sort_key_orders_by_real_then_imaginary_part(self):
+        rng = random.Random(7)
+        part = lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        values = [gr(part(), part()) for _ in range(300)]
+        assert {v.r == 1 for v in values} == {True, False}
+        assert sorted(values, key=lambda v: v.sort_key()) == sorted(values, key=lambda v: (v.re, v.im))
 
     @given(scalars, scalars, scalars)
     @settings(max_examples=80, deadline=None)
