@@ -51,7 +51,7 @@ __all__ = [
     "datum_isomorphism",
     "harnad_irreducible",
     "psi",
-    "resolvent_principal_parts",
+    "swap",
 ]
 
 
@@ -155,11 +155,13 @@ class Datum:
 
 
 def phi(d: Datum) -> System:
-    """The realized system: S plus Sum_k Q_t N_t^{k-1} P_t (z-t)^{-k} per block."""
+    """The realized system: S plus Sum_k Q_t N_t^{k-1} P_t (z-t)^{-k} per
+    block, trimmed; only an unstable block can lose coefficients."""
     parts = []
     for b in d.blocks:
-        coeffs = tuple(b.q * power * b.p for power in nilpotent_powers(b.nilpotent))
-        parts.append(PrincipalPart(b.point, coeffs))
+        coeffs = trim(b.q * power * b.p for power in nilpotent_powers(b.nilpotent))
+        if coeffs:
+            parts.append(PrincipalPart(b.point, coeffs))
     return System(d.dim_v, d.s_matrix, tuple(parts))
 
 
@@ -340,45 +342,28 @@ def datum_isomorphism(d1: Datum, d2: Datum):
 # ---------------------------------------------------------------------------
 
 
-def resolvent_principal_parts(eig, left: Matrix, right: Matrix) -> tuple[PrincipalPart, ...]:
-    """Principal parts of left (z I - M)^{-1} right over the eigenvalues of
-    M, in the ambient coordinates of left/right, where eig is
-    generalized_eigendecomposition(M).
-    """
-    basis = Matrix.hstack([b for _, b, _ in eig])
-    left_c = left * basis
-    right_c = solve(basis, right)
-    parts = []
-    offset = 0
-    out_dim = left.rows
-    for ev, b, nil in eig:
-        m = b.cols
-        lblk = left_c.submatrix(0, out_dim, offset, offset + m)
-        rblk = right_c.submatrix(offset, offset + m, 0, right.cols)
-        coeffs = trim(lblk * power * rblk for power in nilpotent_powers(nil))
-        if coeffs:
-            parts.append(PrincipalPart(ev, coeffs))
-        offset += m
-    return tuple(parts)
+def swap(d: Datum, s_blocking) -> Datum:
+    """The dual sextuple (W, V, T, S, P, Q) blocked by the generalized
+    eigenspaces of S, s_blocking = generalized_eigendecomposition(S): with
+    B the hstack of the eigenbases, the block at s is (nil_s, P B_s, rows
+    of B^{-1} Q at s), so phi(swap(d, ...)) = T + P (zeta I - S)^{-1} Q."""
+    basis = Matrix.hstack([b for _, b, _ in s_blocking])
+    q_c = d.p_matrix() * basis
+    p_c = solve(basis, d.q_matrix())
+    blocks = []
+    offset, w = 0, d.dim_w
+    for ev, b, nil in s_blocking:
+        end = offset + b.cols
+        blocks.append(Block(ev, nil, q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)))
+        offset = end
+    return Datum(w, tuple(blocks), d.t_matrix())
 
 
 def psi(d: Datum) -> System:
-    """The dual system on W: T + P (zeta I - S)^{-1} Q.
-
-    S is blocked by its generalized eigenspaces (computed on demand); the
-    coefficients P_s M_s^{j-1} Q_s are mapped back to the coordinates of
-    W fixed by the block order.
-    """
+    """The dual system on W, T + P (zeta I - S)^{-1} Q = phi(swap(d, d.s_blocking))."""
     if d.dim_w == 0:
         return System(0, Matrix.zeros(0, 0), ())
-    return _psi(d, d.s_blocking)
-
-
-def _psi(d: Datum, s_blocking) -> System:
-    """psi(d) with S blocked by s_blocking, which must equal
-    generalized_eigendecomposition(S)."""
-    parts = resolvent_principal_parts(s_blocking, d.p_matrix(), d.q_matrix())
-    return System(d.dim_w, d.t_matrix(), parts)
+    return phi(swap(d, d.s_blocking))
 
 
 def harnad_irreducible(d: Datum) -> bool:

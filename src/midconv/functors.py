@@ -27,7 +27,7 @@ from .exactalg import (
     nilpotent_powers,
     quotient_projection,
 )
-from .datum import Block, Datum, _psi, kappa, psi
+from .datum import Block, Datum, kappa, phi, psi, swap
 from .systems import (
     PrincipalPart,
     System,
@@ -80,7 +80,7 @@ def mc(p: System, alpha: System) -> System:
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
     # the second hd dualizes a datum whose S is h's T, so T's blocking is handed on
-    return _psi(kappa(add_scalar(psi(h), alpha)), h.t_blocking())
+    return phi(swap(kappa(add_scalar(psi(h), alpha)), h.t_blocking()))
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:

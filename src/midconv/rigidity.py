@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational, char_poly, qi_roots
 from .functors import mc
-from .normalform import _tail_dim, compute_normal_form, hat_kernel_dim_formula, select_alpha, stabilizer_dim
+from .normalform import _candidate_scores, _tail_dim, compute_normal_form, select_alpha, stabilizer_dim
 from .systems import (
     System,
     add_scalar,
@@ -147,7 +147,7 @@ def katz_reduce(p: System) -> ReductionTrace:
             # conjugates share its multiplicity, at most half of what qi_roots leaves
             for part in current.parts:
                 nf = compute_normal_form(part)
-                best = hat_kernel_dim_formula(nf, select_alpha(part))
+                best = max(_candidate_scores(nf).values())
                 for b in nf.blocks:
                     outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
                     base = _tail_dim(nf, b.tail)

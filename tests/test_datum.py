@@ -15,8 +15,9 @@ from midconv.datum import (
     moment_mu,
     phi,
     psi,
+    swap,
 )
-from midconv.errors import DimensionMismatch, EmptyV, NotNilpotent, NotStable
+from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent, NotStable
 from midconv.exactalg import (
     Matrix,
     gr,
@@ -76,6 +77,14 @@ class TestPhi:
         s = phi(Datum(1, (RANK1_BLOCK,)))
         coeffs = s.part_at(gr(0)).coefficients
         assert [c.scalar() for c in coeffs] == [gr(3), gr(2)]
+
+    def test_unstable_blocks_are_trimmed(self):
+        # Q N P = 0 on Ker Q meeting Ker N: one coefficient, not two
+        trimmed = Block(gr(0), J2, Matrix.from_rows([[1, 0]]), Matrix.column([1, 0]))
+        assert phi(Datum(1, (trimmed,))).part_at(gr(0)).coefficients == (Matrix.from_rows([[1]]),)
+        # Q = 0: the part is dropped
+        empty = Block(gr(0), Matrix.zeros(1, 1), Matrix.zeros(2, 1), Matrix.from_rows([[1, 0]]))
+        assert phi(Datum(2, (empty,))) == System(2, Z2, ())
 
     def test_fuchsian_factorization_recovers_residues(self):
         sys = fuchsian({0: E11, 1: E21})
@@ -384,6 +393,24 @@ class TestHarnad:
         b = Block(gr(0), Matrix.zeros(1, 1), Matrix.zeros(2, 1), Matrix.from_rows([[1, 0]]))
         assert not harnad_irreducible(Datum(2, (b,), Z2))
 
+    @pytest.mark.parametrize("constant", ["zero", "diagonal", "random"])
+    def test_swapping_twice_is_a_gauge_on_v(self, rng, constant):
+        # swap(swap(d)) is d in the S-eigenbasis B: S -> B^-1 S B, Q -> B^-1 Q, P -> P B
+        checked = 0
+        for _ in range(60):
+            d = kappa(random_system(rng, constant=constant))
+            try:
+                eig = d.s_blocking
+            except DomainError:
+                continue
+            b = Matrix.hstack([basis for _, basis, _ in eig])
+            binv = invert(b)
+            twice = swap(swap(d, eig), d.t_blocking())
+            assert twice.s_matrix == binv * d.s_matrix * b
+            assert twice.blocks == tuple(Block(x.point, x.nilpotent, binv * x.q, x.p * b) for x in d.blocks)
+            checked += 1
+        assert checked
+
     def test_kappa_of_irreducible_is_irreducible(self):
         sys = fuchsian({0: E12, 1: E21})
         assert harnad_irreducible(kappa(sys))
@@ -393,8 +420,6 @@ class TestHarnad:
         # contributes C(k, j-1) ev^{k-j+1} to the coefficient of z^{-k-1}
         from math import comb
 
-        from midconv.datum import resolvent_principal_parts
-        from midconv.exactalg import generalized_eigendecomposition
         from midconv.normalform import jordan_matrix
 
         spectrum = [gr(0), gr(1), gr(-2), gr(0, 1), gr(1, -1)]
@@ -405,7 +430,7 @@ class TestHarnad:
             m = p * jordan_matrix(jordan) * invert(p)
             q = rng.randint(1, 3)
             left, right = random_matrix(rng, q, n), random_matrix(rng, n, q)
-            parts = resolvent_principal_parts(generalized_eigendecomposition(m), left, right)
+            parts = psi(Datum(n, (Block(0, Matrix.zeros(q, q), right, left),), m)).parts
             moment = right
             for k in range(n + 2):
                 total = Matrix.zeros(q, q)

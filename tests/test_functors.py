@@ -53,6 +53,8 @@ class TestHd:
         assert hd(System(2, Matrix.diagonal([1, 2]), ())) == zero_pair()
         assert hd(System(1, Matrix.from_rows([[4]]), ())) == zero_pair()
         assert hd(zero_pair()) == zero_pair()
+        # eigenvalues +-sqrt(2): W = 0, so psi never asks for the spectrum of S
+        assert hd(System(2, Matrix.from_rows([[0, 1], [2, 0]]), ())) == zero_pair()
 
     def test_irrational_constant_spectrum_rejected(self):
         from midconv.errors import IrrationalSpectrum
@@ -327,8 +329,8 @@ class TestOkubo:
     def test_projection_intertwines(self, rng):
         # Q: W -> V is a morphism from (W, (zI-T)^{-1} R) to the produced
         # pair: coefficientwise A_{t,k} Q = Q B_{t,k}
-        from midconv.datum import resolvent_principal_parts
-        from midconv.exactalg import generalized_eigendecomposition, quotient_projection
+        from midconv.datum import Block, Datum
+        from midconv.exactalg import quotient_projection
 
         for _ in range(6):
             t_mat = Matrix.diagonal([rng.choice([0, 1]), rng.choice([0, 1]), 2])
@@ -338,8 +340,7 @@ class TestOkubo:
             if pair.dimension == 0:
                 continue
             pi, _ = quotient_projection(r_mat)
-            eig = generalized_eigendecomposition(t_mat)
-            full = resolvent_principal_parts(eig, Matrix.identity(3), r_mat)
+            full = psi(Datum(3, (Block(0, Matrix.zeros(3, 3), r_mat, Matrix.identity(3)),), t_mat)).parts
             for part in full:
                 out_part = pair.part_at(part.point)
                 for j, b in enumerate(part.coefficients):
