@@ -25,7 +25,6 @@ from .exactalg import (
     Matrix,
     gr,
     kernel_basis,
-    nilpotent_powers,
     rank,
 )
 from .functors import hd_double
@@ -189,7 +188,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
     def equivariance_invariance():
         d = canonical(sys.parts, n)
         for b in d.blocks:
-            k = len(nilpotent_powers(b.nilpotent))
+            k = len(b.powers)
             g = random_gauge(rng, b.point, n, k)
             gd = gk_action(g, d)
             _require(moment_mu(gd) == moment_mu(d), "moment value moved under the gauge action")

@@ -71,7 +71,12 @@ class Block:
             raise DimensionMismatch("nilpotent part must be square")
         if self.q.cols != w or self.p.rows != w or self.q.rows != self.p.cols:
             raise DimensionMismatch("block shapes are inconsistent")
-        nilpotent_powers(self.nilpotent)  # raises NotNilpotent
+        self.powers  # raises NotNilpotent
+
+    @cached_property
+    def powers(self) -> tuple[Matrix, ...]:
+        """(I, N_t, N_t^2, ...) up to the last nonzero power of N_t."""
+        return tuple(nilpotent_powers(self.nilpotent))
 
     @property
     def dim_w(self) -> int:
@@ -159,7 +164,7 @@ def phi(d: Datum) -> System:
     block, trimmed; only an unstable block can lose coefficients."""
     parts = []
     for b in d.blocks:
-        coeffs = trim(b.q * power * b.p for power in nilpotent_powers(b.nilpotent))
+        coeffs = trim(b.q * power * b.p for power in b.powers)
         if coeffs:
             parts.append(PrincipalPart(b.point, coeffs))
     return System(d.dim_v, d.s_matrix, tuple(parts))
@@ -240,7 +245,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
         raise PointMismatch(f"no block at point {g.point}")
     if g.dimension != d.dim_v:
         raise DimensionMismatch("gauge dimension differs from dim V")
-    npows = nilpotent_powers(target.nilpotent)
+    npows = target.powers
     new_q = Matrix.zeros(d.dim_v, target.dim_w)
     new_p = Matrix.zeros(target.dim_w, d.dim_v)
     for gk, npow in zip(g.coefficients, npows):
@@ -301,7 +306,7 @@ def _block_iso(b1: Block, b2: Block):
     if b2.dim_w != w:
         return None
     k1, k2 = (
-        Matrix.hstack([power * b.p for power in nilpotent_powers(b.nilpotent)]) for b in (b1, b2)
+        Matrix.hstack([power * b.p for power in b.powers]) for b in (b1, b2)
     )
     if k1.cols != k2.cols:
         return None

@@ -1,12 +1,13 @@
 """Exact linear algebra over the Gaussian rationals Q(i).
 
-Scalars are pairs of ``fractions.Fraction`` values; matrices are dense and
+Scalars are reduced integer triples (p + q i)/r; matrices are dense and
 immutable.  Everything downstream (gauge actions, canonical data, duality,
 rigidity) reduces to the primitives here: the reduced row echelon form,
 exact linear solves, eigenvalue extraction inside Q(i), and
 nilpotent/commutant structure.  No floating point is used anywhere.
 
-All elimination is one step, ``echelon_insert``.  Kernels, quotients and
+All elimination is one step, ``echelon_insert``, and every row operation
+is one kernel, ``_sub_mul``.  Kernels, quotients and
 solutions are read off the reduced row echelon form, which is unique for
 each matrix, so repeated runs produce byte-identical bases whatever order
 the elimination runs in.
@@ -54,30 +55,35 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
             p, q, r = re, im, 1
+        elif isinstance(re, GaussianRational) or isinstance(im, GaussianRational):
+            # re + im*i, with im*i = (-im.q + im.p i)/im.r
+            im = _coerce(im)
+            z = _coerce(re) + GaussianRational._make(-im.q, im.p, im.r)
+            p, q, r = z.p, z.q, z.r
         else:
             re = re if type(re) is Fraction else Fraction(re)
             im = im if type(im) is Fraction else Fraction(im)
             r = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
             p = re.numerator * (r // re.denominator)
             q = im.numerator * (r // im.denominator)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_r(self, r)
 
     @staticmethod
     def _make(p: int, q: int, r: int) -> "GaussianRational":
         if r != 1:
             if r < 0:
                 p, q, r = -p, -q, -r
-            g = gcd(p, q, r)
+            g = gcd(r, p, q)  # r first: usually the shortest, so the gcd reaches 1 early
             if g > 1:
                 p //= g
                 q //= g
                 r //= g
         self = object.__new__(GaussianRational)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_r(self, r)
         return self
 
     def __setattr__(self, name, value):
@@ -153,16 +159,16 @@ class GaussianRational:
 
     def __neg__(self):
         out = object.__new__(GaussianRational)
-        object.__setattr__(out, "p", -self.p)
-        object.__setattr__(out, "q", -self.q)
-        object.__setattr__(out, "r", self.r)
+        _set_p(out, -self.p)
+        _set_q(out, -self.q)
+        _set_r(out, self.r)
         return out
 
     def conjugate(self) -> "GaussianRational":
         out = object.__new__(GaussianRational)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "q", -self.q)
-        object.__setattr__(out, "r", self.r)
+        _set_p(out, self.p)
+        _set_q(out, -self.q)
+        _set_r(out, self.r)
         return out
 
     def norm(self) -> Fraction:
@@ -205,9 +211,13 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+# the slot setters, which bypass the __setattr__ that keeps instances immutable
+_set_p, _set_q, _set_r = GaussianRational.p.__set__, GaussianRational.q.__set__, GaussianRational.r.__set__
+
+
 def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor accepting ints, Fractions or GaussianRationals."""
-    if isinstance(re, GaussianRational):
+    """re + im*i, for ints, Fractions or GaussianRationals."""
+    if isinstance(re, GaussianRational) and im == 0:
         return re
     return GaussianRational(re, im)
 
@@ -364,19 +374,32 @@ class Matrix:
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
             n, m, p = self.rows, self.cols, other.cols
+            a_e, b_e, make = self._e, other._e, GaussianRational._make
             ents = [_ZERO] * (n * p)
             for i in range(n):
-                base = i * m
+                # row i accumulates as integer triples (P + Q i)/R, normalized once at the end
+                P, Q, R = [0] * p, [0] * p, [1] * p
                 for k in range(m):
-                    a = self._e[base + k]
-                    if not (a.p or a.q):
+                    a = a_e[i * m + k]
+                    ap, aq, ar = a.p, a.q, a.r
+                    if not (ap or aq):
                         continue
-                    obase = k * p
-                    tbase = i * p
-                    for j in range(p):
-                        b = other._e[obase + j]
-                        if b.p or b.q:
-                            ents[tbase + j] = ents[tbase + j] + a * b
+                    for j, b in enumerate(b_e[k * p : (k + 1) * p]):
+                        bp, bq = b.p, b.q
+                        if bp or bq:
+                            xp, xq, xr = ap * bp - aq * bq, ap * bq + aq * bp, ar * b.r
+                            r = R[j]
+                            if r == xr:
+                                P[j] += xp
+                                Q[j] += xq
+                            else:
+                                P[j] = P[j] * xr + xp * r
+                                Q[j] = Q[j] * xr + xq * r
+                                R[j] = r * xr
+                base = i * p
+                for j in range(p):
+                    if P[j] or Q[j]:
+                        ents[base + j] = make(P[j], Q[j], R[j])
             return Matrix(n, p, ents)
         return self.scale(other)
 
@@ -443,6 +466,26 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _sub_mul(v: list, f: GaussianRational, row, start: int) -> None:
+    """v[start + j] -= f * row[j] for every j: the one row operation.
+
+    Each touched entry is formed as one integer triple and normalized once;
+    zero entries of row are skipped.
+    """
+    fp, fq, fr = f.p, f.q, f.r
+    make = GaussianRational._make
+    for j, b in enumerate(row, start):
+        bp, bq = b.p, b.q
+        if bp or bq:
+            x = v[j]
+            yp, yq, yr = fp * bp - fq * bq, fp * bq + fq * bp, fr * b.r
+            r = x.r
+            if r == yr:
+                v[j] = make(x.p - yp, x.q - yq, r)
+            else:
+                v[j] = make(x.p * yr - yp * r, x.q * yr - yq * r, r * yr)
+
+
 def echelon_insert(rows: list, pivots: list[int], vec) -> bool:
     """Reduce vec against the echelon rows; append it, pivot scaled to 1,
     if it is independent of them.
@@ -455,10 +498,7 @@ def echelon_insert(rows: list, pivots: list[int], vec) -> bool:
     for row, c in zip(rows, pivots):
         f = v[c]
         if f.p or f.q:
-            for j in range(c, len(v)):
-                b = row[j]
-                if b.p or b.q:
-                    v[j] = v[j] - f * b
+            _sub_mul(v, f, row[c:], c)
     for lead, x in enumerate(v):
         if x.p or x.q:
             break
@@ -491,14 +531,12 @@ def _row_reduce(m: Matrix):
     """
     rows, pivots = _echelon_rows(m)
     for k in range(len(rows) - 1, 0, -1):
-        row_k, c = rows[k], pivots[k]
+        c = pivots[k]
+        tail = rows[k][c:]
         for row_i in rows[:k]:
             f = row_i[c]
             if f.p or f.q:
-                for j in range(c, m.cols):
-                    b = row_k[j]
-                    if b.p or b.q:
-                        row_i[j] = row_i[j] - f * b
+                _sub_mul(row_i, f, tail, c)
     order = sorted(range(len(rows)), key=pivots.__getitem__)
     return [pivots[k] for k in order], [rows[k] for k in order]
 
@@ -604,23 +642,18 @@ def char_poly(m: Matrix) -> list[GaussianRational]:
                 continue
             u = u * inv
             # row r -= u * row k, then column k += u * column r
-            hr, hk = h[r], h[k]
-            for c in range(j, n):
-                b = hk[c]
-                if b.p or b.q:
-                    hr[c] = hr[c] - u * b
-            for row in h:
-                b = row[r]
-                if b.p or b.q:
-                    row[k] = row[k] + u * b
+            _sub_mul(h[r], u, h[k][j:], j)
+            col = [row[k] for row in h]
+            _sub_mul(col, -u, [row[r] for row in h], 0)
+            for row, x in zip(h, col):
+                row[k] = x
     polys = [[_ONE]]
     for k in range(n):
         p, t = [_ZERO, *polys[k]], _ONE
         for i in range(k, -1, -1):
             c = t * h[i][k]  # t = h_(i+1,i) ... h_(k,k-1)
             if c.p or c.q:
-                for a, x in enumerate(polys[i]):
-                    p[a] = p[a] - c * x
+                _sub_mul(p, c, polys[i], 0)
             t = t * h[i][i - 1] if i else _ZERO
             if not (t.p or t.q):
                 break
@@ -638,8 +671,7 @@ def _poly_divmod(a, b):
         f = rem.pop() * inv
         quo[shift] = f
         if f.p or f.q:
-            for k in range(len(b) - 1):
-                rem[shift + k] = rem[shift + k] - f * b[k]
+            _sub_mul(rem, f, b[:-1], shift)
     while rem and rem[-1].is_zero():
         rem.pop()
     return quo, rem

@@ -41,6 +41,21 @@ class TestBlock:
         with pytest.raises(NotNilpotent):
             Block(gr(0), SWAP, Matrix.zeros(1, 2), Matrix.zeros(2, 1))
 
+    def test_powers_are_built_once_at_construction(self, monkeypatch):
+        import midconv.datum
+
+        calls = []
+        monkeypatch.setattr(midconv.datum, "nilpotent_powers", lambda m: calls.append(m) or nilpotent_powers(m))
+        block = Block(gr(0), J2, Matrix.from_rows([[2, 3]]), Matrix.column([0, 1]))
+        assert calls == [J2] and block.powers == (Matrix.identity(2), J2)
+        d = Datum(1, (block,))
+        phi(d)
+        assert datum_isomorphism(d, d) is not None
+        assert calls == [J2]
+        # the gauge action reads the powers; only its new block builds them
+        gk_action(TruncatedGauge(gr(0), (Matrix.from_rows([[2]]),)), d)
+        assert calls == [J2, J2]
+
 
 class TestDatum:
     def test_s_defaults_to_zero(self):

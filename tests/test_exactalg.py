@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
+    GaussianRational,
     Matrix,
+    _poly_divmod,
     _row_reduce,
     char_eigenvalues,
     char_poly,
@@ -92,6 +94,17 @@ class TestScalars:
         assert a.r > 0
         assert gcd(a.p, a.q, a.r) == 1
         assert gr(a.re, a.im) == a
+
+    @pytest.mark.parametrize("re", [3, Fraction(-1, 2), gr(1, 2), gr(Fraction(2, 3), Fraction(-1, 5))])
+    @pytest.mark.parametrize("im", [0, -2, Fraction(2, 3), gr(0), gr(Fraction(1, 3), 1)])
+    def test_gr_is_re_plus_im_times_i_for_every_argument_type(self, re, im):
+        def parts(x):
+            return (x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x), Fraction(0))
+
+        (a, b), (c, d) = parts(re), parts(im)
+        expected = gr(a - d, b + c)  # (a + b i) + (c + d i) i
+        assert gr(re, im) == expected
+        assert GaussianRational(re, im) == expected
 
 
 class TestShift:
@@ -214,6 +227,160 @@ class TestRowReduce:
         assert not echelon_insert(rows, pivots, combination)
         assert not echelon_insert(rows, pivots, [gr(0)] * 4)
         assert len(rows) == len(pivots) == 2
+
+
+# entries that take every path of the fused kernels: integers (r = 1), small
+# denominators and 64-bit Gaussian integers, with zero drawn twice as often
+# so that the zero skips run
+kernel_entries = st.one_of(
+    st.just(gr(0)),
+    st.just(gr(0)),
+    st.builds(gr, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(
+        gr,
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    ),
+    st.builds(gr, st.integers(-(2**63), 2**63), st.integers(-(2**63), 2**63)),
+)
+
+
+@st.composite
+def kernel_matrices(draw, r, c):
+    """Sparse r x c matrices with some rows and columns zeroed."""
+    ents = draw(st.lists(kernel_entries, min_size=r * c, max_size=r * c))
+    zero_rows = draw(st.sets(st.integers(0, 7), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=3))
+    return Matrix(r, c, [gr(0) if i in zero_rows or j in zero_cols else ents[i * c + j] for i in range(r) for j in range(c)])
+
+
+@st.composite
+def kernel_systems(draw):
+    """A matrix, of low rank when it is a product through a narrow middle,
+    and a right-hand side with as many rows."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        a = draw(kernel_matrices(r, k)) * draw(kernel_matrices(k, c))
+    else:
+        a = draw(kernel_matrices(r, c))
+    return a, draw(kernel_matrices(r, draw(st.integers(0, 3))))
+
+
+def assert_normalized(entries):
+    """(p + q i)/r with r > 0 and gcd(p, q, r) = 1, so zero is (0, 0, 1)."""
+    from math import gcd
+
+    for x in entries:
+        assert x.r > 0 and gcd(x.p, x.q, x.r) == 1, (x.p, x.q, x.r)
+
+
+def reference_product(a, b):
+    """The triple loop over the scalar operators."""
+    ents = [gr(0)] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                ents[i * b.cols + j] = ents[i * b.cols + j] + a[i, k] * b[k, j]
+    return Matrix(a.rows, b.cols, ents)
+
+
+def reference_rref(m):
+    """Gauss-Jordan by columns over the scalar operators: (pivots, rows)."""
+    rows, pivots = [m.row_list(i) for i in range(m.rows)], []
+    for c in range(m.cols):
+        k = next((i for i in range(len(pivots), m.rows) if not rows[i][c].is_zero()), None)
+        if k is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[k] = rows[k], rows[top]
+        inv = rows[top][c].inverse()
+        rows[top] = [inv * x for x in rows[top]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if i != top and not f.is_zero():
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(c)
+    return pivots, rows[: len(pivots)]
+
+
+def reference_kernel(m):
+    """One vector per free column, scaled so that its leading entry is 1."""
+    pivots, rows = reference_rref(m)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [gr(0)] * m.cols
+        vec[free] = gr(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
+        lead = next(x for x in vec if not x.is_zero())
+        basis.append(Matrix.column([x / lead for x in vec]))
+    return basis
+
+
+def reference_solve(a, b):
+    pivots, rows = reference_rref(Matrix.hstack([a, b]))
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    ents = [gr(0)] * (a.cols * b.cols)
+    for row, pc in zip(rows, pivots):
+        ents[pc * b.cols : (pc + 1) * b.cols] = row[a.cols :]
+    return Matrix(a.cols, b.cols, ents)
+
+
+class TestFusedKernels:
+    """The fused product and the one row operation against loops over the
+    scalar operators, entry for entry and normalized: __eq__ compares the
+    triples (p, q, r) directly."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_product_equals_the_triple_loop(self, data):
+        n, m, p = (data.draw(st.integers(0, 8)) for _ in range(3))
+        a, b = data.draw(kernel_matrices(n, m)), data.draw(kernel_matrices(m, p))
+        product = a * b
+        assert_normalized(product.entries())
+        assert product == reference_product(a, b)
+
+    @given(kernel_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_elimination_equals_the_reference(self, system):
+        a, b = system
+        pivots, rows = _row_reduce(a)
+        assert (pivots, rows) == reference_rref(a)
+        assert rank(a) == len(pivots)
+        kernel = kernel_basis(a)
+        assert kernel == reference_kernel(a)
+        x = solve(a, b)
+        assert x == reference_solve(a, b)
+        for v in kernel:
+            assert_normalized(v.entries())
+        assert_normalized(e for row in rows for e in row)
+        if x is not None:
+            assert_normalized(x.entries())
+
+    @given(
+        st.lists(kernel_entries, max_size=9),
+        st.lists(kernel_entries, max_size=5),
+        kernel_entries.filter(lambda c: not c.is_zero()),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_poly_divmod_is_division_with_remainder(self, a, b, lead):
+        b = b + [lead]
+        quo, rem = _poly_divmod(a, b)
+        assert len(rem) < len(b) and (not rem or not rem[-1].is_zero())
+        assert_normalized(quo + rem)
+        product = [gr(0)] * (len(quo) + len(b))
+        for i, x in enumerate(quo):
+            for j, y in enumerate(b):
+                product[i + j] = product[i + j] + x * y
+        total = [x + (rem[k] if k < len(rem) else gr(0)) for k, x in enumerate(product)]
+        while total and total[-1].is_zero():
+            total.pop()
+        trimmed = list(a)
+        while trimmed and trimmed[-1].is_zero():
+            trimmed.pop()
+        assert total == trimmed
 
 
 class TestSolve:

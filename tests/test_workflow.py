@@ -36,7 +36,10 @@ def test_console_script_smoke_test_diffs_against_existing_goldens():
     steps = {step.get("name"): step for step in workflow["jobs"]["tests"]["steps"]}
     runs = [line.split() for line in steps[SMOKE_STEP]["run"].splitlines() if line.startswith("midconv ")]
     # each line is "midconv COMMAND INPUT | diff - GOLDEN", GOLDEN named COMMAND__STEM.json
-    required = {"irred", "katz-reduce", "equiv", "mc", "select-alpha", "okubo", "stab-dim", "hd", "phi"}
+    required = {
+        "irred", "katz-reduce", "equiv", "mc", "select-alpha", "okubo", "stab-dim", "hd", "phi",
+        "dr", "normal-form", "katz-step",
+    }
     assert {run[1] for run in runs} >= required
     for run in runs:
         golden = ROOT / run[-1]
