@@ -164,16 +164,6 @@ class GaussianRational:
         _set_r(out, self.r)
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        out = object.__new__(GaussianRational)
-        _set_p(out, self.p)
-        _set_q(out, -self.q)
-        _set_r(out, self.r)
-        return out
-
-    def norm(self) -> Fraction:
-        return Fraction(self.p * self.p + self.q * self.q, self.r * self.r)
-
     def inverse(self) -> "GaussianRational":
         n = self.p * self.p + self.q * self.q
         if n == 0:
@@ -909,9 +899,7 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     x B = B C the conditions read Sum_k C[k, j] G_k u = y G_j u for every
     pair and every j, one small kernel; on a tree edge B_k = x_i B_j both
     sides are G_k, so only the other j give conditions;
-    each solution maps back to f = [G_k u]_k B^-1.  When the y's are zero
-    as well, as for the commutant of a zero nilpotent block, every f
-    intertwines and the matrix units are returned directly.
+    each solution maps back to f = [G_k u]_k B^-1.
 
     The Sylvester-kernel basis depends only on the space: it has one vector
     per free column c, in ascending c, which before scaling is 1 at c, 0 at
@@ -924,8 +912,6 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     if not p or not q:
         return []
     pairs = [(x, y) for x, y in pairs if not (x.is_zero() and y.is_zero())]
-    if not pairs:
-        return [Matrix(p, q, [_ONE if k == j else _ZERO for k in range(p * q)]) for j in range(p * q)]
     units = (Matrix(q, 1, [_ONE if k == s else _ZERO for k in range(q)]) for s in range(q))
     spun, tree = spin(
         units, [x for x, _ in pairs], Matrix.__mul__,

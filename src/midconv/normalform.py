@@ -54,6 +54,7 @@ __all__ = [
     "hat_kernel_dim",
     "hat_kernel_dim_formula",
     "select_alpha",
+    "irrational_alpha_could_win",
     "predicted_spectra",
     "normal_forms_conjugate",
     "jordan_data",
@@ -208,18 +209,13 @@ def jordan_data(m: Matrix) -> tuple:
     )
 
 
-def _conjugate_partition(p: Sequence[int]) -> list[int]:
-    if not p:
-        return []
-    return [sum(1 for x in p if x >= j) for j in range(1, max(p) + 1)]
-
-
 def stabilizer_dim_formula(nf: NormalForm) -> int:
     """Centralizer dimension from the normal form's eigenspace data."""
-    total = 0
-    for b in nf.blocks:
-        for _, partition in jordan_data(b.gamma):
-            total += sum(c * c for c in _conjugate_partition(partition))
+    # level 1: the commutant of each residue, Sum min(a, b) over pairs of
+    # Jordan block sizes a, b of one eigenvalue
+    total = sum(
+        min(a, b) for blk in nf.blocks for _, sizes in jordan_data(blk.gamma) for a in sizes for b in sizes
+    )
     # level i adds the squared dimension of each group of spectra sharing
     # (lambda_i, ..., lambda_k), that is Sum_b dim b * (dim of b's group)
     return total + sum(b.dim * _tail_dim(nf, b.tail) for b in nf.blocks)
@@ -266,23 +262,17 @@ def hat_kernel_dim_formula(nf: NormalForm, alpha_coeffs: Sequence[GaussianRation
     """Sum over levels i of the simultaneous eigenspace dimensions
     dim V(alpha_i, ..., alpha_k) of the normal form coefficients, for the
     scalar coefficients (alpha_1, ..., alpha_k), a shorter vector padded
-    with zeros."""
+    with zeros.  An alpha that is no candidate of select_alpha meets no
+    eigenspace of a residue, so only levels 2..k count."""
     k = nf.k
     if len(trim(alpha_coeffs)) > k:
         raise DimensionMismatch("scalar part exceeds the truncation order")
     padded = (*alpha_coeffs, *[gr(0)] * k)[:k]
-    alpha_1, tail = padded[0], padded[1:]
-    total = _tail_dim(nf, tail)
-    # level 1: genuine eigenspace of the residue inside the matching block
-    for b in nf.blocks:
-        if b.tail == tail:
-            shifted = b.gamma.shift(-alpha_1)
-            total += shifted.cols - rank(shifted)
-    return total
+    return _candidate_scores(nf).get(padded, _tail_dim(nf, padded[1:]))
 
 
 def _candidate_scores(nf: NormalForm) -> dict[tuple, int]:
-    """hat_kernel_dim_formula of every candidate of select_alpha.
+    """dim Ker(A-hat - alpha-hat) of every candidate alpha of select_alpha.
 
     Tails are pairwise distinct, so only the candidate's own block meets
     level 1, where it adds the geometric multiplicity of alpha_1 in the
@@ -298,6 +288,20 @@ def _candidate_scores(nf: NormalForm) -> dict[tuple, int]:
                 m = shifted.cols - rank(shifted)
             scores[(alpha_1, *b.tail)] = levels + m
     return scores
+
+
+def irrational_alpha_could_win(part: PrincipalPart) -> bool:
+    """Whether an alpha_1 outside Q(i) might score above every candidate
+    of select_alpha at this part.  Such an eigenvalue of a residue shares
+    its multiplicity with its conjugates over Q(i), so it has at most half
+    of the dimension that the Q(i) roots leave."""
+    nf = compute_normal_form(part)
+    best = max(_candidate_scores(nf).values())
+    for b in nf.blocks:
+        outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
+        if _tail_dim(nf, b.tail) + outside // 2 > best:
+            return True
+    return False
 
 
 def select_alpha(part: PrincipalPart) -> tuple[GaussianRational, ...]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible, ZeroLambda
-from .exactalg import GaussianRational, char_poly, qi_roots
+from .exactalg import GaussianRational
 from .functors import mc
-from .normalform import _candidate_scores, _tail_dim, compute_normal_form, select_alpha, stabilizer_dim
+from .normalform import irrational_alpha_could_win, select_alpha, stabilizer_dim
 from .systems import (
     System,
     add_scalar,
@@ -100,8 +100,8 @@ def katz_step(p: System, alpha: System) -> System:
     """add_alpha then mc with weight Res_infinity(alpha) / z, then
     add_alpha again; preserves zero residue at infinity when the weight
     is nonzero."""
-    lam = residue_at_infinity(alpha).scalar()
     shifted = add_scalar(p, alpha)
+    lam = residue_at_infinity(alpha).scalar()
     convolved = mc(shifted, lambda_over_z(lam))
     if convolved.dimension == 0:
         if lam.is_zero():
@@ -143,19 +143,12 @@ def katz_reduce(p: System) -> ReductionTrace:
                     index=index,
                     steps=steps,
                 )
-            # select_alpha is optimal over C unless an eigenvalue outside Q(i) beats it;
-            # conjugates share its multiplicity, at most half of what qi_roots leaves
             for part in current.parts:
-                nf = compute_normal_form(part)
-                best = max(_candidate_scores(nf).values())
-                for b in nf.blocks:
-                    outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
-                    base = _tail_dim(nf, b.tail)
-                    if base + outside // 2 > best:
-                        raise IrrationalSpectrum(
-                            f"reduction step {len(steps) + 1}, "
-                            f"a residue at pole {part.point} has eigenvalues outside Q(i)"
-                        )
+                if irrational_alpha_could_win(part):
+                    raise IrrationalSpectrum(
+                        f"reduction step {len(steps) + 1}, "
+                        f"a residue at pole {part.point} has eigenvalues outside Q(i)"
+                    )
             raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(
             ReductionStep(

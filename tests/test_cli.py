@@ -218,6 +218,11 @@ class TestCli:
         assert status == 0
         assert report["result"] == {"rigidity_index": 0, "rigid": True}
 
+    def test_katz_step_rejects_a_parameter_of_rank_two(self, capsys, triple_file):
+        status, report = run_cli(capsys, "katz-step", triple_file, "--alpha", triple_file)
+        assert status == 1
+        assert report["error"] == {"type": "DimensionMismatch", "message": "addition parameter must have rank 1"}
+
     def test_mc_reproduces_entry_formula(self, capsys, tmp_path):
         alpha_file = tmp_path / "in.sys"
         alpha_file.write_text(serialize_document(scalar_system({0: [1, 1]})))

@@ -19,7 +19,7 @@ from midconv.normalform import (
     stabilizer_dim_formula,
     stabilizer_dim_linear,
 )
-from midconv.systems import PrincipalPart
+from midconv.systems import PrincipalPart, trim
 
 from conftest import Z2, normal_formable_parts
 
@@ -187,6 +187,30 @@ class TestHatKernelDim:
             direct = [hat_kernel_dim(part, coeffs) for coeffs in candidates]
             assert direct == [hat_kernel_dim_formula(nf, coeffs) for coeffs in candidates]
             assert hat_kernel_dim(part, select_alpha(part)) == max(direct)
+
+    def test_formula_off_the_candidates_on_corpus(self, rng):
+        # alpha_1 off its block's Q(i) spectrum and 0, and tails that are no
+        # spectrum: one with lambda_2 moved, one (9, 0, ..., 0); each alpha as
+        # the k-vector, trimmed of its trailing zeros and with a zero appended
+        checked = 0
+        for part in normal_formable_parts(rng, 30):
+            nf = compute_normal_form(part)
+            tails = {b.tail for b in nf.blocks}
+            alphas = []
+            for b in nf.blocks:
+                spectrum = {ev for ev, _ in char_eigenvalues(b.gamma)}
+                off = next(x for x in (gr(5), gr(-3), gr(1, 1), gr(0, -2)) if x not in spectrum)
+                alphas.append((off, *b.tail))
+                if nf.k >= 2:
+                    for tail in ((b.tail[0] + 7, *b.tail[1:]), (gr(9), *[gr(0)] * (nf.k - 2))):
+                        if tail not in tails:
+                            alphas += [(a, *tail) for a in {gr(0), *spectrum}]
+            for alpha in alphas:
+                direct = hat_kernel_dim(part, alpha)
+                for form in (alpha, trim(alpha), (*alpha, gr(0))):
+                    assert hat_kernel_dim_formula(nf, form) == direct
+                checked += direct > 0
+        assert checked  # some of them score above 0, so a fallback to 0 cannot pass
 
     def test_formula_pads_a_short_alpha_and_rejects_a_long_one(self):
         # k = 2, spectra 1 (residue diag(1, 2)) and 0 (residue [1])

@@ -2,7 +2,14 @@
 
 import pytest
 
-from midconv.errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible
+from midconv.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    IrrationalSpectrum,
+    NotInD0,
+    NotRigid,
+    Reducible,
+)
 from midconv.exactalg import Matrix, gr
 from midconv.normalform import select_alpha
 from midconv.rigidity import katz_reduce, katz_step, orbit_dim, rigidity_index
@@ -122,6 +129,11 @@ class TestKatzStep:
         res = katz_step(split_triple_111, greedy_alpha(split_triple_111))
         assert res.constant.is_zero()
         assert residue_at_infinity(res).is_zero()
+
+    def test_parameter_of_rank_two_is_rejected_as_such(self, split_triple_111):
+        # the rank check of add_scalar comes before the parameter's residue is read
+        with pytest.raises(DimensionMismatch, match="^addition parameter must have rank 1$"):
+            katz_step(split_triple_111, split_triple_111)
 
     def test_zero_weight_with_exceptional_intermediate(self):
         from midconv.errors import ZeroLambda

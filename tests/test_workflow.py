@@ -1,6 +1,6 @@
 """The CI workflow file parses as YAML, its pinned-digest step checks
-every benchmark workload, and its console-script smoke test diffs against
-golden files that exist.
+every benchmark workload, and its console-script smoke test runs every
+subcommand and diffs against golden files that exist.
 
 A workflow that does not parse shows up on GitHub as a workflow error, never
 as a failed run, so nothing else would catch it.  Skipped where PyYAML is
@@ -11,6 +11,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from midconv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -35,12 +37,9 @@ def test_console_script_smoke_test_diffs_against_existing_goldens():
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     steps = {step.get("name"): step for step in workflow["jobs"]["tests"]["steps"]}
     runs = [line.split() for line in steps[SMOKE_STEP]["run"].splitlines() if line.startswith("midconv ")]
-    # each line is "midconv COMMAND INPUT | diff - GOLDEN", GOLDEN named COMMAND__STEM.json
-    required = {
-        "irred", "katz-reduce", "equiv", "mc", "select-alpha", "okubo", "stab-dim", "hd", "phi",
-        "dr", "normal-form", "katz-step",
-    }
-    assert {run[1] for run in runs} >= required
+    # each line is "midconv COMMAND INPUT | diff - GOLDEN", GOLDEN named COMMAND__STEM.json;
+    # every subcommand is run at least once
+    assert {run[1] for run in runs} >= set(cli.COMMANDS)
     for run in runs:
         golden = ROOT / run[-1]
         assert golden.is_file()
