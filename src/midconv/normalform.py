@@ -9,10 +9,10 @@ off-diagonal blocks order by order with explicit gauge elements, and
 recurses on the diagonal blocks; it applies exactly when every leading
 coefficient met along the way is semisimple with spectrum in Q(i).
 
-The stabilizer dimension is computed two independent ways (an exact
-linear solve in the truncated gauge Lie algebra, and the eigenspace
-bookkeeping formula evaluated on the normal form); both are exposed, and
-stabilizer_dim raises InvariantViolation when both apply and disagree.
+The stabilizer dimension is computed two independent ways: an exact linear
+solve in the truncated gauge Lie algebra, and the eigenspace formula on the
+normal form.  stabilizer_dim answers by the formula where it applies and by
+the solve otherwise; the check command and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -222,17 +222,13 @@ def stabilizer_dim_formula(nf: NormalForm) -> int:
 
 
 def stabilizer_dim(part: PrincipalPart) -> int:
-    """Stabilizer dimension by the linear mode.  The formula mode must agree
-    (InvariantViolation otherwise) where it applies: it needs a normal form
-    (NoNormalForm) and residue spectra in Q(i) (IrrationalSpectrum)."""
-    linear = stabilizer_dim_linear(part)
+    """Stabilizer dimension by the formula mode, and by the linear mode where
+    the part has no normal form (NoNormalForm) or a residue spectrum outside
+    Q(i) (IrrationalSpectrum).  The check command and the tests compare them."""
     try:
-        formula = stabilizer_dim_formula(compute_normal_form(part))
+        return stabilizer_dim_formula(compute_normal_form(part))
     except (NoNormalForm, IrrationalSpectrum):
-        return linear
-    if linear != formula:
-        raise InvariantViolation(f"stabilizer modes disagree: {linear} vs {formula}")
-    return linear
+        return stabilizer_dim_linear(part)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +339,10 @@ def predicted_spectra(
 ) -> NormalForm:
     """Normal form of the convolution output predicted from the input's.
 
-    Nonzero spectra carry over with their residues shifted by
-    -d_lambda * alpha_residue; the zero-spectrum block is rebuilt from the
-    rank identities of the shifted residue pencil, as a Jordan
-    representative of the determined conjugacy class.
+    alpha_residue is the residue at infinity of the convolution parameter,
+    -lambda for lambda/z.  Nonzero spectra carry over, their residues
+    shifted by -d_lambda * alpha_residue; the zero-spectrum block is the
+    Jordan representative fixed by the rank identities of the shifted pencil.
     """
     beta = gr(alpha_residue)
     carried = []

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from midconv.exactalg import Matrix, gr
-from midconv.systems import PrincipalPart, System, TruncatedGauge, gauge_coadjoint, is_irreducible
+from midconv.errors import DomainError
+from midconv.exactalg import Matrix, char_eigenvalues, gr
+from midconv.rigidity import katz_step
+from midconv.systems import (
+    PrincipalPart,
+    System,
+    TruncatedGauge,
+    gauge_coadjoint,
+    is_irreducible,
+    residue_at_infinity,
+    scalar_system,
+)
 from midconv.checks import random_invertible, random_gauge, random_system
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
@@ -204,3 +214,47 @@ def normal_formable_parts(rng, count, max_dim=3, max_order=3):
         g = random_gauge(rng, gr(0), n, k)
         parts.append(gauge_coadjoint(g, model))
     return parts
+
+
+KATZ_SPECTRUM = (-2, -1, 1, 2)
+
+
+def katz_path_system(rng, pole_order, choices, ranks):
+    """A rigid pair reached from rank one by forward Katz steps along exactly
+    the given rank path.
+
+    The rank-one start has poles at -1, 0, 1 with residues summing to zero,
+    and a pole of the given order at 0.  Each choice string has one letter
+    per pole, in sorted order: 'e' shifts that pole by minus an eigenvalue
+    of its residue, so the rank drops there, and 'g' by an integer from
+    KATZ_SPECTRUM.  Draws that miss the path start over.
+    """
+
+    def spectral():
+        return gr(rng.choice(KATZ_SPECTRUM))
+
+    while True:
+        a0, a1 = spectral(), spectral()
+        at_zero = [a0] + [gr(0)] * (pole_order - 1)
+        if pole_order > 1:
+            at_zero[-1] = spectral()
+        p = scalar_system({0: at_zero, 1: [a1], -1: [-(a0 + a1)]})
+        try:
+            for choice, want in zip(choices, ranks):
+                shifts = {}
+                for part, letter in zip(p.parts, choice):
+                    if letter == "e":
+                        eigenvalues = char_eigenvalues(part.coefficients[0])
+                        shifts[part.point] = [-eigenvalues[rng.randrange(len(eigenvalues))][0]]
+                    else:
+                        shifts[part.point] = [spectral()]
+                alpha = scalar_system(shifts)
+                if residue_at_infinity(alpha).scalar().is_zero():
+                    break
+                p = katz_step(p, alpha)
+                if p.dimension != want:
+                    break
+            else:
+                return p
+        except DomainError:
+            continue

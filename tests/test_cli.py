@@ -362,6 +362,26 @@ class TestCli:
             assert checks[name] == {"name": name, "passed": True, "trials": 0, "detail": "skipped: NoNormalForm"}
         assert all(c["passed"] and not c["detail"] for name, c in checks.items() if name not in skipped)
 
+    def test_draw_free_checks_run_once(self, monkeypatch):
+        # the two stabilizer cross-checks draw nothing from the rng, so one
+        # trial each stands for all five
+        import pathlib
+
+        import midconv.checks as checks
+        from midconv.normalform import stabilizer_dim_linear
+
+        calls = []
+
+        def counted(part):
+            calls.append(part)
+            return stabilizer_dim_linear(part)
+
+        monkeypatch.setattr(checks, "stabilizer_dim_linear", counted)
+        text = (pathlib.Path(__file__).parent / "golden" / "inputs" / "three-level.sys").read_text()
+        results = checks.run_checks(parse_document(text), 0, 5)
+        assert len(calls) == 2
+        assert all(r.passed and r.trials == 5 and not r.detail for r in results)
+
     def test_failed_check_is_reported_and_exits_1(self, capsys, monkeypatch, triple_file):
         import midconv.checks as checks
         from midconv.systems import TruncatedGauge

@@ -83,6 +83,12 @@ RUNS = {
     # irreducible although its residue at 0 has no eigenvalue in Q(i), and a
     # conjugated block-upper-triangular triple with an invariant plane
     "irred__sqrt2-triple": (("irred", given("sqrt2-triple.sys")), 0),
+    # no Jordan data over Q(i) at 0: the stabilizer dimension there comes
+    # from the linear mode, and check skips the Katz inequality, which an
+    # alpha outside Q(i) could decide
+    "stab-dim__sqrt2-triple": (("stab-dim", given("sqrt2-triple.sys"), "--point", "0"), 0),
+    "orbit-dim__sqrt2-triple": (("orbit-dim", given("sqrt2-triple.sys")), 0),
+    "check__sqrt2-triple": (("check", given("sqrt2-triple.sys")), 0),
     "irred__reducible-triple": (("irred", given("reducible-triple.sys")), 0),
 }
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from midconv import normalform
 from midconv.errors import DimensionMismatch, InconsistentRank, IrrationalSpectrum, NoNormalForm
 from midconv.exactalg import Matrix, char_eigenvalues, gr, invert
 from midconv.normalform import (
@@ -146,11 +147,26 @@ class TestStabilizerDim:
         with pytest.raises(IrrationalSpectrum):
             stabilizer_dim_formula(nf)
         assert stabilizer_dim(part) == stabilizer_dim_linear(part) == 2
+        # a nilpotent leading coefficient: no normal form at all
+        part = PrincipalPart(gr(0), (Z2, J2))
+        with pytest.raises(NoNormalForm):
+            compute_normal_form(part)
+        assert stabilizer_dim(part) == stabilizer_dim_linear(part) == 4
 
     def test_modes_agree_on_corpus(self, rng):
         for part in normal_formable_parts(rng, 15):
             nf = compute_normal_form(part)
             assert stabilizer_dim_linear(part) == stabilizer_dim_formula(nf)
+
+    def test_formula_answers_without_the_linear_mode(self, rng, monkeypatch):
+        parts = normal_formable_parts(rng, 15)
+        expected = [stabilizer_dim_linear(part) for part in parts]
+
+        def no_linear_solve(part):
+            raise AssertionError("the linear mode ran where a normal form exists")
+
+        monkeypatch.setattr(normalform, "stabilizer_dim_linear", no_linear_solve)
+        assert [stabilizer_dim(part) for part in parts] == expected
 
 
 class TestHatKernelDim:

@@ -1,5 +1,7 @@
 """Orbit dimensions, rigidity indices, and the reduction loop."""
 
+import random
+
 import pytest
 
 from midconv.errors import (
@@ -11,7 +13,12 @@ from midconv.errors import (
     Reducible,
 )
 from midconv.exactalg import Matrix, gr
-from midconv.normalform import select_alpha
+from midconv.normalform import (
+    compute_normal_form,
+    select_alpha,
+    stabilizer_dim_formula,
+    stabilizer_dim_linear,
+)
 from midconv.rigidity import katz_reduce, katz_step, orbit_dim, rigidity_index
 from midconv.systems import (
     PrincipalPart,
@@ -21,7 +28,18 @@ from midconv.systems import (
     scalar_system,
 )
 
-from conftest import E12, E21, Z2, fuchsian
+from conftest import E12, E21, Z2, fuchsian, katz_path_system
+
+# (order of the pole at 0, per-step choices, rank after each step) for
+# katz_path_system: rigid Fuchsian triples of rank 6, 11 and 12, and rigid
+# pairs of rank 6 and 7 with a pole of order 2 or 3 at 0
+KATZ_PATHS = {
+    "fuchsian-6": (1, ("ggg", "egg", "ggg"), (2, 3, 6)),
+    "fuchsian-11": (1, ("ggg", "egg", "ggg", "egg"), (2, 3, 6, 11)),
+    "fuchsian-12": (1, ("ggg", "egg", "ggg", "ggg"), (2, 3, 6, 12)),
+    "irregular-6": (2, ("ggg", "egg"), (3, 6)),
+    "irregular-7": (3, ("ggg", "egg"), (4, 7)),
+}
 
 
 def greedy_alpha(p):
@@ -109,6 +127,14 @@ class TestRigidityIndex:
         for p in cases:
             total = sum(split_order(part) for part in p.parts)
             assert rigidity_index(p) == 2 * total - 6
+
+    @pytest.mark.parametrize("path", KATZ_PATHS.values(), ids=list(KATZ_PATHS))
+    def test_katz_paths_rigid_with_agreeing_stabilizer_modes(self, path):
+        p = katz_path_system(random.Random(7), *path)
+        assert p.dimension == path[2][-1]
+        for part in p.parts:
+            assert stabilizer_dim_linear(part) == stabilizer_dim_formula(compute_normal_form(part))
+        assert rigidity_index(p) == 0
 
 
 class TestKatzStep:
