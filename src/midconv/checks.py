@@ -209,11 +209,12 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
     def kernel_modes_and_katz():
         for part in sys.parts:
             nf = compute_normal_form(part)
-            sel = select_alpha(part)
-            _require(hat_kernel_dim(part, sel) == hat_kernel_dim_formula(nf, sel), "kernel modes disagree")
-            if irrational_alpha_could_win(part):  # sel may miss the largest kernel the inequality needs
+            sel = select_alpha(nf)
+            kernel = hat_kernel_dim(part, sel)
+            _require(kernel == hat_kernel_dim_formula(nf, sel), "kernel modes disagree")
+            if irrational_alpha_could_win(nf):  # sel may miss the largest kernel the inequality needs
                 raise IrrationalSpectrum(f"pole {part.point}: an alpha outside Q(i) may score higher")
-            _require(stabilizer_dim_linear(part) <= n * hat_kernel_dim(part, sel), "Katz inequality failed")
+            _require(stabilizer_dim_linear(part) <= n * kernel, "Katz inequality failed")
 
     def normal_form_gauge_invariance():
         for g, part in _gauged_parts(rng, sys):

@@ -68,12 +68,12 @@ def _equiv(args) -> dict:
 
 def _normal_form(args) -> dict:
     part = _part(args)
-    return normal_form_to_document(compute_normal_form(part), point=part.point)
+    return normal_form_to_document(compute_normal_form(part), part.point)
 
 
 def _select_alpha(args) -> dict:
     part = _part(args)
-    return system_to_document(scalar_system({part.point: select_alpha(part)}))
+    return system_to_document(scalar_system({part.point: select_alpha(compute_normal_form(part))}))
 
 
 def _rigidity(args) -> dict:

@@ -188,11 +188,8 @@ def okubo_from_document(doc) -> OkuboTriple:
     return OkuboTriple(t, r)
 
 
-def normal_form_to_document(nf: NormalForm, point=None) -> dict:
-    doc = {"kind": "normal_form"}
-    if point is not None:
-        doc["point"] = scalar_to_json(gr(point))
-    doc["order_bound"] = nf.k
+def normal_form_to_document(nf: NormalForm, point) -> dict:
+    doc = {"kind": "normal_form", "point": scalar_to_json(gr(point)), "order_bound": nf.k}
     doc["spectra"] = [
         {
             "coefficients": [scalar_to_json(c) for c in b.tail],

@@ -56,6 +56,15 @@ def _rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
     return a
 
 
+def _polymul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two nonempty integer polynomials (ascending coefficients)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            out[k] += x * y
+    return out
+
+
 def _gcd_mod(a: list[int], f: list[int], p: int) -> list[int]:
     """The monic gcd over F_p of a and the monic f."""
     a = _rem_mod(a, f, p)
@@ -81,25 +90,12 @@ def _root_mod(f: list[int], p: int, rng: random.Random) -> Optional[int]:
         d = rng.randrange(p)
         if not _rem_mod(f, [d, 1], p):
             return -d % p
-        m = len(f) - 1
-        # x^m, .., x^(2m-2) mod f, read by columns to reduce a square
-        powers = [[-c % p for c in f[:-1]]]
-        for _ in range(m - 2):
-            t = powers[-1]
-            powers.append([(a - t[-1] * c) % p for a, c in zip([0] + t[:-1], f)])
-        cols = list(zip(*powers))
-        h = [1] + [0] * (m - 1)
+        # h is a unit mod f, as f(-d) != 0, so never the zero list
+        h = [1]
         for bit in bin((p - 1) // 2)[2:]:
-            sq = [0] * (2 * m - 1)
-            for i, x in enumerate(h):
-                if x:
-                    for k, y in enumerate(h, i):
-                        sq[k] += x * y
-            top = sq[m:]
-            h = [(a + sum(map(int.__mul__, c, top))) % p for a, c in zip(sq, cols)]
+            h = _rem_mod(_polymul(h, h), f, p)
             if bit == "1":
-                t = h[-1]
-                h = [(x + d * y + t * c) % p for x, y, c in zip([0] + h[:-1], h, powers[0])]
+                h = _rem_mod(_polymul(h, [d, 1]), f, p)
         factors = [g for g in (_gcd_mod([h[0] + c] + h[1:], f, p) for c in (-1, 1)) if len(g) > 1]
         if not factors:
             return None

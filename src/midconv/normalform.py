@@ -181,10 +181,14 @@ def compute_normal_form(part: PrincipalPart) -> NormalForm:
     Parts of pole order <= 1 are already normal: single zero spectrum with
     the residue as its matrix.  Otherwise the leading coefficient must be
     semisimple with eigenvalues in Q(i) (NoNormalForm / IrrationalSpectrum
-    when not), and likewise recursively on the diagonal blocks.
+    when not, naming the pole), and likewise recursively on the diagonal
+    blocks.
     """
     k = len(part.coefficients)
-    blocks = _split(list(part.coefficients), k)
+    try:
+        blocks = _split(list(part.coefficients), k)
+    except (NoNormalForm, IrrationalSpectrum) as e:
+        raise type(e)(f"pole {part.point}: {e}") from e
     return NormalForm(k, tuple(SpectralBlock(tuple(tail), gamma) for tail, gamma in blocks))
 
 
@@ -286,12 +290,11 @@ def _candidate_scores(nf: NormalForm) -> dict[tuple, int]:
     return scores
 
 
-def irrational_alpha_could_win(part: PrincipalPart) -> bool:
+def irrational_alpha_could_win(nf: NormalForm) -> bool:
     """Whether an alpha_1 outside Q(i) might score above every candidate
-    of select_alpha at this part.  Such an eigenvalue of a residue shares
-    its multiplicity with its conjugates over Q(i), so it has at most half
-    of the dimension that the Q(i) roots leave."""
-    nf = compute_normal_form(part)
+    of select_alpha at this normal form.  Such an eigenvalue of a residue
+    shares its multiplicity with its conjugates over Q(i), so it has at
+    most half of the dimension that the Q(i) roots leave."""
     best = max(_candidate_scores(nf).values())
     for b in nf.blocks:
         outside = b.dim - sum(qi_roots(char_poly(b.gamma)).values())
@@ -300,19 +303,15 @@ def irrational_alpha_could_win(part: PrincipalPart) -> bool:
     return False
 
 
-def select_alpha(part: PrincipalPart) -> tuple[GaussianRational, ...]:
+def select_alpha(nf: NormalForm) -> tuple[GaussianRational, ...]:
     """Scalar coefficients (alpha_1, ..., alpha_k) maximizing
-    dim Ker(A-hat - alpha-hat), scored on the normal form.
+    dim Ker(A-hat - alpha-hat) for any part with normal form nf.
 
     Candidates are every spectrum tail, alone and extended by each Q(i)
     eigenvalue of its residue matrix (alpha lies in Q(i), so no other
     eigenvalue can match); ties break to the lexicographically smallest
     coefficient vector (highest-order coefficient first, ordered by
-    (re, im)).  IrrationalSpectrum from the normal form names the pole."""
-    try:
-        nf = compute_normal_form(part)
-    except IrrationalSpectrum as e:
-        raise IrrationalSpectrum(f"pole {part.point}: {e}") from e
+    (re, im))."""
     scores = _candidate_scores(nf)
     return min(scores, key=lambda cand: (-scores[cand], tuple(x.sort_key() for x in reversed(cand))))
 

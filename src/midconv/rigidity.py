@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, IrrationalSpectrum, NotInD0, NotRigid, Reducible, ZeroLambda
+from .errors import InvariantViolation, IrrationalSpectrum, NoNormalForm, NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational
 from .functors import mc
-from .normalform import irrational_alpha_could_win, select_alpha, stabilizer_dim
+from .normalform import compute_normal_form, irrational_alpha_could_win, select_alpha, stabilizer_dim
 from .systems import (
     System,
     add_scalar,
@@ -117,8 +117,8 @@ def katz_reduce(p: System) -> ReductionTrace:
     assembles alpha as minus their sum, and applies one step.  Strict rank
     decrease is guaranteed for naively rigid inputs; if a step fails to
     decrease the rank, NotRigid is raised carrying the index, or on a rigid
-    input IrrationalSpectrum if an alpha outside Q(i) could do better.
-    Either IrrationalSpectrum names the step and the pole.
+    input IrrationalSpectrum if an alpha outside Q(i) could do better.  Both
+    read one normal form per pole, whose errors name the step and the pole.
     """
     _require_d0(p)
     if not is_irreducible(p):
@@ -130,9 +130,10 @@ def katz_reduce(p: System) -> ReductionTrace:
         if len(steps) >= cap:
             raise InvariantViolation("reduction exceeded its iteration cap")  # pragma: no cover
         try:
-            alpha = scalar_system({part.point: [-c for c in select_alpha(part)] for part in current.parts})
-        except IrrationalSpectrum as e:
-            raise IrrationalSpectrum(f"reduction step {len(steps) + 1}, {e}") from e
+            forms = {part.point: compute_normal_form(part) for part in current.parts}
+        except (NoNormalForm, IrrationalSpectrum) as e:
+            raise type(e)(f"reduction step {len(steps) + 1}, {e}") from e
+        alpha = scalar_system({point: [-c for c in select_alpha(nf)] for point, nf in forms.items()})
         lam = residue_at_infinity(alpha).scalar()
         result = katz_step(current, alpha)
         if result.dimension >= current.dimension:
@@ -143,11 +144,11 @@ def katz_reduce(p: System) -> ReductionTrace:
                     index=index,
                     steps=steps,
                 )
-            for part in current.parts:
-                if irrational_alpha_could_win(part):
+            for point, nf in forms.items():
+                if irrational_alpha_could_win(nf):
                     raise IrrationalSpectrum(
                         f"reduction step {len(steps) + 1}, "
-                        f"a residue at pole {part.point} has eigenvalues outside Q(i)"
+                        f"a residue at pole {point} has eigenvalues outside Q(i)"
                     )
             raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(

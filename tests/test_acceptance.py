@@ -237,7 +237,7 @@ def test_criterion_8_kernel_and_stabilizer_formulas():
         nf = compute_normal_form(part)
         assert stabilizer_dim_linear(part) == stabilizer_dim_formula(nf)
         k = len(part.coefficients)
-        sel = select_alpha(part)
+        sel = select_alpha(nf)
         for b in nf.blocks:
             coeffs = [gr(0)] + list(b.tail)
             assert hat_kernel_dim(part, coeffs) == hat_kernel_dim_formula(nf, coeffs)
@@ -297,7 +297,7 @@ def test_criterion_10_rigidity_table(
         assert rigidity_index(q) == 2, name
         alpha_parts = []
         for part in q.parts:
-            sel = select_alpha(part)
+            sel = select_alpha(compute_normal_form(part))
             alpha_parts.append(
                 PrincipalPart(
                     part.point,
@@ -354,6 +354,7 @@ def test_criterion_11_spectra_preservation():
             padded_actual = _pad_nf(actual, predicted.k)
             padded_predicted = _pad_nf(predicted, padded_actual.k)
             assert normal_forms_conjugate(padded_predicted, padded_actual), (p, a, point)
+            assert select_alpha(padded_predicted) == select_alpha(padded_actual), (p, a, point)
         if ok:
             done += 1
     assert done >= 20

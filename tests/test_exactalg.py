@@ -29,7 +29,7 @@ from midconv.exactalg import (
     spin,
     sylvester_operator,
 )
-from midconv.modp import _echelon_insert_mod
+from midconv.modp import _echelon_insert_mod, _root_mod
 
 from conftest import gaussian_matrix
 
@@ -605,6 +605,20 @@ class TestRootFinder:
         assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 1]])) == {gr(1): 1}
         # x^3 - 2 has no root mod 7, beside the root 1 that does
         assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 0, 1]])) == {gr(1): 1}
+
+
+class TestRootMod:
+    def test_a_root_exactly_when_one_exists_by_brute_force(self):
+        # monic f over F_p of degree 2..7, with repeated and missing roots
+        rng = random.Random(5)
+        for p in (3, 7, 13, 101):
+            for _ in range(40):
+                f = [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1]
+                if rng.random() < 0.3:
+                    f = [0] + f  # a root at 0, beside whatever else f has
+                roots = {x for x in range(p) if sum(c * x**k for k, c in enumerate(f)) % p == 0}
+                r = _root_mod(f, p, random.Random(p))
+                assert r in roots if roots else r is None, (p, f)
 
 
 class TestNilpotent:

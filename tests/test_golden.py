@@ -80,6 +80,10 @@ RUNS = {
     # eigenvalues +-sqrt(2): no normal form exists there
     "select-alpha__sqrt2-irregular": (("select-alpha", given("sqrt2-irregular.sys"), "--point", "0"), 1),
     "katz-reduce__sqrt2-irregular": (("katz-reduce", given("sqrt2-irregular.sys")), 1),
+    # a leading coefficient J2 at 0 is not semisimple: the normal form
+    # fails, and its error names the pole
+    "normal-form__nilpotent-lead": (("normal-form", given("nilpotent-lead.sys")), 1),
+    "select-alpha__nilpotent-lead": (("select-alpha", given("nilpotent-lead.sys")), 1),
     # irreducible although its residue at 0 has no eigenvalue in Q(i), and a
     # conjugated block-upper-triangular triple with an invariant plane
     "irred__sqrt2-triple": (("irred", given("sqrt2-triple.sys")), 0),

@@ -8,6 +8,7 @@ from midconv.errors import (
     DimensionMismatch,
     InvariantViolation,
     IrrationalSpectrum,
+    NoNormalForm,
     NotInD0,
     NotRigid,
     Reducible,
@@ -45,7 +46,7 @@ KATZ_PATHS = {
 def greedy_alpha(p):
     parts = []
     for part in p.parts:
-        sel = select_alpha(part)
+        sel = select_alpha(compute_normal_form(part))
         parts.append(
             PrincipalPart(
                 part.point, tuple(Matrix.from_rows([[-c]]) for c in sel)
@@ -206,8 +207,15 @@ class TestKatzReduce:
         p = System(2, Z2, (at0, PrincipalPart(gr(1), (Matrix.diagonal([-1, 1]),))))
         assert rigidity_index(p) == 0
         with pytest.raises(IrrationalSpectrum, match="^pole 0: characteristic polynomial"):
-            select_alpha(at0)
+            select_alpha(compute_normal_form(at0))
         with pytest.raises(IrrationalSpectrum, match="^reduction step 1, pole 0: characteristic polynomial"):
+            katz_reduce(p)
+
+    def test_nilpotent_leading_coefficient_names_the_step_and_the_pole(self):
+        # irreducible with no residue at infinity, but the leading coefficient
+        # E12 at 0 is not semisimple, so the first step has no normal form there
+        p = System(2, Z2, (PrincipalPart(gr(0), (E21, E12)), PrincipalPart(gr(1), (-E21,))))
+        with pytest.raises(NoNormalForm, match="^reduction step 1, pole 0: a leading coefficient"):
             katz_reduce(p)
 
     def test_stall_with_a_dominated_irrational_residue_is_an_invariant_violation(self, monkeypatch):
