@@ -35,6 +35,7 @@ from .normalform import (
     irrational_alpha_could_win,
     normal_forms_conjugate,
     select_alpha,
+    stabilizer_dim,
     stabilizer_dim_formula,
     stabilizer_dim_linear,
 )
@@ -214,7 +215,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
             _require(kernel == hat_kernel_dim_formula(nf, sel), "kernel modes disagree")
             if irrational_alpha_could_win(nf):  # sel may miss the largest kernel the inequality needs
                 raise IrrationalSpectrum(f"pole {part.point}: an alpha outside Q(i) may score higher")
-            _require(stabilizer_dim_linear(part) <= n * kernel, "Katz inequality failed")
+            _require(stabilizer_dim(part) <= n * kernel, "Katz inequality failed")
 
     def normal_form_gauge_invariance():
         for g, part in _gauged_parts(rng, sys):

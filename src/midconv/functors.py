@@ -24,7 +24,6 @@ from .exactalg import (
     GaussianRational,
     Matrix,
     gr,
-    nilpotent_powers,
     quotient_projection,
 )
 from .datum import Block, Datum, kappa, phi, psi, swap
@@ -66,7 +65,8 @@ def mc(p: System, alpha: System) -> System:
             "convolution parameter has a constant term; translate the coordinate first"
         )
     h = kappa(p)
-    allowed = {ev: len(nilpotent_powers(nil)) for ev, _, nil in h.s_blocking}
+    dual = swap(h, h.s_blocking)  # the first hd is phi(dual); its blocks bound the pole orders
+    allowed = {b.point: len(b.powers) for b in dual.blocks}
     for part in alpha.parts:
         d = order(part)
         if d == 0:
@@ -80,7 +80,7 @@ def mc(p: System, alpha: System) -> System:
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
     # the second hd dualizes a datum whose S is h's T, so T's blocking is handed on
-    return phi(swap(kappa(add_scalar(psi(h), alpha)), h.t_blocking()))
+    return phi(swap(kappa(add_scalar(phi(dual), alpha)), h.t_blocking()))
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:

@@ -364,7 +364,8 @@ class TestCli:
 
     def test_draw_free_checks_run_once(self, monkeypatch):
         # the two stabilizer cross-checks draw nothing from the rng, so one
-        # trial each stands for all five
+        # trial each stands for all five; only stabilizer_two_modes runs the
+        # linear mode, the Katz inequality reads stabilizer_dim
         import pathlib
 
         import midconv.checks as checks
@@ -379,8 +380,19 @@ class TestCli:
         monkeypatch.setattr(checks, "stabilizer_dim_linear", counted)
         text = (pathlib.Path(__file__).parent / "golden" / "inputs" / "three-level.sys").read_text()
         results = checks.run_checks(parse_document(text), 0, 5)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert all(r.passed and r.trials == 5 and not r.detail for r in results)
+
+    def test_katz_inequality_at_a_residue_with_an_irrational_pair(self, capsys, tmp_path):
+        # spectrum {1, +-sqrt(2)}: no alpha outside Q(i) can win, so the
+        # inequality is checked, its stabilizer side by the linear mode
+        part = PrincipalPart(gr(0), (Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 2, 0]]),))
+        path = tmp_path / "sqrt2-rank3.sys"
+        path.write_text(serialize_document(System(3, Matrix.zeros(3, 3), (part,))))
+        status, report = run_cli(capsys, "check", "--trials", "2", str(path))
+        checks = {c["name"]: c for c in report["result"]["checks"]}
+        name = "kernel_two_modes_and_katz_inequality"
+        assert status == 0 and checks[name] == {"name": name, "passed": True, "trials": 2, "detail": ""}
 
     def test_failed_check_is_reported_and_exits_1(self, capsys, monkeypatch, triple_file):
         import midconv.checks as checks

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from midconv.datum import kappa, psi
+from midconv import datum, functors
+from midconv.datum import Block, kappa, psi
 from midconv.errors import Exceptional, NonzeroConstantTerm, NotFuchsian, PoleMismatch
-from midconv.exactalg import Matrix, generalized_eigendecomposition, gr, invert
+from midconv.exactalg import Matrix, generalized_eigendecomposition, gr, invert, nilpotent_powers
 from midconv.functors import (
     OkuboTriple,
     dr_middle_convolution,
@@ -228,6 +229,27 @@ class TestMcHandsOnTBlocking:
     @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
     def test_mc_equals_the_composite_of_its_three_functors(self, p, alpha):
         assert mc(p, alpha) == hd(add_scalar(hd(p), alpha))
+
+    @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
+    def test_nilpotent_powers_once_per_block_built(self, monkeypatch, p, alpha):
+        # the parameter bound is read off the first dual's blocks, which
+        # built their powers already: no table of powers is computed twice
+        blocks, tables = [], []
+        init = Block.__post_init__
+
+        def built(block):
+            blocks.append(block)
+            init(block)
+
+        def counted(nil):
+            tables.append(nil)
+            return nilpotent_powers(nil)
+
+        monkeypatch.setattr(Block, "__post_init__", built)
+        for module in (datum, functors):
+            monkeypatch.setattr(module, "nilpotent_powers", counted, raising=False)
+        mc(p, alpha)
+        assert len(tables) == len(blocks) > 0
 
     def test_jordan_constant_blocks_at_the_pole_of_alpha(self):
         p, alpha = jordan_constant_input(random.Random(7), 3)

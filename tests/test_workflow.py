@@ -1,6 +1,5 @@
-"""The CI workflow file parses as YAML, its pinned-digest step checks
-every benchmark workload, and its console-script smoke test runs every
-subcommand and diffs against golden files that exist.
+"""The CI workflow file parses as YAML, its pinned-digest step checks every
+benchmark workload, and its smoke test runs the goldens on the installed package.
 
 A workflow that does not parse shows up on GitHub as a workflow error, never
 as a failed run, so nothing else would catch it.  Skipped where PyYAML is
@@ -11,8 +10,6 @@ import importlib
 from pathlib import Path
 
 import pytest
-
-from midconv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -32,15 +29,18 @@ def test_workflow_parses_and_pins_every_workload(monkeypatch):
     assert sorted(line.split()[0] for line in pinned.splitlines()) == sorted(workloads.NAMES)
 
 
-def test_console_script_smoke_test_diffs_against_existing_goldens():
+def test_console_script_smoke_test_diffs_against_existing_goldens(pytestconfig):
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
-    steps = {step.get("name"): step for step in workflow["jobs"]["tests"]["steps"]}
-    runs = [line.split() for line in steps[SMOKE_STEP]["run"].splitlines() if line.startswith("midconv ")]
-    # each line is "midconv COMMAND INPUT | diff - GOLDEN", GOLDEN named COMMAND__STEM.json;
-    # every subcommand is run at least once
-    assert {run[1] for run in runs} >= set(cli.COMMANDS)
-    for run in runs:
-        golden = ROOT / run[-1]
-        assert golden.is_file()
-        assert golden.name == f"{run[1]}__{Path(run[2]).stem}.json"
+    job = workflow["jobs"]["tests"]
+    step = {step.get("name"): step for step in job["steps"]}[SMOKE_STEP]
+    lines = step["run"].splitlines()
+    # install, run every golden with nothing putting src or a root-level midconv
+    # on the path, then "midconv COMMAND INPUT | diff - GOLDEN" (COMMAND__STEM.json)
+    assert not any("PYTHONPATH" in str(scope.get("env", "")) for scope in (workflow, job, step))
+    assert not pytestconfig.getini("pythonpath") and not (ROOT / "midconv").exists()
+    assert 3 <= len(lines) <= 6
+    assert lines[:2] == ["python -m pip install .", "python -m pytest -q tests/test_golden.py"]
+    for run in map(str.split, lines[2:]):
+        assert run[0] == "midconv" and run[-4:-1] == ["|", "diff", "-"]
+        assert (ROOT / run[-1]).is_file() and Path(run[-1]).name == f"{run[1]}__{Path(run[2]).stem}.json"
