@@ -3,9 +3,9 @@
 COMMANDS holds one entry per subcommand: help text, arguments, and a handler
 that reads the documents, calls the pure library and returns the result
 payload.  The parser is built from the table; main runs the chosen handler
-and prints a deterministic JSON report (command echo, result payload,
-diagnostics).  Exit status: 0 success, 1 domain error (an unreadable or
-malformed input file included), 2 usage.
+and prints a deterministic JSON report, {command, result} or, on a domain
+error, {command, error: {type, message}}.  Exit status: 0 success, 1 domain
+error (an unreadable or malformed input file included), 2 usage.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         result = command.run(args)
-        report, status = {"result": result, "diagnostics": []}, command.status(result)
+        report, status = {"result": result}, command.status(result)
     except DomainError as exc:
         report, status = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 1
     _sys.stdout.write(dumps_canonical({"command": args.command, **report}))

@@ -97,10 +97,8 @@ def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
     return Matrix.from_rows(grid)
 
 
-def system_to_document(sys: System, name=None) -> dict:
+def system_to_document(sys: System) -> dict:
     doc = {"kind": "system"}
-    if name:
-        doc["name"] = name
     doc["dimension"] = sys.dimension
     doc["constant"] = matrix_to_json(sys.constant)
     doc["parts"] = [
@@ -246,8 +244,8 @@ def parse_document(text: str):
     return DOCUMENT_KINDS[kind].read(obj)
 
 
-def serialize_document(sys: System, name=None) -> str:
-    return dumps_canonical(system_to_document(sys, name=name))
+def serialize_document(sys: System) -> str:
+    return dumps_canonical(system_to_document(sys))
 
 
 def _flag_rational(text: str) -> Fraction:

@@ -27,7 +27,7 @@ def triple(nilpotent_triple):
 @pytest.fixture
 def triple_file(tmp_path, triple):
     path = tmp_path / "triple.sys"
-    path.write_text(serialize_document(triple, name="rigid-triple"))
+    path.write_text(serialize_document(triple))
     return str(path)
 
 
@@ -65,10 +65,16 @@ class TestDocuments:
         assert info.value.line == 1
 
     def test_round_trips(self, triple):
-        text = serialize_document(triple, name="rigid-triple")
+        text = serialize_document(triple)
         parsed = parse_document(text)
-        assert serialize_document(parsed, name="rigid-triple") == text
+        assert serialize_document(parsed) == text
         assert parsed == triple
+
+    def test_name_key_is_ignored_and_not_written_back(self, triple):
+        named = {"kind": "system", "name": "rigid-triple", **system_to_document(triple)}
+        parsed = parse_document(dumps_canonical(named))
+        assert parsed == triple
+        assert serialize_document(parsed) == serialize_document(triple)
 
     def test_declaration_round_trip(self):
         s = System(2, Matrix.diagonal([2, 2]), (), declaration=((gr(2), 1),))
@@ -275,9 +281,9 @@ class TestCli:
         path = tmp_path / "sqrt2.sys"
         path.write_text(serialize_document(System(2, Matrix.zeros(2, 2), (part,))))
         assert run_cli(capsys, "stab-dim", str(path)) == (0, {
-            "command": "stab-dim", "result": {"stabilizer_dimension": 2}, "diagnostics": []})
+            "command": "stab-dim", "result": {"stabilizer_dimension": 2}})
         assert run_cli(capsys, "orbit-dim", str(path)) == (0, {
-            "command": "orbit-dim", "result": {"orbit_dimension": 2}, "diagnostics": []})
+            "command": "orbit-dim", "result": {"orbit_dimension": 2}})
 
     def test_select_alpha_of_an_irrational_residue(self, capsys, tmp_path):
         # the +-sqrt(2) residue: the zero candidate is the only one in Q(i)
@@ -471,7 +477,9 @@ print(json.dumps({"debug": __debug__, "passed": {r.name: r.passed for r in resul
         path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "rigid-triple.sys"
         text = path.read_text()
         parsed = parse_document(text)
-        assert serialize_document(parsed, name="rigid-triple") == text
+        doc = json.loads(text)
+        del doc["name"]  # outside the schema: read past, not written back
+        assert serialize_document(parsed) == dumps_canonical(doc)
         status, report = run_cli(capsys, "rigidity", str(path))
         assert status == 0
         assert report["result"]["rigidity_index"] == 0

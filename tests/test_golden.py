@@ -6,6 +6,7 @@ its expected exit status.  A mismatch means the program's output moved,
 not that the file needs regenerating.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,14 @@ def test_every_golden_file_is_checked():
 
 def test_every_command_has_a_golden_run():
     assert {argv[0] for _, argv, _ in CASES} == set(cli.COMMANDS)
+
+
+def report_shape(report: dict) -> list:
+    """The report's keys, with the error's keys nested under "error"."""
+    return [[k, list(v)] if k == "error" else k for k, v in report.items()]
+
+
+def test_every_golden_is_a_command_and_its_result_or_error():
+    shapes = {p.stem: report_shape(json.loads(p.read_text())) for p in GOLDEN.glob("*.json")}
+    allowed = (["command", "result"], ["command", ["error", ["type", "message"]]])
+    assert {name: shape for name, shape in shapes.items() if shape not in allowed} == {}
