@@ -87,6 +87,15 @@ class Block:
         return self.q.rows
 
 
+def _block(point, nilpotent: Matrix, q: Matrix, p: Matrix, powers: tuple[Matrix, ...]) -> Block:
+    """Block(point, nilpotent, q, p) given the powers of nilpotent, which
+    it then does not build again."""
+    block = object.__new__(Block)
+    block.__dict__["powers"] = powers
+    block.__init__(point, nilpotent, q, p)
+    return block
+
+
 @dataclass(frozen=True)
 class Datum:
     """A sextuple (V, W, S, T, Q, P) in pole-blocked form; S defaults to 0.
@@ -253,7 +262,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     for npow, hk in zip(npows, truncated_inverse(g.coefficients, len(npows))):
         new_p = new_p + npow * target.p * hk
     blocks = tuple(
-        Block(b.point, b.nilpotent, new_q, new_p) if b.point == g.point else b for b in d.blocks
+        _block(b.point, b.nilpotent, new_q, new_p, npows) if b.point == g.point else b for b in d.blocks
     )
     return Datum(d.dim_v, blocks, d.s_matrix)
 
@@ -351,15 +360,27 @@ def swap(d: Datum, s_blocking) -> Datum:
     """The dual sextuple (W, V, T, S, P, Q) blocked by the generalized
     eigenspaces of S, s_blocking = generalized_eigendecomposition(S): with
     B the hstack of the eigenbases, the block at s is (nil_s, P B_s, rows
-    of B^{-1} Q at s), so phi(swap(d, ...)) = T + P (zeta I - S)^{-1} Q."""
+    of B^{-1} Q at s), so phi(swap(d, ...)) = T + P (zeta I - S)^{-1} Q.
+
+    When B is the identity, as it is for a ``t_blocking`` and for S = 0,
+    P and Q are taken as they are; any other B is multiplied and solved
+    exactly."""
+    return _swap(d, s_blocking, [tuple(nilpotent_powers(nil)) for _, _, nil in s_blocking])
+
+
+def _swap(d: Datum, s_blocking, powers) -> Datum:
+    """``swap`` given the powers of each nil in s_blocking."""
     basis = Matrix.hstack([b for _, b, _ in s_blocking])
-    q_c = d.p_matrix() * basis
-    p_c = solve(basis, d.q_matrix())
+    if basis == Matrix.identity(basis.rows):
+        q_c, p_c = d.p_matrix(), d.q_matrix()
+    else:
+        q_c, p_c = d.p_matrix() * basis, solve(basis, d.q_matrix())
     blocks = []
     offset, w = 0, d.dim_w
-    for ev, b, nil in s_blocking:
+    for (ev, b, nil), npows in zip(s_blocking, powers):
         end = offset + b.cols
-        blocks.append(Block(ev, nil, q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)))
+        q, p = q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)
+        blocks.append(_block(ev, nil, q, p, npows))
         offset = end
     return Datum(w, tuple(blocks), d.t_matrix())
 

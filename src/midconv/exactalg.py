@@ -6,18 +6,23 @@ rigidity) reduces to the primitives here: the reduced row echelon form,
 exact linear solves, eigenvalue extraction inside Q(i), and
 nilpotent/commutant structure.  No floating point is used anywhere.
 
-All elimination is one step, ``echelon_insert``, and every row operation
-is one kernel, ``_sub_mul``.  Kernels, quotients and
-solutions are read off the reduced row echelon form, which is unique for
-each matrix, so repeated runs produce byte-identical bases whatever order
-the elimination runs in.
+All exact elimination is one step, ``echelon_insert``, and every row
+operation is one kernel, ``_sub_mul``; ``_echelon_insert_mod`` is its twin
+over F_p, for the certificates mod p.  Kernels, quotients and solutions
+are read off the reduced row echelon form, which is unique for each
+matrix, so repeated runs produce byte-identical bases whatever order the
+elimination runs in.  The uniqueness allows one shortcut: a square matrix
+of full rank mod a prime is invertible, its reduced echelon form is the
+identity, and ``_row_reduce`` returns that without eliminating.  A matrix
+that is not square, is singular mod the prime or has a denominator the
+prime divides is eliminated exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 
@@ -501,6 +506,62 @@ def echelon_insert(rows: list, pivots: list[int], vec) -> bool:
     return True
 
 
+def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
+    """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
+    vec are reduced mod p only when read as a multiplier and at the end."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c] % p
+        if f:
+            v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
+    v = [x % p for x in v]
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
+        return False
+    inv = pow(x, -1, p)
+    rows.append([y * inv % p for y in v])
+    pivots.append(lead)
+    return True
+
+
+# Primes p = 1 (mod 4), each with its square root of -1 mod p: the images
+# of i under the maps Z[i] -> F_p behind the certificates mod p
+_CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
+
+
+def _reduce_mod(gens: list, p: int, s: int) -> Optional[list[list[int]]]:
+    """The Gaussian-rational matrices gens mod p, with i -> s, as flat lists,
+    those that are zero mod p dropped; None if p divides a denominator."""
+    if any(x.r % p == 0 for g in gens for x in g.entries()):
+        return None
+    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
+    return [g for g in red if any(g)]
+
+
+def _invertible_mod(m: Matrix) -> bool:
+    """Whether the square m is certified invertible by its rank mod the
+    first prime of ``_CERT_PRIMES``: False when that prime divides a
+    denominator or m is singular mod it.  Rank can only drop under the
+    ring map to F_p, so True proves m invertible over Q(i).
+
+    Rows are reduced and inserted last first, and the first dependent one
+    ends the pass: a hat matrix is block upper triangular, so its last
+    rows are its shortest, and it is singular exactly when its last block
+    row is.
+    """
+    p, s = _CERT_PRIMES[0]
+    n = m.cols
+    rows: list = []
+    pivots: list[int] = []
+    for i in range(n - 1, -1, -1):
+        red = _reduce_mod([m.submatrix(i, i + 1, 0, n)], p, s)
+        if not red or not _echelon_insert_mod(rows, pivots, red[0], p):
+            return False
+    return True
+
+
 def _echelon_rows(m: Matrix):
     """A row echelon basis of the row space of m, in insertion order."""
     rows: list[list[GaussianRational]] = []
@@ -518,7 +579,13 @@ def _row_reduce(m: Matrix):
     is cleared from the earlier rows, last inserted row first: a row is
     zero at the pivots of the rows inserted before it, so a cleared column
     never refills.
+
+    A square m that ``_invertible_mod`` certifies reduces to the identity,
+    returned with no elimination; any other m is eliminated exactly.
     """
+    n = m.rows
+    if n == m.cols and _invertible_mod(m):
+        return list(range(n)), [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
     rows, pivots = _echelon_rows(m)
     for k in range(len(rows) - 1, 0, -1):
         c = pivots[k]

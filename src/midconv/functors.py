@@ -26,7 +26,7 @@ from .exactalg import (
     gr,
     quotient_projection,
 )
-from .datum import Block, Datum, kappa, phi, psi, swap
+from .datum import _swap, Block, Datum, kappa, phi, psi, swap
 from .systems import (
     PrincipalPart,
     System,
@@ -79,8 +79,9 @@ def mc(p: System, alpha: System) -> System:
             raise PoleMismatch(
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
-    # the second hd dualizes a datum whose S is h's T, so T's blocking is handed on
-    return phi(swap(kappa(add_scalar(phi(dual), alpha)), h.t_blocking()))
+    # the second hd dualizes a datum whose S is h's T, so T's blocking is handed
+    # on, with the powers of its nilpotents
+    return phi(_swap(kappa(add_scalar(phi(dual), alpha)), h.t_blocking(), [b.powers for b in h.blocks]))
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:

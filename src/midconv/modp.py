@@ -1,6 +1,7 @@
 """Arithmetic over F_p for the mod-p irreducibility certificate: vectors
 are lists of ints, n x n matrices flat row-major lists of ints in [0, p)
-and polynomials lists of ascending coefficients."""
+and polynomials lists of ascending coefficients.  Reduction mod p and the
+echelon step are in ``exactalg``, whose row reduction uses them too."""
 
 from __future__ import annotations
 
@@ -8,30 +9,10 @@ import random
 from functools import partial
 from typing import Optional
 
-from .exactalg import spin
+from .exactalg import _echelon_insert_mod, spin
 
 # Random algebra elements _meataxe_mod draws before it gives up
 _DRAWS = 8
-
-
-def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
-    """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
-    vec are reduced mod p only when read as a multiplier and at the end."""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        f = v[c] % p
-        if f:
-            v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
-    v = [x % p for x in v]
-    for lead, x in enumerate(v):
-        if x:
-            break
-    else:
-        return False
-    inv = pow(x, -1, p)
-    rows.append([y * inv % p for y in v])
-    pivots.append(lead)
-    return True
 
 
 def _matmul_mod(a: list[int], b: list[int], n: int, p: int) -> list[int]:
@@ -165,15 +146,6 @@ def _meataxe_mod(n: int, red: list[list[int]], p: int) -> bool:
         left = _left_kernel_mod([shifted[i : i + n] for i in range(0, n * n, n)], p)
         return len(spin(left, cols, act, insert, n)[0]) == n
     return False
-
-
-def _reduce_mod(gens: list, p: int, s: int) -> Optional[list[list[int]]]:
-    """The Gaussian-rational matrices gens mod p, with i -> s, as flat lists,
-    those that are zero mod p dropped; None if p divides a denominator."""
-    if any(x.r % p == 0 for g in gens for x in g.entries()):
-        return None
-    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
-    return [g for g in red if any(g)]
 
 
 def _word_span_mod(n: int, red: list[list[int]], p: int) -> bool:

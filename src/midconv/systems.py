@@ -29,6 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .exactalg import (
+    _CERT_PRIMES,
+    _reduce_mod,
     GaussianRational,
     Matrix,
     echelon_insert,
@@ -38,7 +40,7 @@ from .exactalg import (
     rank,
     spin,
 )
-from .modp import _meataxe_mod, _reduce_mod, _word_span_mod
+from .modp import _meataxe_mod, _word_span_mod
 
 __all__ = [
     "PrincipalPart",
@@ -296,9 +298,6 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
 # ---------------------------------------------------------------------------
 
 
-# Primes p = 1 (mod 4), each with its square root of -1 mod p: the images
-# of i under the maps Z[i] -> F_p that certify irreducibility mod p
-_CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
 # The dimension from which _full_mod runs the MeatAxe instead of the word span
 _MEATAXE_DIM = 5
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import midconv.datum
 from midconv.datum import (
     Block,
     Datum,
@@ -26,6 +27,7 @@ from midconv.exactalg import (
     nilpotent_powers,
     quotient_projection,
     rank,
+    solve,
 )
 from midconv.systems import PrincipalPart, System, TruncatedGauge, gauge_coadjoint, zero_pair
 from midconv.checks import random_gauge, random_invertible, random_matrix, random_system
@@ -42,8 +44,6 @@ class TestBlock:
             Block(gr(0), SWAP, Matrix.zeros(1, 2), Matrix.zeros(2, 1))
 
     def test_powers_are_built_once_at_construction(self, monkeypatch):
-        import midconv.datum
-
         calls = []
         monkeypatch.setattr(midconv.datum, "nilpotent_powers", lambda m: calls.append(m) or nilpotent_powers(m))
         block = Block(gr(0), J2, Matrix.from_rows([[2, 3]]), Matrix.column([0, 1]))
@@ -52,9 +52,9 @@ class TestBlock:
         phi(d)
         assert datum_isomorphism(d, d) is not None
         assert calls == [J2]
-        # the gauge action reads the powers; only its new block builds them
-        gk_action(TruncatedGauge(gr(0), (Matrix.from_rows([[2]]),)), d)
-        assert calls == [J2, J2]
+        # the gauge action reads the powers and hands them to its new block
+        moved = gk_action(TruncatedGauge(gr(0), (Matrix.from_rows([[2]]),)), d)
+        assert calls == [J2] and moved.blocks[0].powers is block.powers
 
 
 class TestDatum:
@@ -425,6 +425,47 @@ class TestHarnad:
             assert twice.blocks == tuple(Block(x.point, x.nilpotent, binv * x.q, x.p * b) for x in d.blocks)
             checked += 1
         assert checked
+
+    @staticmethod
+    def generic_swap(d, s_blocking):
+        """swap by its formula with every product formed: the block at s is
+        (nil_s, P B_s, rows of B^-1 Q at s)."""
+        b = Matrix.hstack([basis for _, basis, _ in s_blocking])
+        q_c, p_c, w = d.p_matrix() * b, solve(b, d.q_matrix()), d.dim_w
+        blocks, offset = [], 0
+        for ev, basis, nil in s_blocking:
+            end = offset + basis.cols
+            blocks.append(Block(ev, nil, q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)))
+            offset = end
+        return Datum(w, tuple(blocks), d.t_matrix())
+
+    @staticmethod
+    def refuse_solve(monkeypatch):
+        def refused(a, b):
+            raise AssertionError("swap solved against an identity eigenbasis")
+
+        monkeypatch.setattr(midconv.datum, "solve", refused)
+
+    def test_swap_with_s_zero_is_the_generic_formula(self, rng, monkeypatch):
+        data = [kappa(random_system(rng, constant="zero")) for _ in range(12)]
+        expected = [self.generic_swap(d, d.s_blocking) for d in data]
+        self.refuse_solve(monkeypatch)
+        for d, e in zip(data, expected):
+            assert Matrix.hstack([b for _, b, _ in d.s_blocking]) == Matrix.identity(d.dim_v)
+            assert swap(d, d.s_blocking) == e
+
+    def test_swap_by_a_t_blocking_is_the_generic_formula(self, rng, monkeypatch):
+        # the second duality of mc: a datum whose S is h's T, blocked by h.t_blocking()
+        cases = []
+        for _ in range(12):
+            h = kappa(random_system(rng, constant="zero"))
+            d = kappa(psi(h))
+            assert d.s_matrix == h.t_matrix()
+            cases.append((d, h.t_blocking(), self.generic_swap(d, h.t_blocking())))
+        assert any(d.blocks for d, _, _ in cases)
+        self.refuse_solve(monkeypatch)
+        for d, blocking, expected in cases:
+            assert swap(d, blocking) == expected
 
     def test_kappa_of_irreducible_is_irreducible(self):
         sys = fuchsian({0: E12, 1: E21})

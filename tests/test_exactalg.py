@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from midconv import exactalg
 from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
     GaussianRational,
     Matrix,
+    _CERT_PRIMES,
+    _echelon_insert_mod,
+    _invertible_mod,
     _poly_divmod,
     _row_reduce,
     char_eigenvalues,
@@ -29,7 +33,7 @@ from midconv.exactalg import (
     spin,
     sylvester_operator,
 )
-from midconv.modp import _echelon_insert_mod, _root_mod
+from midconv.modp import _root_mod
 
 from conftest import gaussian_matrix
 
@@ -222,6 +226,94 @@ class TestRowReduce:
         assert not echelon_insert(rows, pivots, combination)
         assert not echelon_insert(rows, pivots, [gr(0)] * 4)
         assert len(rows) == len(pivots) == 2
+
+
+def _shortcut_cases(rng):
+    """Square matrices named by kind, with whether the first prime of
+    ``_CERT_PRIMES`` certifies them invertible.  Only the "singular-" kinds
+    are singular over Q(i); "modp-singular-" ones are singular mod p alone,
+    and the prime divides a denominator of the "denominator-" ones."""
+    p, s = _CERT_PRIMES[0]
+
+    def big():
+        return gr(rng.randint(-(2**63), 2**63), rng.randint(-(2**63), 2**63))
+
+    def small():
+        return gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+
+    def square(n, entry):
+        return Matrix(n, n, [entry() for _ in range(n * n)])
+
+    def low_rank(n, k, entry):
+        return square(n, entry).submatrix(0, n, 0, k) * square(n, entry).submatrix(0, k, 0, n)
+
+    return [
+        ("invertible-64bit-5", square(5, big), True),
+        ("invertible-64bit-9", square(9, big), True),
+        ("invertible-small-6", square(6, small), True),
+        ("singular-64bit", low_rank(6, 4, big), False),
+        ("singular-small", low_rank(5, 2, small), False),
+        ("singular-zero-row", Matrix.vstack([square(3, small).submatrix(0, 2, 0, 3), Matrix.zeros(1, 3)]), False),
+        ("modp-singular-diagonal", Matrix.diagonal([1, 10**9 + 9]), False),
+        ("modp-singular-dense", Matrix.from_rows([[1, 2], [3, 6 + p]]), False),
+        ("modp-singular-gaussian", Matrix.diagonal([gr(3, 1), gr(-s, 1)]), False),
+        ("denominator-p", Matrix.from_rows([[1, Fraction(1, p)], [0, 1]]), False),
+        ("denominator-2p", Matrix.from_rows([[gr(2, Fraction(1, 2 * p)), 1], [1, 1]]), False),
+    ]
+
+
+class TestRowReduceShortcut:
+    """``_row_reduce`` returns the identity for a square matrix of full
+    rank mod the first certification prime, and eliminates every other one
+    exactly; both give the reduced echelon form of the exact path."""
+
+    @staticmethod
+    def exact(monkeypatch, f, m):
+        """f(m) with the shortcut switched off."""
+        with monkeypatch.context() as patch:
+            patch.setattr(exactalg, "_invertible_mod", lambda m: False)
+            return f(m)
+
+    def test_cases_are_of_their_kind(self, rng):
+        for name, m, invertible in _shortcut_cases(rng):
+            assert _invertible_mod(m) is invertible, name
+            assert (rank(m) < m.rows) is name.startswith("singular-"), name
+
+    def test_matches_the_exact_path(self, rng, monkeypatch):
+        for name, m, _ in _shortcut_cases(rng):
+            for f in (_row_reduce, kernel_basis, quotient_projection):
+                assert f(m) == self.exact(monkeypatch, f, m), (name, f.__name__)
+            assert list(_row_reduce(m)) == list(reference_rref(m)), name
+
+    def test_matches_sympy_rref(self, rng):
+        sympy = pytest.importorskip("sympy")
+        for name, m, _ in _shortcut_cases(rng):
+            expected, expected_pivots = sympy.Matrix(
+                m.rows, m.cols, [sympy.Rational(c.p, c.r) + sympy.I * sympy.Rational(c.q, c.r) for c in m.entries()]
+            ).rref()
+            pivots, rows = _row_reduce(m)
+            assert tuple(pivots) == expected_pivots, name
+            got = [[sympy.Rational(c.p, c.r) + sympy.I * sympy.Rational(c.q, c.r) for c in row] for row in rows]
+            assert got == expected.tolist()[: len(pivots)], name
+
+    def test_certified_matrices_run_no_exact_elimination(self, rng, monkeypatch):
+        def refused(*args):
+            raise AssertionError("exact elimination ran")
+
+        monkeypatch.setattr(exactalg, "echelon_insert", refused)
+        for name, m, invertible in _shortcut_cases(rng):
+            if invertible:
+                pivots, rows = _row_reduce(m)
+                assert pivots == list(range(m.rows)) and Matrix.from_rows(rows) == Matrix.identity(m.rows)
+                assert kernel_basis(m) == []
+
+    def test_tall_and_wide_matrices_are_never_certified(self, monkeypatch):
+        def refused(m):
+            raise AssertionError("a matrix that is not square was reduced mod p")
+
+        monkeypatch.setattr(exactalg, "_invertible_mod", refused)
+        for m in (Matrix.identity(3).submatrix(0, 3, 0, 2), Matrix.identity(3).submatrix(0, 2, 0, 3)):
+            assert _row_reduce(m)[0] == [0, 1]
 
 
 # entries that take every path of the fused kernels: integers (r = 1), small

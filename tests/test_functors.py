@@ -233,7 +233,9 @@ class TestMcHandsOnTBlocking:
     @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
     def test_nilpotent_powers_once_per_block_built(self, monkeypatch, p, alpha):
         # the parameter bound is read off the first dual's blocks, which
-        # built their powers already: no table of powers is computed twice
+        # built their powers already, and the second swap takes h's powers
+        # with its T-blocking: no table of powers is computed twice
+        handed_on = len(kappa(p).blocks)
         blocks, tables = [], []
         init = Block.__post_init__
 
@@ -249,7 +251,9 @@ class TestMcHandsOnTBlocking:
         for module in (datum, functors):
             monkeypatch.setattr(module, "nilpotent_powers", counted, raising=False)
         mc(p, alpha)
-        assert len(tables) == len(blocks) > 0
+        assert handed_on > 0
+        assert len(tables) == len(blocks) - handed_on
+        assert len({id(nil) for nil in tables}) == len(tables)
 
     def test_jordan_constant_blocks_at_the_pole_of_alpha(self):
         p, alpha = jordan_constant_input(random.Random(7), 3)
