@@ -15,7 +15,8 @@ elimination runs in.  The uniqueness allows one shortcut: a square matrix
 of full rank mod a prime is invertible, its reduced echelon form is the
 identity, and ``_row_reduce`` returns that without eliminating.  A matrix
 that is not square, is singular mod the prime or has a denominator the
-prime divides is eliminated exactly.
+prime divides is eliminated exactly, and so, with no pass mod p, is a
+matrix that is singular by construction.
 """
 
 from __future__ import annotations
@@ -571,22 +572,13 @@ def _echelon_rows(m: Matrix):
     return rows, pivots
 
 
-def _row_reduce(m: Matrix):
-    """The reduced row echelon form of m; returns (pivot columns, nonzero rows).
-
-    A matrix has exactly one reduced echelon form, so the result does not
-    depend on the order in which the elimination runs.  Each pivot column
-    is cleared from the earlier rows, last inserted row first: a row is
-    zero at the pivots of the rows inserted before it, so a cleared column
-    never refills.
-
-    A square m that ``_invertible_mod`` certifies reduces to the identity,
-    returned with no elimination; any other m is eliminated exactly.
+def _reduce_rows(rows: list, pivots: list[int]):
+    """(pivot columns, rows) of the reduced echelon form of the span of
+    ``echelon_insert``'s rows, reduced in place and sorted by pivot.  Each
+    pivot column is cleared from the earlier rows, last inserted row first:
+    a row is zero at the pivots of the rows inserted before it, so a
+    cleared column never refills, and the rows stay valid for inserts.
     """
-    n = m.rows
-    if n == m.cols and _invertible_mod(m):
-        return list(range(n)), [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
-    rows, pivots = _echelon_rows(m)
     for k in range(len(rows) - 1, 0, -1):
         c = pivots[k]
         tail = rows[k][c:]
@@ -598,19 +590,39 @@ def _row_reduce(m: Matrix):
     return [pivots[k] for k in order], [rows[k] for k in order]
 
 
+def _eliminate(m: Matrix):
+    """``_row_reduce`` with no mod-p pass, for m singular by construction."""
+    return _reduce_rows(*_echelon_rows(m))
+
+
+def _row_reduce(m: Matrix):
+    """The reduced row echelon form of m; returns (pivot columns, nonzero rows).
+
+    A matrix has exactly one reduced echelon form, so the result does not
+    depend on the order in which the elimination runs.
+
+    A square m that ``_invertible_mod`` certifies reduces to the identity,
+    returned with no elimination; any other m is eliminated exactly.
+    """
+    n = m.rows
+    if n == m.cols and _invertible_mod(m):
+        return list(range(n)), [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
+    return _eliminate(m)
+
+
 def rank(m: Matrix) -> int:
     return len(_echelon_rows(m)[0])
 
 
-def kernel_basis(m: Matrix) -> list[Matrix]:
-    """Echelon-normalized basis of Ker m (leading entry of each vector is 1)."""
-    pivots, grid = _row_reduce(m)
+def _kernel(cols: int, pivots: list[int], grid) -> list[Matrix]:
+    """Echelon-normalized basis of the kernel of the reduced echelon form
+    (pivots, grid) with cols columns: one vector per free column."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * m.cols
+        vec = [_ZERO] * cols
         vec[free] = _ONE
         for row, pc in enumerate(pivots):
             vec[pc] = -grid[row][free]
@@ -620,6 +632,11 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
             vec = [inv * x for x in vec]
         basis.append(Matrix.column(vec))
     return basis
+
+
+def kernel_basis(m: Matrix) -> list[Matrix]:
+    """Echelon-normalized basis of Ker m (leading entry of each vector is 1)."""
+    return _kernel(m.cols, *_row_reduce(m))
 
 
 def quotient_projection(m: Matrix):
@@ -637,11 +654,11 @@ def quotient_projection(m: Matrix):
 
 
 def solve(a: Matrix, b: Matrix):
-    """A particular solution X of a*X = b (free variables 0), or None."""
+    """A particular solution X of a*X = b (free variables 0), or None.
+    [a | b] is singular when a solution exists, so it skips the pass mod p."""
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
-    aug = Matrix.hstack([a, b])
-    pivots, grid = _row_reduce(aug)
+    pivots, grid = _eliminate(Matrix.hstack([a, b]))
     for pc in pivots:
         if pc >= a.cols:
             return None
@@ -884,6 +901,7 @@ def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Ma
     The kernel chain Ker (m - ev)^j stops at the Jordan index j, the first
     with mult vectors (j = 1, no product, for a semisimple ev).  From j on
     it equals Ker (m - ev)^mult, and so does the echelon form it is read from.
+    Every (m - ev)^j is singular, so it is eliminated with no mod-p pass.
     """
     n = m.rows
     out = []
@@ -891,7 +909,7 @@ def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Ma
     for ev, mult in char_eigenvalues(m):
         shifted = power = m.shift(-ev)
         for _ in range(mult):
-            kernel = kernel_basis(power)
+            kernel = _kernel(n, *_eliminate(power))
             if len(kernel) == mult:
                 break
             power = power * shifted
@@ -963,10 +981,17 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     so there are p*m unknowns instead of p*q (m is 1 when the x's act
     irreducibly, q when they are all zero).  G_k is read off the spin's
     tree: its seed's identity block, or y_i G_j when B_k = x_i B_j.  With
-    x B = B C the conditions read Sum_k C[k, j] G_k u = y G_j u for every
-    pair and every j, one small kernel; on a tree edge B_k = x_i B_j both
-    sides are G_k, so only the other j give conditions;
-    each solution maps back to f = [G_k u]_k B^-1.
+    x_i B = B C_i the conditions read Sum_k C_i[k, j] G_k u = y_i G_j u for
+    every pair i and every column j; on a tree edge B_k = x_i B_j both
+    sides are G_k, so only the other (i, j) give conditions.  Each solution
+    maps back to f = [G_k u]_k B^-1.
+
+    The blocks are eliminated column by column, every pair at j = 0, then
+    at j = 1, and so on.  Part of the conditions has a kernel containing
+    Hom, so full rank proves Hom = 0.  At a stall (a block adding no rank
+    after the rank grew since the last check) each map f of the kernel so
+    far is tested exactly against f*x == y*f on every pair; if all pass,
+    that kernel is Hom.  After the last block it is Hom with no test.
 
     The Sylvester-kernel basis depends only on the space: it has one vector
     per free column c, in ascending c, which before scaling is 1 at c, 0 at
@@ -990,28 +1015,39 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     blocks = []  # G_k, with f B_k = G_k u
     for link in tree:
         blocks.append(next(seed_blocks) if link is None else pairs[link[1]][1] * blocks[link[0]])
-    edges = set(tree)
     stacked = Matrix.vstack(blocks)
     by_basis = Matrix(q, p * w, stacked.entries())  # row k is G_k, flattened
-    b = Matrix.hstack(spun)
-    binv = invert(b)
-    conditions = []
-    for i, (x, y) in enumerate(pairs):
-        # on a tree edge (j, i) column j of C is a unit vector and the condition is 0 = 0
-        js = [j for j in range(q) if (j, i) not in edges]
-        lhs = (binv * (x * b)).select_columns(js).transpose() * by_basis  # row j: Sum_k C[k, j] G_k
-        rhs = Matrix.vstack([y * blocks[j] for j in js])
-        conditions += [a - c if c.p or c.q else a for a, c in zip(lhs.entries(), rhs.entries())]
-    kernel = kernel_basis(Matrix(len(conditions) // w, w, conditions))
-    if not kernel:
-        return []
-    n = len(kernel)
-    # stacked * u lists the columns F_k = G_k u of F = f B in turn: read as q x p it is F^T,
-    # and f^T = B^-T F^T
-    ft = Matrix(q, p * n, (stacked * Matrix.hstack(kernel)).entries())
-    ft = (binv.transpose() * ft).entries()
-    flat = [ft[(j * p + r) * n + i] for i in range(n) for r in range(p) for j in range(q)]
-    _, reduced = _row_reduce(Matrix(n, p * q, flat[::-1]))
+    binv = invert(Matrix.hstack(spun))
+
+    def maps(kernel):
+        # stacked * u lists the columns F_k = G_k u of F = f B in turn: read as
+        # q x p it is F^T, and f^T = B^-T F^T
+        n = len(kernel)
+        ft = Matrix(q, p * n, (stacked * Matrix.hstack(kernel)).entries())
+        ft = (binv.transpose() * ft).entries()
+        return [Matrix(p, q, [ft[(j * p + r) * n + i] for r in range(p) for j in range(q)]) for i in range(n)]
+
+    # on a tree edge (j, i) column j of C_i is a unit vector and the condition is 0 = 0
+    edges = set(tree)
+    todo = [(i, j) for j in range(q) for i in range(len(pairs)) if (j, i) not in edges]
+    rows, pivots, checked = [], [], 0
+    for done, (i, j) in enumerate(todo, 1):
+        x, y = pairs[i]
+        # Sum_k C_i[k, j] G_k - y_i G_j, with column j of C_i = B^-1 x_i B_j
+        lhs = (Matrix(1, q, (binv * (x * spun[j])).entries()) * by_basis).entries()
+        block = [a - c if c.p or c.q else a for a, c in zip(lhs, (y * blocks[j]).entries())]
+        grew = sum(echelon_insert(rows, pivots, block[r * w : (r + 1) * w]) for r in range(p))
+        if len(rows) == w:
+            return []
+        if not grew and checked < len(rows) and done < len(todo):
+            checked = len(rows)
+            fs = maps(_kernel(w, *_reduce_rows(rows, pivots)))
+            if all(f * x == y * f for f in fs for x, y in pairs):
+                break
+    else:
+        fs = maps(_kernel(w, *_reduce_rows(rows, pivots)))
+    flat = [e for f in fs for e in f.entries()]
+    _, reduced = _row_reduce(Matrix(len(fs), p * q, flat[::-1]))
     basis = []
     for row in reversed(reduced):
         lead = next(x for x in reversed(row) if x.p or x.q).inverse()

@@ -361,7 +361,9 @@ def equivalent(a: System, b: System):
     When it has dimension at most one, every invertible intertwiner is a
     multiple of its basis element, so that element decides.  By Schur's
     lemma the dimension is at most one whenever a or b is irreducible; a
-    larger space is inconclusive.
+    larger space is inconclusive.  ``intertwiner_basis`` solves for it
+    column by column and stops early only on an exact certificate: full
+    rank, or a kernel whose every element passes f a = b f.
     """
     if a.dimension == 0 and b.dimension == 0:
         return Matrix.zeros(0, 0)

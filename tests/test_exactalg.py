@@ -1,6 +1,7 @@
 """Exact scalar/matrix primitives: worked examples and algebraic properties."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -810,6 +811,24 @@ class TestEigendecomposition:
                     power = power * shifted
                 assert basis == Matrix.hstack(kernel_basis(power))
 
+    def test_singular_by_construction_skips_the_pass_mod_p(self, rng, monkeypatch):
+        # every (m - ev)^j is singular, and so is the square augmented matrix
+        # [basis | (m - ev) basis] of the solve for nil (distinct eigenvalues, n = 2)
+        from midconv.checks import random_invertible
+        from midconv.normalform import jordan_matrix
+
+        types = [(2, [(gr(1), 1), (gr(-1), 1)]), (3, [(gr(0), 2), (gr(2), 1)])]
+        types += [random_jordan_type(rng) for _ in range(6)]
+        matrices = []
+        for n, blocks in types:
+            c = random_invertible(rng, n)
+            matrices.append(c * jordan_matrix(blocks) * invert(c))
+        calls = []
+        monkeypatch.setattr(exactalg, "_invertible_mod", lambda m: calls.append(m) or False)
+        for m in matrices:
+            generalized_eigendecomposition(m)
+        assert calls == []
+
 
 def random_jordan_type(rng, max_dim=5):
     """(dimension, [(eigenvalue, block size), ...]), at most max_dim."""
@@ -1039,6 +1058,102 @@ class TestIntertwinerAgainstSylvesterKernel:
     @settings(max_examples=80, deadline=None)
     def test_property(self, pairs):
         self.check(pairs)
+
+
+def counted_intertwiner_basis(monkeypatch, pairs):
+    """intertwiner_basis(pairs) and its counts: ``rows``, the condition rows
+    it inserts itself (``echelon_insert`` calls outside ``spin`` and
+    ``_echelon_rows``); ``widths``, the lengths of every vector inserted
+    outside ``spin``; ``kernels``, the kernels it reads (one per stall check,
+    one more when the solve runs to the last block)."""
+    counts = {"rows": 0, "kernels": 0, "widths": Counter()}
+    inside = Counter()
+
+    def quiet(name, f):
+        def wrapped(*args):
+            inside[name] += 1
+            try:
+                return f(*args)
+            finally:
+                inside[name] -= 1
+
+        return wrapped
+
+    def insert(rows, pivots, vec, real=exactalg.echelon_insert):
+        if not inside["spin"]:
+            counts["widths"][len(vec)] += 1
+            counts["rows"] += not inside["_echelon_rows"]
+        return real(rows, pivots, vec)
+
+    def kernel(*args, real=exactalg._kernel):
+        counts["kernels"] += 1
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        for name in ("spin", "_echelon_rows"):
+            patch.setattr(exactalg, name, quiet(name, getattr(exactalg, name)))
+        patch.setattr(exactalg, "echelon_insert", insert)
+        patch.setattr(exactalg, "_kernel", kernel)
+        basis = intertwiner_basis(pairs)
+    assert basis == sylvester_kernel(pairs)
+    return basis, counts
+
+
+class TestIntertwinerExits:
+    """intertwiner_basis eliminates its condition blocks column by column
+    and stops at full rank, at a stall whose kernel passes f*x == y*f on
+    every pair, or after the last block; each exit gives the Sylvester
+    kernel."""
+
+    SHIFT = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # e_1 -> e_2 -> e_3
+
+    def test_hom_zero_before_the_last_column(self, monkeypatch):
+        # the first block, (diagonal, column 0), has full rank 3 of 12 rows
+        pairs = [(self.SHIFT, self.SHIFT), (Matrix.diagonal([1, 2, 3]), Matrix.diagonal([4, 5, 6]))]
+        basis, counts = counted_intertwiner_basis(monkeypatch, pairs)
+        assert basis == [] and (counts["rows"], counts["kernels"]) == (3, 0)
+
+    def test_stall_kernel_that_passes_the_check(self, monkeypatch):
+        d = Matrix.diagonal([1, 2, 3])
+        basis, counts = counted_intertwiner_basis(monkeypatch, [(self.SHIFT, self.SHIFT), (d, d)])
+        assert len(basis) == 1 and (counts["rows"], counts["kernels"]) == (6, 1)
+
+    def test_stall_kernel_larger_than_hom_fails_the_check(self, monkeypatch):
+        # the block (nilpotent, column 0) adds no rank to (diagonal, column 0):
+        # the kernel so far has dimension 3, Hom has dimension 1
+        d, n = Matrix.diagonal([0, 2]), Matrix.from_rows([[0, -1], [0, 0]])
+        basis, counts = counted_intertwiner_basis(monkeypatch, [(d, d), (n, n)])
+        assert len(basis) == 1 and (counts["rows"], counts["kernels"]) == (8, 2)
+
+    def test_fall_through_to_the_last_block(self, monkeypatch):
+        zero = Matrix.zeros(2, 2)
+        basis, counts = counted_intertwiner_basis(monkeypatch, [(zero, zero), (zero, zero)])
+        assert len(basis) == 4 and (counts["rows"], counts["kernels"]) == (0, 1)
+        basis, counts = counted_intertwiner_basis(monkeypatch, [(J2, J2)])
+        assert len(basis) == 2 and (counts["rows"], counts["kernels"]) == (4, 1)
+
+    def test_oracle_pair_inserts_under_half_the_conditions(self, monkeypatch):
+        # mc of the rigid triple against the two-step construction: Hom has
+        # dimension 1 and is certified at a stall, after one failed check
+        import json
+        from pathlib import Path
+
+        from midconv.documents import system_from_document
+        from midconv.functors import dr_middle_convolution, mc
+        from midconv.systems import lambda_over_z
+
+        path = Path(__file__).resolve().parent.parent / "fixtures" / "rigid-triple.sys"
+        p = system_from_document(json.loads(path.read_text(encoding="utf-8")))
+        a, b = mc(p, lambda_over_z(gr(2))), dr_middle_convolution(p, gr(2))
+        pairs = [(a.constant, b.constant)]
+        pairs += [(part.coefficients[0], b.part_at(part.point).coefficients[0]) for part in a.parts]
+        assert a.dimension == 4 and len(pairs) == 4
+        basis, counts = counted_intertwiner_basis(monkeypatch, pairs)
+        # the domain is irreducible, so there is one seed and a condition row has
+        # p = 4 entries, where B's inverse has rows of 8 and the basis of 16; the
+        # whole system has 4 rows per nonzero pair and column, less q - 1 = 3 tree edges
+        nonzero = sum(not (x.is_zero() and y.is_zero()) for x, y in pairs)
+        assert len(basis) == 1 and 2 * counts["widths"][4] < 4 * (nonzero * 4 - 3)
 
 
 class SpinField:

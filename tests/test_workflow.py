@@ -1,5 +1,6 @@
 """The CI workflow file parses as YAML, its pinned-digest step checks every
-benchmark workload, and its smoke test runs the goldens on the installed package.
+benchmark workload under two hash seeds, and its smoke test runs the goldens
+on the installed package.
 
 A workflow that does not parse shows up on GitHub as a workflow error, never
 as a failed run, so nothing else would catch it.  Skipped where PyYAML is
@@ -7,6 +8,7 @@ not installed.
 """
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,16 @@ def test_workflow_parses_and_pins_every_workload(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
     assert sorted(line.split()[0] for line in pinned.splitlines()) == sorted(workloads.NAMES)
+
+
+def test_pinned_digests_are_checked_under_two_hash_seeds():
+    # a digest that depends on set or dict order then fails under a named seed
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    script = {step.get("name"): step for step in workflow["jobs"]["tests"]["steps"]}[DIGEST_STEP]["run"]
+    assert re.findall(r"^\s*for hashseed in ([0-9 ]+); do$", script, re.M) == ["0 12345"]
+    runs = [line for line in script.splitlines() if "bench/run.py" in line]
+    assert runs and all("$(PYTHONHASHSEED=$hashseed python3 bench/run.py " in line for line in runs)
 
 
 def test_console_script_smoke_test_diffs_against_existing_goldens(pytestconfig):
