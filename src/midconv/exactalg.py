@@ -7,25 +7,26 @@ exact linear solves, eigenvalue extraction inside Q(i), and
 nilpotent/commutant structure.  No floating point is used anywhere.
 
 All exact elimination is one step, ``echelon_insert``, and every row
-operation is one kernel, ``_sub_mul``; ``_echelon_insert_mod`` is its twin
-over F_p, for the certificates mod p.  Kernels, quotients and solutions
+operation is one kernel, ``_sub_mul``.  Kernels, quotients and solutions
 are read off the reduced row echelon form, which is unique for each
 matrix, so repeated runs produce byte-identical bases whatever order the
 elimination runs in.  The uniqueness allows one shortcut: a square matrix
 of full rank mod a prime is invertible, its reduced echelon form is the
-identity, and ``_row_reduce`` returns that without eliminating.  A matrix
-that is not square, is singular mod the prime or has a denominator the
-prime divides is eliminated exactly, and so, with no pass mod p, is a
-matrix that is singular by construction.
+identity, and ``_row_reduce`` returns that without eliminating (all
+arithmetic mod p is in ``modp``).  A matrix that is not square, is
+singular mod the prime or has a denominator the prime divides is
+eliminated exactly, and so, with no pass mod p, is a matrix that is
+singular by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
+from .modp import certified_invertible, spin
 
 __all__ = [
     "GaussianRational",
@@ -44,7 +45,6 @@ __all__ = [
     "nilpotent_powers",
     "generalized_eigendecomposition",
     "sylvester_operator",
-    "spin",
     "intertwiner_basis",
 ]
 
@@ -507,62 +507,6 @@ def echelon_insert(rows: list, pivots: list[int], vec) -> bool:
     return True
 
 
-def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
-    """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
-    vec are reduced mod p only when read as a multiplier and at the end."""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        f = v[c] % p
-        if f:
-            v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
-    v = [x % p for x in v]
-    for lead, x in enumerate(v):
-        if x:
-            break
-    else:
-        return False
-    inv = pow(x, -1, p)
-    rows.append([y * inv % p for y in v])
-    pivots.append(lead)
-    return True
-
-
-# Primes p = 1 (mod 4), each with its square root of -1 mod p: the images
-# of i under the maps Z[i] -> F_p behind the certificates mod p
-_CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
-
-
-def _reduce_mod(gens: list, p: int, s: int) -> Optional[list[list[int]]]:
-    """The Gaussian-rational matrices gens mod p, with i -> s, as flat lists,
-    those that are zero mod p dropped; None if p divides a denominator."""
-    if any(x.r % p == 0 for g in gens for x in g.entries()):
-        return None
-    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g.entries()] for g in gens]
-    return [g for g in red if any(g)]
-
-
-def _invertible_mod(m: Matrix) -> bool:
-    """Whether the square m is certified invertible by its rank mod the
-    first prime of ``_CERT_PRIMES``: False when that prime divides a
-    denominator or m is singular mod it.  Rank can only drop under the
-    ring map to F_p, so True proves m invertible over Q(i).
-
-    Rows are reduced and inserted last first, and the first dependent one
-    ends the pass: a hat matrix is block upper triangular, so its last
-    rows are its shortest, and it is singular exactly when its last block
-    row is.
-    """
-    p, s = _CERT_PRIMES[0]
-    n = m.cols
-    rows: list = []
-    pivots: list[int] = []
-    for i in range(n - 1, -1, -1):
-        red = _reduce_mod([m.submatrix(i, i + 1, 0, n)], p, s)
-        if not red or not _echelon_insert_mod(rows, pivots, red[0], p):
-            return False
-    return True
-
-
 def _echelon_rows(m: Matrix):
     """A row echelon basis of the row space of m, in insertion order."""
     rows: list[list[GaussianRational]] = []
@@ -601,11 +545,11 @@ def _row_reduce(m: Matrix):
     A matrix has exactly one reduced echelon form, so the result does not
     depend on the order in which the elimination runs.
 
-    A square m that ``_invertible_mod`` certifies reduces to the identity,
+    A square m that ``certified_invertible`` certifies reduces to the identity,
     returned with no elimination; any other m is eliminated exactly.
     """
     n = m.rows
-    if n == m.cols and _invertible_mod(m):
+    if n == m.cols and certified_invertible(n, m.entries()):
         return list(range(n)), [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
     return _eliminate(m)
 
@@ -938,36 +882,6 @@ def sylvester_operator(x: Matrix, y: Matrix) -> Matrix:
     return Matrix(size, size, ents)
 
 
-def spin(seeds, gens, act, insert, full: int):
-    """The span of the seeds under the generators, breadth first.
-
-    Each seed that is not yet in the span is inserted and spun: ``act(g,
-    e)`` is inserted for every inserted element e in turn and every
-    generator g, until the span stops growing.  ``insert(rows, pivots, e)``
-    reduces e against the echelon rows and says whether it was independent
-    (``echelon_insert`` or a twin over another field).  The spin stops as
-    soon as ``full`` elements are in.  Returns the inserted elements and
-    their tree: None for a seed, (j, i) when element k is act(gens[i],
-    element j).
-    """
-    rows, pivots, elems, tree = [], [], [], []
-    for seed in seeds:
-        if len(elems) < full and insert(rows, pivots, seed):
-            j = len(elems)
-            elems.append(seed)
-            tree.append(None)
-            while j < len(elems) < full:
-                for i, g in enumerate(gens):
-                    e = act(g, elems[j])
-                    if insert(rows, pivots, e):
-                        elems.append(e)
-                        tree.append((j, i))
-                        if len(elems) == full:
-                            break
-                j += 1
-    return elems, tree
-
-
 def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     """Echelon basis of {f : f*x = y*f for every (x, y) in pairs}: the basis
     ``kernel_basis`` gives on the stacked ``sylvester_operator``s, read as
@@ -1000,6 +914,8 @@ def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     how the basis is put back, each vector then scaled so that its first
     nonzero entry in row-major order is 1.
     """
+    if not pairs:
+        raise DimensionMismatch("intertwiner_basis got an empty pair list")
     p, q = pairs[0][1].rows, pairs[0][0].rows
     if not p or not q:
         return []

@@ -1,18 +1,103 @@
-"""Arithmetic over F_p for the mod-p irreducibility certificate: vectors
-are lists of ints, n x n matrices flat row-major lists of ints in [0, p)
-and polynomials lists of ascending coefficients.  Reduction mod p and the
-echelon step are in ``exactalg``, whose row reduction uses them too."""
+"""All arithmetic over F_p, for the certificates mod p, and the field-free
+``spin``.  It imports nothing from midconv and reads a Gaussian rational
+only as its integer triple (p, q, r), from ``Matrix.entries()``.  Vectors
+are lists of ints, n x n matrices flat row-major lists of ints in [0, p),
+polynomials lists of ascending coefficients.  True from a certificate
+proves the claim over Q(i), as rank can only drop under reduction mod p."""
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
-from .exactalg import _echelon_insert_mod, spin
+__all__ = ["spin", "certified_invertible", "certified_full"]
 
+# Primes p = 1 (mod 4), each with its square root of -1 mod p: the image of i
+_CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
+# The dimension from which _full_mod runs the MeatAxe instead of the word span
+_MEATAXE_DIM = 5
 # Random algebra elements _meataxe_mod draws before it gives up
 _DRAWS = 8
+
+
+def spin(seeds, gens, act, insert, full: int):
+    """The span of the seeds under the generators, breadth first.
+
+    Each seed that is not yet in the span is inserted and spun: ``act(g,
+    e)`` is inserted for every inserted element e in turn and every
+    generator g, until the span stops growing.  ``insert(rows, pivots, e)``
+    reduces e against the echelon rows and says whether it was independent
+    (``echelon_insert`` or a twin over another field).  The spin stops as
+    soon as ``full`` elements are in.  Returns the inserted elements and
+    their tree: None for a seed, (j, i) when element k is act(gens[i],
+    element j).
+    """
+    rows, pivots, elems, tree = [], [], [], []
+    for seed in seeds:
+        if len(elems) < full and insert(rows, pivots, seed):
+            j = len(elems)
+            elems.append(seed)
+            tree.append(None)
+            while j < len(elems) < full:
+                for i, g in enumerate(gens):
+                    e = act(g, elems[j])
+                    if insert(rows, pivots, e):
+                        elems.append(e)
+                        tree.append((j, i))
+                        if len(elems) == full:
+                            break
+                j += 1
+    return elems, tree
+
+
+def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
+    """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
+    vec are reduced mod p only when read as a multiplier and at the end."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c] % p
+        if f:
+            v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
+    v = [x % p for x in v]
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
+        return False
+    inv = pow(x, -1, p)
+    rows.append([y * inv % p for y in v])
+    pivots.append(lead)
+    return True
+
+
+def _reduce_mod(gens: list, p: int, s: int) -> Optional[list[list[int]]]:
+    """The Gaussian-rational matrices gens, as flat entry lists, mod p with
+    i -> s, those that are zero mod p dropped; None if p divides a denominator."""
+    if any(x.r % p == 0 for g in gens for x in g):
+        return None
+    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g] for g in gens]
+    return [g for g in red if any(g)]
+
+
+def certified_invertible(n: int, entries: Sequence) -> bool:
+    """Whether the n x n matrix m with these row-major entries is certified
+    invertible by its rank mod the first prime of ``_CERT_PRIMES``: False
+    when that prime divides a denominator or m is singular mod it.
+
+    Rows are reduced and inserted last first, and the first dependent one
+    ends the pass: a hat matrix is block upper triangular, so its last
+    rows are its shortest, and it is singular exactly when its last block
+    row is.
+    """
+    p, s = _CERT_PRIMES[0]
+    rows: list = []
+    pivots: list[int] = []
+    for i in range(n - 1, -1, -1):
+        red = _reduce_mod([entries[i * n : (i + 1) * n]], p, s)
+        if not red or not _echelon_insert_mod(rows, pivots, red[0], p):
+            return False
+    return True
 
 
 def _matmul_mod(a: list[int], b: list[int], n: int, p: int) -> list[int]:
@@ -156,3 +241,21 @@ def _word_span_mod(n: int, red: list[list[int]], p: int) -> bool:
         [one], red, lambda g, w: _matmul_mod(w, g, n, p), partial(_echelon_insert_mod, p=p), n * n
     )
     return len(words) == n * n
+
+
+def _full_mod(n: int, gens: list, p: int, s: int) -> Optional[bool]:
+    """Whether the algebra of gens mod p, with i -> s, is certified to be all
+    of M_n(F_p); None if p divides a denominator.  The MeatAxe decides from
+    dimension ``_MEATAXE_DIM`` on; below it, where n^2 words cost less than
+    its root finding, or when every generator vanishes mod p, the word span does."""
+    red = _reduce_mod(gens, p, s)
+    if red is None:
+        return None
+    if n >= _MEATAXE_DIM and red:
+        return _meataxe_mod(n, red, p)
+    return _word_span_mod(n, red, p)
+
+
+def certified_full(n: int, gens: list) -> bool:
+    """Whether ``_full_mod`` certifies the flat n x n gens at some prime."""
+    return any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES)

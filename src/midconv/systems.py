@@ -29,8 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .exactalg import (
-    _CERT_PRIMES,
-    _reduce_mod,
     GaussianRational,
     Matrix,
     echelon_insert,
@@ -38,9 +36,8 @@ from .exactalg import (
     intertwiner_basis,
     invert,
     rank,
-    spin,
 )
-from .modp import _meataxe_mod, _word_span_mod
+from .modp import certified_full, spin
 
 __all__ = [
     "PrincipalPart",
@@ -298,30 +295,13 @@ def gauge_coadjoint(g: TruncatedGauge, part: PrincipalPart) -> PrincipalPart:
 # ---------------------------------------------------------------------------
 
 
-# The dimension from which _full_mod runs the MeatAxe instead of the word span
-_MEATAXE_DIM = 5
-
-
-def _full_mod(n: int, gens: list[Matrix], p: int, s: int) -> Optional[bool]:
-    """Whether the algebra of gens mod p, with i -> s, is certified to be all
-    of M_n(F_p); None if p divides a denominator.  The MeatAxe decides from
-    dimension ``_MEATAXE_DIM`` on; below it, where n^2 words cost less than
-    its root finding, or when every generator vanishes mod p, the word span does."""
-    red = _reduce_mod(gens, p, s)
-    if red is None:
-        return None
-    if n >= _MEATAXE_DIM and red:
-        return _meataxe_mod(n, red, p)
-    return _word_span_mod(n, red, p)
-
-
 def is_irreducible(sys: System) -> bool:
     """True iff the unital algebra generated by the constant term and all
     coefficients is the full endomorphism algebra.
 
-    Certified first mod each prime in ``_CERT_PRIMES`` that divides no
-    denominator, by ``_full_mod``: by the MeatAxe (Norton's criterion, see
-    ``modp._meataxe_mod``) or by the word span mod p.  Reduction mod p is a
+    Certified first by ``modp.certified_full`` (all arithmetic mod p is
+    there): mod a prime that divides no denominator, by the MeatAxe
+    (Norton's criterion) or by the word span mod p.  Reduction mod p is a
     ring map and rank can only drop under it, so the word span over Q(i) is
     full as well.  Otherwise the exact word-span closure decides, so False
     is always exact: ``spin`` spins the identity under the nonzero
@@ -334,7 +314,7 @@ def is_irreducible(sys: System) -> bool:
         raise DimensionMismatch("irreducibility needs dimension >= 1")
     gens = [sys.constant] + [c for p in sys.parts for c in p.coefficients]
     gens = [g for g in gens if not g.is_zero()]
-    if any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES):
+    if certified_full(n, [g.entries() for g in gens]):
         return True
     words, _ = spin(
         [Matrix.identity(n)], gens, lambda g, w: w * g,

@@ -7,14 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from midconv import exactalg
+from midconv import exactalg, modp
+from midconv.datum import hat_matrix
 from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
     GaussianRational,
     Matrix,
-    _CERT_PRIMES,
-    _echelon_insert_mod,
-    _invertible_mod,
     _poly_divmod,
     _row_reduce,
     char_eigenvalues,
@@ -31,10 +29,9 @@ from midconv.exactalg import (
     quotient_projection,
     rank,
     solve,
-    spin,
     sylvester_operator,
 )
-from midconv.modp import _root_mod
+from midconv.modp import _CERT_PRIMES, _echelon_insert_mod, _root_mod, certified_invertible, spin
 
 from conftest import gaussian_matrix
 
@@ -272,12 +269,12 @@ class TestRowReduceShortcut:
     def exact(monkeypatch, f, m):
         """f(m) with the shortcut switched off."""
         with monkeypatch.context() as patch:
-            patch.setattr(exactalg, "_invertible_mod", lambda m: False)
+            patch.setattr(exactalg, "certified_invertible", lambda n, entries: False)
             return f(m)
 
     def test_cases_are_of_their_kind(self, rng):
         for name, m, invertible in _shortcut_cases(rng):
-            assert _invertible_mod(m) is invertible, name
+            assert certified_invertible(m.rows, m.entries()) is invertible, name
             assert (rank(m) < m.rows) is name.startswith("singular-"), name
 
     def test_matches_the_exact_path(self, rng, monkeypatch):
@@ -308,11 +305,34 @@ class TestRowReduceShortcut:
                 assert pivots == list(range(m.rows)) and Matrix.from_rows(rows) == Matrix.identity(m.rows)
                 assert kernel_basis(m) == []
 
+    def test_a_hat_is_decided_by_its_last_block_row(self, rng, monkeypatch):
+        # det A-hat = det(A_k)^k, and the pass inserts A-hat's last block row
+        # [0 .. 0 A_k] first: a singular A_k ends it within n inserts, an
+        # invertible one lets all k n rows in
+        from midconv.checks import random_invertible
+
+        inserts = []
+
+        def counted(*args):
+            inserts.append(args)
+            return _echelon_insert_mod(*args)
+
+        monkeypatch.setattr(modp, "_echelon_insert_mod", counted)
+        for n, k in [(2, 1), (2, 3), (3, 2), (4, 3), (5, 2)]:
+            lower = [gaussian_matrix(rng, n) for _ in range(k - 1)]
+            singular = gaussian_matrix(rng, n, n - 1) * gaussian_matrix(rng, n - 1, n)
+            for lead, invertible in ((singular, False), (random_invertible(rng, n), True)):
+                hat = hat_matrix(lower + [lead])
+                inserts.clear()
+                assert certified_invertible(k * n, hat.entries()) is invertible, (n, k)
+                assert len(inserts) == k * n if invertible else 1 <= len(inserts) <= n, (n, k)
+                assert (rank(hat) == k * n) is invertible, (n, k)
+
     def test_tall_and_wide_matrices_are_never_certified(self, monkeypatch):
-        def refused(m):
+        def refused(n, entries):
             raise AssertionError("a matrix that is not square was reduced mod p")
 
-        monkeypatch.setattr(exactalg, "_invertible_mod", refused)
+        monkeypatch.setattr(exactalg, "certified_invertible", refused)
         for m in (Matrix.identity(3).submatrix(0, 3, 0, 2), Matrix.identity(3).submatrix(0, 2, 0, 3)):
             assert _row_reduce(m)[0] == [0, 1]
 
@@ -824,7 +844,7 @@ class TestEigendecomposition:
             c = random_invertible(rng, n)
             matrices.append(c * jordan_matrix(blocks) * invert(c))
         calls = []
-        monkeypatch.setattr(exactalg, "_invertible_mod", lambda m: calls.append(m) or False)
+        monkeypatch.setattr(exactalg, "certified_invertible", lambda n, entries: calls.append(entries) or False)
         for m in matrices:
             generalized_eigendecomposition(m)
         assert calls == []
@@ -842,6 +862,10 @@ def random_jordan_type(rng, max_dim=5):
 
 
 class TestCentralizer:
+    def test_empty_pair_list_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="empty pair list"):
+            intertwiner_basis([])
+
     def test_zero_is_everything(self):
         assert len(intertwiner_basis([(Matrix.zeros(2, 2), Matrix.zeros(2, 2))])) == 4
 

@@ -31,7 +31,7 @@ from midconv.systems import (
     truncated_inverse,
     zero_pair,
 )
-from midconv import systems
+from midconv import modp, systems
 from midconv.checks import random_gauge, random_invertible, random_matrix
 
 from conftest import D10, E11, E12, E21, Z2, fuchsian, gaussian_matrix
@@ -260,8 +260,9 @@ class TestIrreducibility:
             assert is_irreducible(conjugate_system(c, sys))
 
 
-def generators(sys: System) -> list[Matrix]:
-    return [g for g in [sys.constant] + [c for p in sys.parts for c in p.coefficients] if not g.is_zero()]
+def generators(sys: System) -> list:
+    """The nonzero matrices of sys as flat entry lists, as ``modp`` reads them."""
+    return [g.entries() for g in [sys.constant] + [c for p in sys.parts for c in p.coefficients] if not g.is_zero()]
 
 
 def is_prime(n: int) -> bool:
@@ -303,8 +304,8 @@ class TestIrreducibilityCertificate:
     module's primes) and otherwise falls back to the exact closure."""
 
     def test_certificate_primes(self):
-        assert len(systems._CERT_PRIMES) == 2
-        for p, s in systems._CERT_PRIMES:
+        assert len(modp._CERT_PRIMES) == 2
+        for p, s in modp._CERT_PRIMES:
             assert p % 4 == 1 and is_prime(p)
             assert 0 < s < p and s * s % p == p - 1
         assert [is_prime(n) for n in (1, 2, 5, 25, 561, 1_000_000_007, 3_215_031_751)] == [
@@ -314,25 +315,25 @@ class TestIrreducibilityCertificate:
     def test_irreducible_but_not_certified_mod_5_falls_back(self, monkeypatch):
         # 5 E21 vanishes mod 5, leaving the algebra of E12 alone
         sys = fuchsian({0: E12, 1: 5 * E21})
-        assert systems._full_mod(2, generators(sys), 5, 2) is False
-        monkeypatch.setattr(systems, "_CERT_PRIMES", ((5, 2),))
+        assert modp._full_mod(2, generators(sys), 5, 2) is False
+        monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys)
 
     def test_denominator_divisible_by_p_skips_the_prime(self, monkeypatch):
         sys = fuchsian({0: E12, 1: Fraction(1, 5) * E21})
-        assert systems._full_mod(2, generators(sys), 5, 2) is None
-        assert systems._full_mod(2, generators(sys), 13, 5) is True
-        monkeypatch.setattr(systems, "_CERT_PRIMES", ((5, 2),))
+        assert modp._full_mod(2, generators(sys), 5, 2) is None
+        assert modp._full_mod(2, generators(sys), 13, 5) is True
+        monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys)
 
     def test_gaussian_entries_map_i_to_the_root(self):
         # (i - 2) E21 vanishes under i -> 2 but not under i -> 3
         sys = fuchsian({0: E12, 1: gr(-2, 1) * E21})
-        assert systems._full_mod(2, generators(sys), 5, 2) is False
-        assert systems._full_mod(2, generators(sys), 5, 3) is True
+        assert modp._full_mod(2, generators(sys), 5, 2) is False
+        assert modp._full_mod(2, generators(sys), 5, 3) is True
 
     def test_reducible_families_never_certified(self, rng):
-        primes = systems._CERT_PRIMES + ((5, 2), (13, 5))
+        primes = modp._CERT_PRIMES + ((5, 2), (13, 5))
         families = [fuchsian({0: E11, 1: E21}), fuchsian({0: D10, 1: 5 * E12})]
         for _ in range(10):
             n = rng.choice([2, 3, 4])
@@ -343,10 +344,10 @@ class TestIrreducibilityCertificate:
             families.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
         for sys in families:
             for p, s in primes:
-                assert systems._full_mod(sys.dimension, generators(sys), p, s) is not True
+                assert modp._full_mod(sys.dimension, generators(sys), p, s) is not True
             assert not is_irreducible(sys)
 
-    @pytest.mark.parametrize("primes", [systems._CERT_PRIMES, ((5, 2),)], ids=["module-primes", "mod-5"])
+    @pytest.mark.parametrize("primes", [modp._CERT_PRIMES, ((5, 2),)], ids=["module-primes", "mod-5"])
     def test_verdict_agrees_with_exact_closure(self, monkeypatch, rng, primes):
         cases = []
         for trial in range(24):
@@ -357,21 +358,21 @@ class TestIrreducibilityCertificate:
                 for pt, order in zip(rng.sample([0, 1, -1, 2], rng.randint(1, 3)), [1, 2, 3])
             )
             cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
-        monkeypatch.setattr(systems, "_CERT_PRIMES", ())
+        monkeypatch.setattr(modp, "_CERT_PRIMES", ())
         exact = [is_irreducible(sys) for sys in cases]
-        monkeypatch.setattr(systems, "_CERT_PRIMES", primes)
+        monkeypatch.setattr(modp, "_CERT_PRIMES", primes)
         assert [is_irreducible(sys) for sys in cases] == exact
         assert True in exact and False in exact
 
-    @pytest.mark.parametrize("meataxe_dim", [systems._MEATAXE_DIM, 2], ids=["as-shipped", "meataxe"])
+    @pytest.mark.parametrize("meataxe_dim", [modp._MEATAXE_DIM, 2], ids=["as-shipped", "meataxe"])
     def test_irreducible_over_f5_but_not_absolutely(self, monkeypatch, meataxe_dim):
         # g^2 = 2 and 2 is no square mod 5: the algebra of g is F_25, which has
         # no line over F_5 to fix, but every element of it with an eigenvalue
         # in F_5 is a scalar, whose eigenspace is all of V
-        monkeypatch.setattr(systems, "_MEATAXE_DIM", meataxe_dim)
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", meataxe_dim)
         sys = fuchsian({0: Matrix.from_rows([[0, 2], [1, 0]])})
-        assert systems._full_mod(2, generators(sys), 5, 2) is not True
-        monkeypatch.setattr(systems, "_CERT_PRIMES", ((5, 2),))
+        assert modp._full_mod(2, generators(sys), 5, 2) is not True
+        monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys) is False
 
     def test_middle_convolutions_are_certified_at_both_module_primes(self):
@@ -385,12 +386,12 @@ class TestIrreducibilityCertificate:
                 out = mc(sys, lambda_over_z(1))
                 if out.dimension in (8, 9):
                     outputs.append(out)
-        assert systems._MEATAXE_DIM <= 8
+        assert modp._MEATAXE_DIM <= 8
         for out in outputs:
-            for p, s in systems._CERT_PRIMES:
-                assert systems._full_mod(out.dimension, generators(out), p, s) is True
+            for p, s in modp._CERT_PRIMES:
+                assert modp._full_mod(out.dimension, generators(out), p, s) is True
 
-    @pytest.mark.parametrize("primes", [systems._CERT_PRIMES, ((5, 2), (13, 5))], ids=["module-primes", "small"])
+    @pytest.mark.parametrize("primes", [modp._CERT_PRIMES, ((5, 2), (13, 5))], ids=["module-primes", "small"])
     def test_meataxe_below_its_dimension_never_beats_the_word_span(self, monkeypatch, rng, primes):
         # the word span mod p is exact for the algebra mod p, so it bounds the certificate
         cases = []
@@ -401,14 +402,14 @@ class TestIrreducibilityCertificate:
             cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
         verdicts = {}
         for dim in (99, 2):
-            monkeypatch.setattr(systems, "_MEATAXE_DIM", dim)
-            verdicts[dim] = [systems._full_mod(c.dimension, generators(c), p, s) for c in cases for p, s in primes]
+            monkeypatch.setattr(modp, "_MEATAXE_DIM", dim)
+            verdicts[dim] = [modp._full_mod(c.dimension, generators(c), p, s) for c in cases for p, s in primes]
         assert all(m is not True or w is True for m, w in zip(verdicts[2], verdicts[99]))
         assert verdicts[2].count(True) > len(verdicts[2]) // 3
         # the MeatAxe stays forced for the verdicts below
-        monkeypatch.setattr(systems, "_CERT_PRIMES", ())
+        monkeypatch.setattr(modp, "_CERT_PRIMES", ())
         exact = [is_irreducible(c) for c in cases]
-        monkeypatch.setattr(systems, "_CERT_PRIMES", primes)
+        monkeypatch.setattr(modp, "_CERT_PRIMES", primes)
         assert [is_irreducible(c) for c in cases] == exact
 
     def test_global_random_state_is_left_alone(self):
