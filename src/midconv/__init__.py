@@ -3,7 +3,7 @@
 Everything is computed over the Gaussian rationals; there is no floating
 point anywhere.  The main entry points:
 
-- modp: all arithmetic mod p, the certificates mod p and ``spin``
+- modp: all arithmetic mod p: certificates, ``qi_roots``' root candidates, ``spin``
 - exactalg: scalars, matrices, echelon/kernel/eigen primitives
 - systems: pairs (V, A), truncated gauges, irreducibility, equivalence
 - datum: canonical realizations (V, W, S, T, Q, P), stability, moments

@@ -19,7 +19,7 @@ from .datum import (
     moment_mu,
     phi,
 )
-from .errors import DomainError, Exceptional, InvariantViolation, IrrationalSpectrum
+from .errors import DomainError, Exceptional, InvariantViolation, IrrationalSpectrum, NotInD0, Reducible
 from .exactalg import (
     GaussianRational,
     Matrix,
@@ -233,12 +233,12 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
         _require(witness is not None, "double dual is not equivalent to the input")
 
     def rigidity_conjugation():
-        if not sys.constant.is_zero() or not residue_at_infinity(sys).is_zero():
-            return
-        if not is_irreducible(sys):
+        try:
+            index = rigidity_index(sys)
+        except (NotInD0, Reducible):
             return
         c = random_invertible(rng, n)
-        _require(rigidity_index(sys) == rigidity_index(conjugate_system(c, sys)))
+        _require(index == rigidity_index(conjugate_system(c, sys)))
 
     record("rank_nullity", rank_nullity)
     record("gauge_group_law", gauge_group_law)

@@ -29,6 +29,7 @@ from .exactalg import (
     Matrix,
     generalized_eigendecomposition,
     gr,
+    hat_matrix,
     intertwiner_basis,
     nilpotent_powers,
     quotient_projection,
@@ -41,7 +42,6 @@ __all__ = [
     "Block",
     "Datum",
     "MomentValue",
-    "hat_matrix",
     "phi",
     "canonical",
     "kappa",
@@ -177,17 +177,6 @@ def phi(d: Datum) -> System:
         if coeffs:
             parts.append(PrincipalPart(b.point, coeffs))
     return System(d.dim_v, d.s_matrix, tuple(parts))
-
-
-def hat_matrix(coefficients: Sequence[Matrix]) -> Matrix:
-    """Upper-triangular block-Toeplitz matrix with A_k on the diagonal and
-    A_{k-1}, ..., A_1 on the superdiagonals."""
-    k = len(coefficients)
-    n = coefficients[0].rows
-    rows = []
-    for i in range(k):
-        rows.append([coefficients[k - 1 - (j - i)] if j >= i else Matrix.zeros(n, n) for j in range(k)])
-    return Matrix.vstack([Matrix.hstack(r) for r in rows])
 
 
 def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:

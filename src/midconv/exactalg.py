@@ -12,21 +12,22 @@ are read off the reduced row echelon form, which is unique for each
 matrix, so repeated runs produce byte-identical bases whatever order the
 elimination runs in.  The uniqueness allows one shortcut: a square matrix
 of full rank mod a prime is invertible, its reduced echelon form is the
-identity, and ``_row_reduce`` returns that without eliminating (all
-arithmetic mod p is in ``modp``).  A matrix that is not square, is
-singular mod the prime or has a denominator the prime divides is
-eliminated exactly, and so, with no pass mod p, is a matrix that is
-singular by construction.
+identity, and ``_row_reduce`` returns that without eliminating.  A
+matrix that is not square, is singular mod the prime or has a denominator
+the prime divides is eliminated exactly, and so, with no pass mod p, is a
+matrix that is singular by construction.  All arithmetic mod p is in
+``modp``: that certificate, and the root candidates ``qi_roots`` certifies
+by exact deflation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
 
 from .errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
-from .modp import certified_invertible, spin
+from .modp import certified_invertible, spin, zi_root_candidates
 
 __all__ = [
     "GaussianRational",
@@ -45,6 +46,7 @@ __all__ = [
     "nilpotent_powers",
     "generalized_eigendecomposition",
     "sylvester_operator",
+    "hat_matrix",
     "intertwiner_basis",
 ]
 
@@ -66,6 +68,8 @@ class GaussianRational:
             im = _coerce(im)
             z = _coerce(re) + GaussianRational._make(-im.q, im.p, im.r)
             p, q, r = z.p, z.q, z.r
+        elif not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(f"cannot make a GaussianRational of {type(re).__name__}, {type(im).__name__}")
         else:
             re = re if type(re) is Fraction else Fraction(re)
             im = im if type(im) is Fraction else Fraction(im)
@@ -213,7 +217,7 @@ _set_p, _set_q, _set_r = GaussianRational.p.__set__, GaussianRational.q.__set__,
 
 def gr(re=0, im=0) -> GaussianRational:
     """re + im*i, for ints, Fractions or GaussianRationals."""
-    if isinstance(re, GaussianRational) and im == 0:
+    if isinstance(re, GaussianRational) and type(im) is int and not im:
         return re
     return GaussianRational(re, im)
 
@@ -705,53 +709,6 @@ def _squarefree_part(f):
     return [c * inv for c in g]
 
 
-def _zi_eval(coeffs, x, m):
-    """Value at x of a polynomial with Z[i] coefficients (pairs), mod m."""
-    xr, xi = x
-    ar = ai = 0
-    for cr, ci in reversed(coeffs):
-        ar, ai = (ar * xr - ai * xi + cr) % m, (ar * xi + ai * xr + ci) % m
-    return ar, ai
-
-
-def _inert_primes():
-    """Primes p = 3 (mod 4), ascending; Z[i]/p is a field."""
-    p = 3
-    while True:
-        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
-            yield p
-        p += 4
-
-
-def _zi_root_candidates(g):
-    """Gaussian integers that include every Z[i] root of g, a squarefree
-    monic polynomial over Z[i] given as ascending (re, im) pairs.
-
-    Every root mod p is simple at the first p that does not divide the
-    discriminant; Newton's iteration then lifts it mod p^(2^k) past twice
-    the Cauchy bound.  Lifts of roots outside Z[i] are returned as well.
-    """
-    dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
-    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
-    for p in _inert_primes():
-        roots = [(a, b) for a in range(p) for b in range(p) if _zi_eval(g, (a, b), p) == (0, 0)]
-        if any(_zi_eval(dg, r, p) == (0, 0) for r in roots):
-            continue
-        q = p
-        while q <= 2 * bound:
-            q *= q
-            lifted = []
-            for r in roots:
-                fr, fi = _zi_eval(g, r, q)
-                dr, di = _zi_eval(dg, r, q)
-                inv = pow(dr * dr + di * di, -1, q)
-                # r - f(r) / g'(r), with 1/g'(r) = conj(g'(r)) / |g'(r)|^2
-                lifted.append(((r[0] - (fr * dr + fi * di) * inv) % q,
-                               (r[1] - (fi * dr - fr * di) * inv) % q))
-            roots = lifted
-        return [tuple(c - q if 2 * c > q else c for c in r) for r in roots]
-
-
 def qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     """All Q(i) roots with multiplicity of a monic polynomial over Q(i).
 
@@ -760,7 +717,7 @@ def qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     Strategy: strip zero roots and take the squarefree part g; x -> y/L
     turns g into a monic G over Z[i], whose Q(i) roots are Gaussian
     integers.  Those are found mod an inert prime and lifted by Newton's
-    iteration (``_zi_root_candidates``); no integer is ever factored.  Each
+    iteration (``modp.zi_root_candidates``); no integer is ever factored.  Each
     candidate is then certified, with its multiplicity, by exact deflation
     of the original polynomial.
     """
@@ -781,7 +738,7 @@ def qi_roots(coeffs: list[GaussianRational]) -> dict[GaussianRational, int]:
     scaled = [
         (c.p * denom ** (n - k) // c.r, c.q * denom ** (n - k) // c.r) for k, c in enumerate(g)
     ]
-    candidates = {GaussianRational._make(a, b, denom) for a, b in _zi_root_candidates(scaled)}
+    candidates = {GaussianRational._make(a, b, denom) for a, b in zi_root_candidates(scaled)}
     for cand in sorted(candidates, key=GaussianRational.sort_key):
         while len(work) > 1:
             # a root exactly when x - cand leaves no remainder; the quotient is the deflation
@@ -880,6 +837,17 @@ def sylvester_operator(x: Matrix, y: Matrix) -> Matrix:
             for l in range(p):
                 ents[row + l * q + j] = ents[row + l * q + j] - y[i, l]
     return Matrix(size, size, ents)
+
+
+def hat_matrix(coefficients: Sequence[Matrix]) -> Matrix:
+    """Upper-triangular block-Toeplitz matrix with A_k on the diagonal and
+    A_{k-1}, ..., A_1 on the superdiagonals."""
+    k = len(coefficients)
+    n = coefficients[0].rows
+    rows = []
+    for i in range(k):
+        rows.append([coefficients[k - 1 - (j - i)] if j >= i else Matrix.zeros(n, n) for j in range(k)])
+    return Matrix.vstack([Matrix.hstack(r) for r in rows])
 
 
 def intertwiner_basis(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:

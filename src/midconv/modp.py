@@ -1,17 +1,20 @@
-"""All arithmetic over F_p, for the certificates mod p, and the field-free
-``spin``.  It imports nothing from midconv and reads a Gaussian rational
-only as its integer triple (p, q, r), from ``Matrix.entries()``.  Vectors
-are lists of ints, n x n matrices flat row-major lists of ints in [0, p),
-polynomials lists of ascending coefficients.  True from a certificate
-proves the claim over Q(i), as rank can only drop under reduction mod p."""
+"""All arithmetic mod a prime: over F_p for the certificates, over Z[i] mod
+p^(2^k) for the root candidates of ``exactalg.qi_roots``, and the
+field-free ``spin``.  It imports nothing from midconv and reads a Gaussian
+rational only as its integer triple (p, q, r), a Gaussian integer as a pair
+(re, im).  Vectors are lists of ints, n x n matrices flat row-major lists
+of ints in [0, p), polynomials lists of ascending coefficients.  True from
+a certificate proves the claim over Q(i), as rank can only drop under
+reduction mod p."""
 
 from __future__ import annotations
 
 import random
 from functools import partial
+from math import isqrt
 from typing import Optional, Sequence
 
-__all__ = ["spin", "certified_invertible", "certified_full"]
+__all__ = ["spin", "certified_invertible", "certified_full", "zi_root_candidates"]
 
 # Primes p = 1 (mod 4), each with its square root of -1 mod p: the image of i
 _CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
@@ -167,6 +170,53 @@ def _root_mod(f: list[int], p: int, rng: random.Random) -> Optional[int]:
             return None
         f = min(factors, key=len)
     return -f[0] % p
+
+
+def _zi_eval(coeffs, x, m):
+    """Value at x of a polynomial with Z[i] coefficients (pairs), mod m."""
+    xr, xi = x
+    ar = ai = 0
+    for cr, ci in reversed(coeffs):
+        ar, ai = (ar * xr - ai * xi + cr) % m, (ar * xi + ai * xr + ci) % m
+    return ar, ai
+
+
+def _inert_primes():
+    """Primes p = 3 (mod 4), ascending; Z[i]/p is a field."""
+    p = 3
+    while True:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
+
+
+def zi_root_candidates(g):
+    """Gaussian integers that include every Z[i] root of g, a squarefree
+    monic polynomial over Z[i] given as ascending (re, im) pairs.
+
+    Every root mod p is simple at the first p that does not divide the
+    discriminant; Newton's iteration then lifts it mod p^(2^k) past twice
+    the Cauchy bound.  Lifts of roots outside Z[i] are returned as well.
+    """
+    dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
+    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
+    for p in _inert_primes():
+        roots = [(a, b) for a in range(p) for b in range(p) if _zi_eval(g, (a, b), p) == (0, 0)]
+        if any(_zi_eval(dg, r, p) == (0, 0) for r in roots):
+            continue
+        q = p
+        while q <= 2 * bound:
+            q *= q
+            lifted = []
+            for r in roots:
+                fr, fi = _zi_eval(g, r, q)
+                dr, di = _zi_eval(dg, r, q)
+                inv = pow(dr * dr + di * di, -1, q)
+                # r - f(r) / g'(r), with 1/g'(r) = conj(g'(r)) / |g'(r)|^2
+                lifted.append(((r[0] - (fr * dr + fi * di) * inv) % q,
+                               (r[1] - (fi * dr - fr * di) * inv) % q))
+            roots = lifted
+        return [tuple(c - q if 2 * c > q else c for c in r) for r in roots]
 
 
 def _left_kernel_mod(rows: list[list[int]], p: int) -> list[list[int]]:

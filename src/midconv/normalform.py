@@ -33,6 +33,7 @@ from .exactalg import (
     char_poly,
     generalized_eigendecomposition,
     gr,
+    hat_matrix,
     nilpotent_partition,
     qi_roots,
     quotient_projection,
@@ -40,7 +41,6 @@ from .exactalg import (
     solve,
     sylvester_operator,
 )
-from .datum import hat_matrix
 from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint, trim
 
 __all__ = [

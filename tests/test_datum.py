@@ -10,7 +10,6 @@ from midconv.datum import (
     datum_isomorphism,
     gk_action,
     harnad_irreducible,
-    hat_matrix,
     is_stable,
     kappa,
     moment_mu,
@@ -22,6 +21,7 @@ from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent,
 from midconv.exactalg import (
     Matrix,
     gr,
+    hat_matrix,
     intertwiner_basis,
     invert,
     nilpotent_powers,

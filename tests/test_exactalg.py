@@ -2,13 +2,13 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from midconv import exactalg, modp
-from midconv.datum import hat_matrix
 from midconv.errors import DimensionMismatch, IrrationalSpectrum, NotNilpotent
 from midconv.exactalg import (
     GaussianRational,
@@ -20,6 +20,7 @@ from midconv.exactalg import (
     echelon_insert,
     generalized_eigendecomposition,
     gr,
+    hat_matrix,
     intertwiner_basis,
     invert,
     kernel_basis,
@@ -31,7 +32,14 @@ from midconv.exactalg import (
     solve,
     sylvester_operator,
 )
-from midconv.modp import _CERT_PRIMES, _echelon_insert_mod, _root_mod, certified_invertible, spin
+from midconv.modp import (
+    _CERT_PRIMES,
+    _echelon_insert_mod,
+    _root_mod,
+    certified_invertible,
+    spin,
+    zi_root_candidates,
+)
 
 from conftest import gaussian_matrix
 
@@ -102,6 +110,17 @@ class TestScalars:
         expected = gr(a - d, b + c)  # (a + b i) + (c + d i) i
         assert gr(re, im) == expected
         assert GaussianRational(re, im) == expected
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/3", "2", Decimal("0.5"), None, 1j])
+    def test_only_ints_fractions_and_gaussian_rationals_are_taken(self, bad):
+        # as in Matrix.from_rows: a float or a string is not an exact input
+        for args in ((bad,), (1, bad), (bad, 1), (Fraction(1, 2), bad), (gr(1), bad), (bad, gr(0, 1))):
+            with pytest.raises(TypeError):
+                gr(*args)
+            with pytest.raises(TypeError):
+                GaussianRational(*args)
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[bad]])
 
 
 class TestShift:
@@ -732,6 +751,39 @@ class TestRootMod:
                 roots = {x for x in range(p) if sum(c * x**k for k, c in enumerate(f)) % p == 0}
                 r = _root_mod(f, p, random.Random(p))
                 assert r in roots if roots else r is None, (p, f)
+
+
+def zi_poly(factors):
+    """``poly_from_factors`` of factors over Z[i], as ascending (re, im) pairs."""
+    return [(c.p, c.q) for c in poly_from_factors(factors)]
+
+
+def zi_value(g, x):
+    """g(x), exactly, for a polynomial of (re, im) pairs and a Gaussian integer x."""
+    vr = vi = 0
+    for cr, ci in reversed(g):
+        vr, vi = vr * x[0] - vi * x[1] + cr, vr * x[1] + vi * x[0] + ci
+    return vr, vi
+
+
+class TestZiRootCandidates:
+    def test_prime_dividing_the_discriminant_is_skipped(self):
+        # 1 and 4 meet mod 3, a double root where Newton's step has no inverse
+        assert zi_root_candidates(zi_poly([[-1, 1], [-4, 1]])) == [(1, 0), (4, 0)]
+
+    def test_large_roots_take_several_newton_squarings(self):
+        # the Cauchy bound is about 2^121; 3 divides the first difference, so 7 is squared six times
+        roots = [(2**40 - 87, 0), (-(2**40) + 167, 3), (5, 2**40 + 15)]
+        assert sorted(zi_root_candidates(zi_poly([[-gr(*r), 1] for r in roots]))) == sorted(roots)
+
+    def test_a_root_outside_z_i_is_lifted_and_left_to_deflation(self):
+        # (x - 1)(x^2 - 2): mod 3 the roots of x^2 - 2 are +-i, lifted mod 9 to
+        # +-4i, as (4i)^2 = -16 = 2 (mod 9); neither is a root over Z[i]
+        g = zi_poly([[-1, 1], [-2, 0, 1]])
+        candidates = zi_root_candidates(g)
+        assert sorted(candidates) == [(0, -4), (0, 4), (1, 0)]
+        assert [c for c in candidates if zi_value(g, c) == (0, 0)] == [(1, 0)]
+        assert qi_roots([gr(*c) for c in g]) == {gr(1): 1}
 
 
 class TestNilpotent:

@@ -1,14 +1,41 @@
 """Module layering: ``modp`` is the lowest midconv module and the one home
-of arithmetic mod p; other modules reach it only through ``modp.__all__``."""
+of arithmetic mod p; other modules reach it only through ``modp.__all__``,
+and each module imports only the midconv modules its layer allows."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import midconv
 from midconv import modp
 
 SOURCES = sorted(Path(midconv.__file__).parent.glob("*.py"))
-MODP_ONLY = {"_CERT_PRIMES", "_reduce_mod", "_echelon_insert_mod", "_MEATAXE_DIM", "spin"}
+MODP_ONLY = {
+    "_CERT_PRIMES",
+    "_reduce_mod",
+    "_echelon_insert_mod",
+    "_MEATAXE_DIM",
+    "spin",
+    "_zi_eval",
+    "_inert_primes",
+    "zi_root_candidates",
+}
+# The midconv modules each module imports, lowest layer first
+IMPORTS = {
+    "modp": set(),
+    "errors": set(),
+    "exactalg": {"errors", "modp"},
+    "systems": {"errors", "exactalg", "modp"},
+    "datum": {"errors", "exactalg", "systems"},
+    "normalform": {"errors", "exactalg", "systems"},
+    "functors": {"datum", "errors", "exactalg", "systems"},
+    "rigidity": {"errors", "exactalg", "functors", "normalform", "systems"},
+    "documents": {"datum", "errors", "exactalg", "functors", "normalform", "systems"},
+    "checks": {"datum", "errors", "exactalg", "functors", "normalform", "rigidity", "systems"},
+    "cli": {"checks", "datum", "documents", "errors", "functors", "normalform", "rigidity", "systems"},
+    "__init__": {"datum", "exactalg", "functors", "normalform", "rigidity", "systems"},
+}
 
 
 def tree(path: Path) -> ast.Module:
@@ -36,6 +63,31 @@ def modp_imports(module: ast.Module) -> list[str]:
     ]
 
 
+def midconv_imports(module: ast.Module) -> set[str]:
+    """The midconv modules a module imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("midconv"):
+            found.add(node.module.removeprefix("midconv").lstrip(".") or "__init__")
+        elif isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("midconv.") for a in node.names if a.name.startswith("midconv")}
+    return found
+
+
+def residue_operations(module: ast.Module) -> list[str]:
+    """Every ``%`` and every three-argument ``pow`` in a module."""
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "pow" and len(node.args) == 3:
+                found.append(ast.unparse(node))
+    return found
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"modp.py", "exactalg.py", "systems.py"}
 
@@ -56,7 +108,7 @@ def test_arithmetic_mod_p_is_defined_only_in_modp():
 
 
 def test_other_modules_import_only_the_interface_of_modp():
-    assert sorted(modp.__all__) == ["certified_full", "certified_invertible", "spin"]
+    assert sorted(modp.__all__) == ["certified_full", "certified_invertible", "spin", "zi_root_candidates"]
     importers = {}
     for path in SOURCES:
         names = modp_imports(tree(path))
@@ -65,6 +117,22 @@ def test_other_modules_import_only_the_interface_of_modp():
         if names:
             importers[path.name] = sorted(names)
     assert importers == {
-        "exactalg.py": ["certified_invertible", "spin"],
+        "exactalg.py": ["certified_invertible", "spin", "zi_root_candidates"],
         "systems.py": ["certified_full", "spin"],
     }
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "modp.py"], ids=lambda p: p.stem)
+def test_no_residue_is_taken_outside_modp(path):
+    assert residue_operations(tree(path)) == []
+
+
+def test_residue_operations_are_found():
+    found = residue_operations(ast.parse("a % m\nb %= m\npow(x, -1, p)\npow(x, 2)\nf'{x:%}'"))
+    assert sorted(found) == ["a % m", "b %= m", "pow(x, -1, p)"]
+
+
+def test_each_module_imports_only_its_layer():
+    assert {p.stem for p in SOURCES} == set(IMPORTS)
+    for path in SOURCES:
+        assert midconv_imports(tree(path)) == IMPORTS[path.stem], path.name
