@@ -5,7 +5,9 @@ rational only as its integer triple (p, q, r), a Gaussian integer as a pair
 (re, im).  Vectors are lists of ints, n x n matrices flat row-major lists
 of ints in [0, p), polynomials lists of ascending coefficients.  True from
 a certificate proves the claim over Q(i), as rank can only drop under
-reduction mod p."""
+reduction mod p, so any prime p = 1 (mod 4) that divides no denominator is
+sound, and the primes are chosen for cost: a root split in the MeatAxe
+takes one squaring mod a polynomial per bit of (p-1)/2."""
 
 from __future__ import annotations
 
@@ -16,8 +18,11 @@ from typing import Optional, Sequence
 
 __all__ = ["spin", "certified_invertible", "certified_full", "zi_root_candidates"]
 
-# Primes p = 1 (mod 4), each with its square root of -1 mod p: the image of i
-_CERT_PRIMES = ((1_000_000_009, 430_477_711), (1_000_000_021, 484_563_811))
+# Primes p = 1 (mod 4), each with its square root of -1 mod p: the image of i.
+# The Fermat prime 257 first: (p-1)/2 = 2^7, so a root split costs 8 squarings
+# and one product where 10^9+9, tried next, costs 29 and 14; a small prime
+# only certifies less often.
+_CERT_PRIMES = ((257, 16), (1_000_000_009, 430_477_711))
 # The dimension from which _full_mod runs the MeatAxe instead of the word span
 _MEATAXE_DIM = 5
 # Random algebra elements _meataxe_mod draws before it gives up

@@ -229,8 +229,14 @@ def stabilizer_dim(part: PrincipalPart) -> int:
     """Stabilizer dimension by the formula mode, and by the linear mode where
     the part has no normal form (NoNormalForm) or a residue spectrum outside
     Q(i) (IrrationalSpectrum).  The check command and the tests compare them."""
+    return _stabilizer_dim(part, None)
+
+
+def _stabilizer_dim(part: PrincipalPart, nf: Optional[NormalForm]) -> int:
+    """``stabilizer_dim`` of the part, reading its normal form nf unless it
+    is None."""
     try:
-        return stabilizer_dim_formula(compute_normal_form(part))
+        return stabilizer_dim_formula(compute_normal_form(part) if nf is None else nf)
     except (NoNormalForm, IrrationalSpectrum):
         return stabilizer_dim_linear(part)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, IrrationalSpectrum, NoNormalForm, NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational
 from .functors import mc
-from .normalform import compute_normal_form, irrational_alpha_could_win, select_alpha, stabilizer_dim
+from .normalform import _stabilizer_dim, compute_normal_form, irrational_alpha_could_win, select_alpha
 from .systems import (
     System,
     add_scalar,
@@ -71,11 +71,15 @@ class ReductionTrace:
 def orbit_dim(sys: System) -> int:
     """dim of the truncated-gauge coadjoint orbit: per pole, the group
     dimension k_t (dim V)^2 minus the stabilizer dimension."""
+    return _orbit_dim(sys, {})
+
+
+def _orbit_dim(sys: System, forms: dict) -> int:
+    """``orbit_dim``, reading the normal form of the pole at each point of forms."""
     n = sys.dimension
-    total = 0
-    for part in sys.parts:
-        total += len(part.coefficients) * n * n - stabilizer_dim(part)
-    return total
+    return sum(
+        len(part.coefficients) * n * n - _stabilizer_dim(part, forms.get(part.point)) for part in sys.parts
+    )
 
 
 def _require_d0(p: System):
@@ -89,11 +93,17 @@ def rigidity_index(p: System) -> int:
     Zero means naively rigid; negative values are reported as computed
     (no irreducible system exists with that local data).
     """
+    return _rigidity_index(p, {})
+
+
+def _rigidity_index(p: System, forms: dict) -> int:
+    """``rigidity_index``, reading the normal form of the pole at each point
+    of forms."""
     _require_d0(p)
     if not is_irreducible(p):
         raise Reducible("rigidity index is defined for irreducible pairs")
     n = p.dimension
-    return orbit_dim(p) - 2 * n * n + 2
+    return _orbit_dim(p, forms) - 2 * n * n + 2
 
 
 def katz_step(p: System, alpha: System) -> System:
@@ -137,7 +147,7 @@ def katz_reduce(p: System) -> ReductionTrace:
         lam = residue_at_infinity(alpha).scalar()
         result = katz_step(current, alpha)
         if result.dimension >= current.dimension:
-            index = rigidity_index(current)
+            index = _rigidity_index(current, forms)
             if index != 0:
                 raise NotRigid(
                     f"rank did not decrease and the rigidity index is {index}",

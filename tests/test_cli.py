@@ -371,7 +371,7 @@ class TestCli:
     def test_draw_free_checks_run_once(self, monkeypatch):
         # the two stabilizer cross-checks draw nothing from the rng, so one
         # trial each stands for all five; only stabilizer_two_modes runs the
-        # linear mode, the Katz inequality reads stabilizer_dim
+        # linear mode, the Katz inequality reads the formula on its normal form
         import pathlib
 
         import midconv.checks as checks
@@ -388,6 +388,32 @@ class TestCli:
         results = checks.run_checks(parse_document(text), 0, 5)
         assert len(calls) == 1
         assert all(r.passed and r.trials == 5 and not r.detail for r in results)
+
+    @pytest.mark.parametrize(
+        "command, stem, forms",
+        # a stalled reduction reads its step's forms for the rigidity index, and
+        # the Katz inequality reads the form its kernel check computed
+        [("katz-reduce", "sqrt2-triple", 3), ("check", "three-level", 12)],
+    )
+    def test_normal_forms_are_not_recomputed(self, capsys, monkeypatch, command, stem, forms):
+        import pathlib
+        import sys
+
+        from midconv import normalform
+
+        original = normalform.compute_normal_form
+        calls = []
+
+        def counted(part):
+            calls.append(part.point)
+            return original(part)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("midconv.")]:
+            if getattr(module, "compute_normal_form", None) is original:
+                monkeypatch.setattr(module, "compute_normal_form", counted)
+        path = pathlib.Path(__file__).parent / "golden" / "inputs" / f"{stem}.sys"
+        run_cli(capsys, command, str(path))
+        assert len(calls) == forms
 
     def test_katz_inequality_at_a_residue_with_an_irrational_pair(self, capsys, tmp_path):
         # spectrum {1, +-sqrt(2)}: no alpha outside Q(i) can win, so the

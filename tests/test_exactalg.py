@@ -271,7 +271,7 @@ def _shortcut_cases(rng):
         ("singular-64bit", low_rank(6, 4, big), False),
         ("singular-small", low_rank(5, 2, small), False),
         ("singular-zero-row", Matrix.vstack([square(3, small).submatrix(0, 2, 0, 3), Matrix.zeros(1, 3)]), False),
-        ("modp-singular-diagonal", Matrix.diagonal([1, 10**9 + 9]), False),
+        ("modp-singular-diagonal", Matrix.diagonal([1, p]), False),
         ("modp-singular-dense", Matrix.from_rows([[1, 2], [3, 6 + p]]), False),
         ("modp-singular-gaussian", Matrix.diagonal([gr(3, 1), gr(-s, 1)]), False),
         ("denominator-p", Matrix.from_rows([[1, Fraction(1, p)], [0, 1]]), False),

@@ -227,7 +227,7 @@ class TestKatzReduce:
         a0 = Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 2, 0]])
         a1 = Matrix.from_rows([[0, 2, -2], [2, 1, -2], [0, -2, 1]])
         p = fuchsian({0: a0, 1: a1, -1: -(a0 + a1)})
-        monkeypatch.setattr(rigidity, "rigidity_index", lambda sys: 0)
+        monkeypatch.setattr(rigidity, "_rigidity_index", lambda sys, forms: 0)
         monkeypatch.setattr(rigidity, "katz_step", lambda sys, alpha: sys)
         with pytest.raises(InvariantViolation, match="rank did not decrease"):
             katz_reduce(p)

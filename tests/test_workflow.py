@@ -9,6 +9,7 @@ not installed.
 
 import importlib
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -26,12 +27,13 @@ def test_workflow_parses_and_pins_every_workload(monkeypatch):
     # the step's here-document holds one "workload digest" line per workload
     script = steps[DIGEST_STEP]["run"]
     pinned = script.split("<<'DIGESTS'\n", 1)[1].split("\nDIGESTS", 1)[0]
+    digests = [line.split() for line in pinned.splitlines()]
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
     assert sorted(line.split()[0] for line in pinned.splitlines()) == sorted(workloads.NAMES)
 
 
-def test_pinned_digests_are_checked_under_two_hash_seeds():
+def test_pinned_digests_are_checked_under_two_hash_seeds(tmp_path):
     # a digest that depends on set or dict order then fails under a named seed
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
@@ -39,6 +41,25 @@ def test_pinned_digests_are_checked_under_two_hash_seeds():
     assert re.findall(r"^\s*for hashseed in ([0-9 ]+); do$", script, re.M) == ["0 12345"]
     runs = [line for line in script.splitlines() if "bench/run.py" in line]
     assert runs and all("$(PYTHONHASHSEED=$hashseed python3 bench/run.py " in line for line in runs)
+    # the digest covers only the first results: the step also fails on a last
+    # line that reports a wrong or failed operation later on
+    pinned = script.split("<<'DIGESTS'\n", 1)[1].split("\nDIGESTS", 1)[0]
+    digests = [line.split() for line in pinned.splitlines()]
+    cases = {
+        '{"correct": true, "attempted": 304, "failed": 0, "metrics": {}}': 0,
+        '{"correct": false, "attempted": 304, "failed": 1, "metrics": {}}': 1,
+        '{"correct": false, "attempted": 304, "failed": 0, "metrics": {}}': 1,
+        '{"correct": true, "attempted": 304, "failed": 2, "metrics": {}}': 1,
+    }
+    for last, status in cases.items():
+        fake = tmp_path / "run.sh"
+        # "$2" is the workload, as in "run.py --workload W ..."
+        fake.write_text(
+            "".join(f'[ "$2" != {w} ] || echo "result_sha256 {d} (first 16 results)"\n' for w, d in digests)
+            + f"echo '{last}'\n"
+        )
+        step = script.replace("python3 bench/run.py", f"sh {fake}")
+        assert subprocess.run(["bash", "-e", "-c", step], capture_output=True).returncode == status, last
 
 
 def test_console_script_smoke_test_diffs_against_existing_goldens(pytestconfig):
