@@ -4,10 +4,10 @@ field-free ``spin``.  It imports nothing from midconv and reads a Gaussian
 rational only as its integer triple (p, q, r), a Gaussian integer as a pair
 (re, im).  Vectors are lists of ints, n x n matrices flat row-major lists
 of ints in [0, p), polynomials lists of ascending coefficients.  True from
-a certificate proves the claim over Q(i), as rank can only drop under
-reduction mod p, so any prime p = 1 (mod 4) that divides no denominator is
-sound, and the primes are chosen for cost: a root split in the MeatAxe
-takes one squaring mod a polynomial per bit of (p-1)/2."""
+a certificate, ``certified_invertible`` or the MeatAxe of ``certified_full``,
+proves its claim over Q(i), as rank can only drop under reduction mod p, so
+any prime p = 1 (mod 4) that divides no denominator is sound; the primes are
+chosen for cost: a MeatAxe root split squares once per bit of (p-1)/2."""
 
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ __all__ = ["spin", "certified_invertible", "certified_full", "zi_root_candidates
 # and one product where 10^9+9, tried next, costs 29 and 14; a small prime
 # only certifies less often.
 _CERT_PRIMES = ((257, 16), (1_000_000_009, 430_477_711))
-# The dimension from which _full_mod runs the MeatAxe instead of the word span
-_MEATAXE_DIM = 5
+# The dimension from which the MeatAxe is cheaper than the exact word-span
+# closure of systems.is_irreducible, which alone decides below it
+_MEATAXE_DIM = 4
 # Random algebra elements _meataxe_mod draws before it gives up
 _DRAWS = 8
 
@@ -288,29 +289,17 @@ def _meataxe_mod(n: int, red: list[list[int]], p: int) -> bool:
     return False
 
 
-def _word_span_mod(n: int, red: list[list[int]], p: int) -> bool:
-    """Whether the words in the flat matrices red span M_n(F_p), as in the
-    exact closure of ``systems.is_irreducible``."""
-    one = [int(k % (n + 1) == 0) for k in range(n * n)]
-    words, _ = spin(
-        [one], red, lambda g, w: _matmul_mod(w, g, n, p), partial(_echelon_insert_mod, p=p), n * n
-    )
-    return len(words) == n * n
-
-
 def _full_mod(n: int, gens: list, p: int, s: int) -> Optional[bool]:
-    """Whether the algebra of gens mod p, with i -> s, is certified to be all
-    of M_n(F_p); None if p divides a denominator.  The MeatAxe decides from
-    dimension ``_MEATAXE_DIM`` on; below it, where n^2 words cost less than
-    its root finding, or when every generator vanishes mod p, the word span does."""
+    """Whether the MeatAxe certifies that the algebra of gens mod p, with
+    i -> s, is all of M_n(F_p); None if p divides a denominator, False when
+    every generator vanishes mod p."""
     red = _reduce_mod(gens, p, s)
     if red is None:
         return None
-    if n >= _MEATAXE_DIM and red:
-        return _meataxe_mod(n, red, p)
-    return _word_span_mod(n, red, p)
+    return bool(red) and _meataxe_mod(n, red, p)
 
 
 def certified_full(n: int, gens: list) -> bool:
-    """Whether ``_full_mod`` certifies the flat n x n gens at some prime."""
-    return any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES)
+    """Whether ``_full_mod`` certifies the flat n x n gens at some prime;
+    False below ``_MEATAXE_DIM``, where the exact closure is the cheaper test."""
+    return n >= _MEATAXE_DIM and any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES)

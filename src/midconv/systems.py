@@ -128,7 +128,10 @@ class System:
             seen.add(p.point)
         object.__setattr__(self, "parts", tuple(parts))
         if self.declaration is not None:
-            decl = tuple((gr(s), int(l)) for s, l in self.declaration)
+            decl = tuple((gr(s), l) for s, l in self.declaration)
+            for _, l in decl:
+                if type(l) is not int or l < 0:
+                    raise ValidationError(f"a declared order must be a non-negative integer, got {l!r}")
             object.__setattr__(self, "declaration", decl)
             prod = Matrix.identity(n)
             for s, l in decl:
@@ -299,12 +302,13 @@ def is_irreducible(sys: System) -> bool:
     """True iff the unital algebra generated by the constant term and all
     coefficients is the full endomorphism algebra.
 
-    Certified first by ``modp.certified_full`` (all arithmetic mod p is
-    there): mod a prime that divides no denominator, by the MeatAxe
-    (Norton's criterion) or by the word span mod p.  Reduction mod p is a
-    ring map and rank can only drop under it, so the word span over Q(i) is
-    full as well.  Otherwise the exact word-span closure decides, so False
-    is always exact: ``spin`` spins the identity under the nonzero
+    Two paths.  From dimension ``modp._MEATAXE_DIM`` on, the MeatAxe
+    (Norton's criterion) may first certify True in ``modp.certified_full``
+    (all arithmetic mod p is there), mod a prime that divides no
+    denominator: reduction mod p is a ring map and rank can only drop under
+    it, so the algebra over Q(i) is full as well.  Below that dimension, on
+    every miss and for every False the exact word-span closure decides, so
+    False is always exact: ``spin`` spins the identity under the nonzero
     generators, multiplying each new word by every generator on the right,
     until the span stops growing or is all of End(V).  The span's dimension
     over Q(i) equals its dimension over C, so the verdict transfers.

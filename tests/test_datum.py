@@ -17,7 +17,7 @@ from midconv.datum import (
     psi,
     swap,
 )
-from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent, NotStable
+from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent, NotStable, PointMismatch
 from midconv.exactalg import (
     Matrix,
     gr,
@@ -71,6 +71,12 @@ class TestDatum:
         s = Matrix.from_rows([[5]])
         g = TruncatedGauge(gr(0), (Matrix.from_rows([[2]]),))
         assert gk_action(g, Datum(1, (RANK1_BLOCK,), s)).s_matrix == s
+
+    def test_gk_action_needs_a_block_at_the_gauge_point(self):
+        g = TruncatedGauge(gr(1), (Matrix.from_rows([[2]]),))
+        for d in (Datum(1, (RANK1_BLOCK,)), Datum(1, ())):
+            with pytest.raises(PointMismatch):
+                gk_action(g, d)
 
     def test_phi_inverts_kappa_with_a_constant(self, rng):
         nonzero = 0

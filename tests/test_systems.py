@@ -9,6 +9,7 @@ from midconv.errors import (
     DimensionMismatch,
     InconclusiveEquivalence,
     InvariantViolation,
+    PointMismatch,
     SingularGauge,
     ValidationError,
 )
@@ -68,6 +69,14 @@ class TestSystemModel:
         with pytest.raises(ValidationError):
             System(2, s, (), declaration=((gr(3), 1),))
 
+    @pytest.mark.parametrize("order", [1.7, "3", -1, True, Fraction(2)], ids=repr)
+    def test_declared_order_is_a_non_negative_int(self, order):
+        # as documents._count requires of a document's orders; never coerced
+        for n in (0, 1):
+            with pytest.raises(ValidationError):
+                System(n, Matrix.zeros(n, n), (), declaration=((gr(0), order),))
+        assert System(1, Matrix.zeros(1, 1), (), declaration=((0, 2),)).declaration == ((gr(0), 2),)
+
 
 class TestResidueAtInfinity:
     def test_no_parts(self):
@@ -122,6 +131,16 @@ class TestGauge:
     def test_singular_gauge_rejected(self):
         with pytest.raises(SingularGauge):
             TruncatedGauge(gr(0), (Z2,))
+
+    def test_gauges_at_two_points_do_not_compose(self):
+        one = (Matrix.identity(2),)
+        with pytest.raises(PointMismatch):
+            gauge_compose(TruncatedGauge(gr(0), one), TruncatedGauge(gr(1), one))
+
+    def test_gauge_acts_only_on_the_part_at_its_point(self):
+        g = TruncatedGauge(gr(0, 1), (Matrix.identity(2),))
+        with pytest.raises(PointMismatch):
+            gauge_coadjoint(g, PrincipalPart(gr(0), (E12,)))
 
     def test_constant_conjugation(self):
         a = Matrix.from_rows([[1, 1], [1, 2]])
@@ -299,9 +318,24 @@ def upper_triangular_mod_5(rng, n: int) -> Matrix:
     return Matrix.from_rows([[rng.randint(-2, 2) * (5 if j < i else 1) for j in range(n)] for i in range(n)])
 
 
+def logged(monkeypatch, module, name: str, log: list) -> None:
+    """Wrap module.name so that each call appends (name, its result) to log
+    once it returns; a nested call is logged before the call around it."""
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        out = inner(*args)
+        log.append((name, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 class TestIrreducibilityCertificate:
-    """is_irreducible certifies True mod p (here p = 5 with i -> 2, or the
-    module's primes) and otherwise falls back to the exact closure."""
+    """is_irreducible has two paths: from ``_MEATAXE_DIM`` on, the MeatAxe
+    certifies True mod p (here p = 5 with i -> 2, or the module's primes);
+    below it, on every miss and for every False the exact closure decides.
+    A fallback test patches ``_MEATAXE_DIM`` so that ``_full_mod`` runs."""
 
     def test_certificate_primes(self):
         assert len(modp._CERT_PRIMES) == 2
@@ -315,22 +349,36 @@ class TestIrreducibilityCertificate:
     def test_irreducible_but_not_certified_mod_5_falls_back(self, monkeypatch):
         # 5 E21 vanishes mod 5, leaving the algebra of E12 alone
         sys = fuchsian({0: E12, 1: 5 * E21})
-        assert modp._full_mod(2, generators(sys), 5, 2) is False
+        log = []
+        logged(monkeypatch, modp, "_full_mod", log)
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
         monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys)
+        assert log == [("_full_mod", False)]
 
     def test_denominator_divisible_by_p_skips_the_prime(self, monkeypatch):
         sys = fuchsian({0: E12, 1: Fraction(1, 5) * E21})
-        assert modp._full_mod(2, generators(sys), 5, 2) is None
         assert modp._full_mod(2, generators(sys), 13, 5) is True
+        log = []
+        logged(monkeypatch, modp, "_full_mod", log)
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
         monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys)
+        assert log == [("_full_mod", None)]
 
     def test_gaussian_entries_map_i_to_the_root(self):
         # (i - 2) E21 vanishes under i -> 2 but not under i -> 3
         sys = fuchsian({0: E12, 1: gr(-2, 1) * E21})
         assert modp._full_mod(2, generators(sys), 5, 2) is False
         assert modp._full_mod(2, generators(sys), 5, 3) is True
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_generators_that_all_vanish_mod_p_are_never_certified(self, n):
+        # the algebra mod p is then the scalars, a proper subalgebra from n = 2 on
+        corpus = random.Random(n)
+        for p, s in modp._CERT_PRIMES + ((5, 2),):
+            sys = fuchsian({pt: p * random_matrix(corpus, n) for pt in (0, 1)})
+            assert generators(sys) and modp._full_mod(n, generators(sys), p, s) is False
 
     def test_reducible_families_never_certified(self, rng):
         primes = modp._CERT_PRIMES + ((5, 2), (13, 5))
@@ -360,20 +408,30 @@ class TestIrreducibilityCertificate:
             cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
         monkeypatch.setattr(modp, "_CERT_PRIMES", ())
         exact = [is_irreducible(sys) for sys in cases]
+        assert True in exact and False in exact
+        log = []
+        logged(monkeypatch, modp, "_full_mod", log)
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
         monkeypatch.setattr(modp, "_CERT_PRIMES", primes)
         assert [is_irreducible(sys) for sys in cases] == exact
-        assert True in exact and False in exact
+        # each case reaches _full_mod at the first prime, and is certified at most once
+        assert len(log) >= len(cases)
+        if primes != ((5, 2),):
+            # at 5 the Gaussian draws have denominators 5 and the others are
+            # reducible mod 5, so there only the closure says True
+            assert [out for _, out in log].count(True) > len(cases) // 3
 
-    @pytest.mark.parametrize("meataxe_dim", [modp._MEATAXE_DIM, 2], ids=["as-shipped", "meataxe"])
-    def test_irreducible_over_f5_but_not_absolutely(self, monkeypatch, meataxe_dim):
+    def test_irreducible_over_f5_but_not_absolutely(self, monkeypatch):
         # g^2 = 2 and 2 is no square mod 5: the algebra of g is F_25, which has
         # no line over F_5 to fix, but every element of it with an eigenvalue
         # in F_5 is a scalar, whose eigenspace is all of V
-        monkeypatch.setattr(modp, "_MEATAXE_DIM", meataxe_dim)
         sys = fuchsian({0: Matrix.from_rows([[0, 2], [1, 0]])})
-        assert modp._full_mod(2, generators(sys), 5, 2) is not True
+        log = []
+        logged(monkeypatch, modp, "_full_mod", log)
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
         monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys) is False
+        assert log == [("_full_mod", False)]
 
     def test_middle_convolutions_are_certified_at_both_module_primes(self, monkeypatch):
         # a certificate that never fires would leave every other verdict in place;
@@ -390,7 +448,6 @@ class TestIrreducibilityCertificate:
                 if 6 <= out.dimension <= 9:
                     outputs.append(out)
         outputs += irreducible_corpus(corpus, 20) + irreducible_corpus(corpus, 20, max_dim=6)
-        assert modp._MEATAXE_DIM <= 6
         (p, s), (q, t) = modp._CERT_PRIMES
         first = [modp._full_mod(out.dimension, generators(out), p, s) for out in outputs]
         assert len(outputs) - first.count(True) <= MISSES
@@ -399,29 +456,35 @@ class TestIrreducibilityCertificate:
         def closure(*args):
             raise AssertionError("is_irreducible reached the exact closure")
 
+        # below _MEATAXE_DIM the closure alone decides, so only the larger outputs must avoid it
+        assert modp._MEATAXE_DIM <= 6
+        large = [out for out in outputs if out.dimension >= modp._MEATAXE_DIM]
+        assert len(large) > len(outputs) // 2
         monkeypatch.setattr(systems, "spin", closure)
-        assert all(is_irreducible(out) for out in outputs)
+        assert all(is_irreducible(out) for out in large)
 
-    @pytest.mark.parametrize("primes", [modp._CERT_PRIMES, ((5, 2), (13, 5))], ids=["module-primes", "small"])
-    def test_meataxe_below_its_dimension_never_beats_the_word_span(self, monkeypatch, rng, primes):
-        # the word span mod p is exact for the algebra mod p, so it bounds the certificate
-        cases = []
-        for trial in range(24):
-            n = rng.choice([2, 3, 4])
-            draw = (upper_triangular, random_matrix, gaussian_matrix)[trial % 3]
-            parts = tuple(PrincipalPart(gr(pt), (draw(rng, n),)) for pt in rng.sample([0, 1, -1, 2], rng.randint(1, 3)))
-            cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
-        verdicts = {}
-        for dim in (99, 2):
-            monkeypatch.setattr(modp, "_MEATAXE_DIM", dim)
-            verdicts[dim] = [modp._full_mod(c.dimension, generators(c), p, s) for c in cases for p, s in primes]
-        assert all(m is not True or w is True for m, w in zip(verdicts[2], verdicts[99]))
-        assert verdicts[2].count(True) > len(verdicts[2]) // 3
-        # the MeatAxe stays forced for the verdicts below
-        monkeypatch.setattr(modp, "_CERT_PRIMES", ())
-        exact = [is_irreducible(c) for c in cases]
-        monkeypatch.setattr(modp, "_CERT_PRIMES", primes)
-        assert [is_irreducible(c) for c in cases] == exact
+    def test_each_path_runs_where_it_is_cheaper(self, monkeypatch, rng):
+        # below _MEATAXE_DIM the closure alone; from it the MeatAxe first, and
+        # the closure only after a miss at both primes
+        log = []
+        for name in ("_full_mod", "_meataxe_mod"):
+            logged(monkeypatch, modp, name, log)
+        logged(monkeypatch, systems, "spin", log)
+        corpus = random.Random(10)
+        for n in range(2, 7):
+            log.clear()
+            assert is_irreducible(fuchsian({pt: random_matrix(corpus, n) for pt in (0, 1, -1)}))
+            if n < modp._MEATAXE_DIM:
+                assert [name for name, _ in log] == ["spin"]
+            else:
+                assert log == [("_meataxe_mod", True), ("_full_mod", True)]
+            log.clear()
+            assert not is_irreducible(fuchsian({0: upper_triangular(rng, n), 1: upper_triangular(rng, n)}))
+            reached = [name for name, _ in log]
+            if n < modp._MEATAXE_DIM:
+                assert reached == ["spin"]
+            else:
+                assert reached == ["_meataxe_mod", "_full_mod"] * 2 + ["spin"]
 
     def test_global_random_state_is_left_alone(self):
         random.seed(7)
