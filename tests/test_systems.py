@@ -421,17 +421,20 @@ class TestIrreducibilityCertificate:
             # reducible mod 5, so there only the closure says True
             assert [out for _, out in log].count(True) > len(cases) // 3
 
-    def test_irreducible_over_f5_but_not_absolutely(self, monkeypatch):
+    @pytest.mark.parametrize("meataxe_dim", [modp._MEATAXE_DIM, 2], ids=["as-shipped", "meataxe"])
+    def test_irreducible_over_f5_but_not_absolutely(self, monkeypatch, meataxe_dim):
         # g^2 = 2 and 2 is no square mod 5: the algebra of g is F_25, which has
         # no line over F_5 to fix, but every element of it with an eigenvalue
         # in F_5 is a scalar, whose eigenspace is all of V
         sys = fuchsian({0: Matrix.from_rows([[0, 2], [1, 0]])})
+        assert modp._full_mod(2, generators(sys), 5, 2) is False
         log = []
         logged(monkeypatch, modp, "_full_mod", log)
-        monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", meataxe_dim)
         monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
         assert is_irreducible(sys) is False
-        assert log == [("_full_mod", False)]
+        # below _MEATAXE_DIM the exact closure alone decides; from it the MeatAxe runs first
+        assert log == ([("_full_mod", False)] if meataxe_dim <= 2 else [])
 
     def test_middle_convolutions_are_certified_at_both_module_primes(self, monkeypatch):
         # a certificate that never fires would leave every other verdict in place;
