@@ -6,8 +6,9 @@ rational only as its integer triple (p, q, r), a Gaussian integer as a pair
 of ints in [0, p), polynomials lists of ascending coefficients.  True from
 a certificate, ``certified_invertible`` or the MeatAxe of ``certified_full``,
 proves its claim over Q(i), as rank can only drop under reduction mod p, so
-any prime p = 1 (mod 4) that divides no denominator is sound; the primes are
-chosen for cost: a MeatAxe root split squares once per bit of (p-1)/2."""
+any prime p = 1 (mod 4) that divides no denominator is sound; the one prime,
+257, is small enough that the MeatAxe finds an eigenvalue by trying every
+element of F_p."""
 
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ from typing import Optional, Sequence
 
 __all__ = ["spin", "certified_invertible", "certified_full", "zi_root_candidates"]
 
-# Primes p = 1 (mod 4), each with its square root of -1 mod p: the image of i.
-# The Fermat prime 257 first: (p-1)/2 = 2^7, so a root split costs 8 squarings
-# and one product where 10^9+9, tried next, costs 29 and 14; a small prime
-# only certifies less often.
-_CERT_PRIMES = ((257, 16), (1_000_000_009, 430_477_711))
+# The certificate prime p = 1 (mod 4) and its square root of -1 mod p, the
+# image of i.  The MeatAxe scans all of F_p for an eigenvalue, so p is small;
+# a smaller one certifies less often, and a miss goes to the exact closure.
+_CERT_PRIME = (257, 16)
 # The dimension from which the MeatAxe is cheaper than the exact word-span
 # closure of systems.is_irreducible, which alone decides below it
 _MEATAXE_DIM = 4
@@ -91,15 +91,15 @@ def _reduce_mod(gens: list, p: int, s: int) -> Optional[list[list[int]]]:
 
 def certified_invertible(n: int, entries: Sequence) -> bool:
     """Whether the n x n matrix m with these row-major entries is certified
-    invertible by its rank mod the first prime of ``_CERT_PRIMES``: False
-    when that prime divides a denominator or m is singular mod it.
+    invertible by its rank mod ``_CERT_PRIME``: False when that prime
+    divides a denominator or m is singular mod it.
 
     Rows are reduced and inserted last first, and the first dependent one
     ends the pass: a hat matrix is block upper triangular, so its last
     rows are its shortest, and it is singular exactly when its last block
     row is.
     """
-    p, s = _CERT_PRIMES[0]
+    p, s = _CERT_PRIME
     rows: list = []
     pivots: list[int] = []
     for i in range(n - 1, -1, -1):
@@ -113,69 +113,6 @@ def _matmul_mod(a: list[int], b: list[int], n: int, p: int) -> list[int]:
     """The product of two n x n matrices over F_p, as flat row-major lists."""
     cols = [b[j::n] for j in range(n)]
     return [sum(map(int.__mul__, a[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols]
-
-
-def _rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod the monic f over F_p (ascending coefficients), without zero top
-    coefficients."""
-    a = list(a)
-    d = len(f) - 1
-    for k in range(len(a) - 1, d - 1, -1):
-        c = a.pop() % p
-        if c:
-            for j in range(d):
-                a[k - d + j] -= c * f[j]
-    a = [x % p for x in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _polymul(a: list[int], b: list[int]) -> list[int]:
-    """The product of two nonempty integer polynomials (ascending coefficients)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b, i):
-            out[k] += x * y
-    return out
-
-
-def _gcd_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """The monic gcd over F_p of a and the monic f."""
-    a = _rem_mod(a, f, p)
-    while a:
-        inv = pow(a[-1], -1, p)
-        monic = [x * inv % p for x in a]
-        a, f = _rem_mod(f, monic, p), monic
-    return f
-
-
-def _root_mod(f: list[int], p: int, rng: random.Random) -> Optional[int]:
-    """A root in F_p of the monic f over F_p, or None if it has none.
-
-    Equal-degree splitting of f itself, until a linear factor is left: for
-    a random d with f(-d) != 0, h = (x + d)^((p-1)/2) mod f is 1 or -1 at
-    each root r in F_p, by whether r + d is a square, and neither at a root
-    outside F_p, whose r + d has no (p-1)-th power 1.  So gcd(h - 1, f) and
-    gcd(h + 1, f) split the roots in F_p between them and share none outside
-    it (one squaring chain does the work of gcd(x^p - x, f) and of the first
-    split); the smaller nontrivial one is split again.
-    """
-    while len(f) > 2:
-        d = rng.randrange(p)
-        if not _rem_mod(f, [d, 1], p):
-            return -d % p
-        # h is a unit mod f, as f(-d) != 0, so never the zero list
-        h = [1]
-        for bit in bin((p - 1) // 2)[2:]:
-            h = _rem_mod(_polymul(h, h), f, p)
-            if bit == "1":
-                h = _rem_mod(_polymul(h, [d, 1]), f, p)
-        factors = [g for g in (_gcd_mod([h[0] + c] + h[1:], f, p) for c in (-1, 1)) if len(g) > 1]
-        if not factors:
-            return None
-        f = min(factors, key=len)
-    return -f[0] % p
 
 
 def _zi_eval(coeffs, x, m):
@@ -243,15 +180,16 @@ def _meataxe_mod(n: int, red: list[list[int]], p: int) -> bool:
 
     A random element theta of their algebra A, drawn from a generator
     seeded by p, is tried until some lam in F_p has Ker(theta - lam) of
-    dimension one; lam is a root in F_p of the minimal polynomial of a
-    random vector under theta.  Then V = F_p^n is irreducible if v in that
-    kernel spins to V under red and w in Ker(theta - lam)^T spins to V
-    under the transposes.  A proper submodule W would miss v, so theta - lam would be
-    invertible on W and singular on V/W, and the annihilator of W would
-    contain w.  End_A(V) is then a field commuting with theta, so it acts on
-    the one-dimensional kernel, and is F_p: V is absolutely irreducible and,
-    by Burnside's theorem, A = M_n(F_p).  A short spin, or no such lam in
-    ``_DRAWS`` draws, gives False.
+    dimension one; lam is the least root in F_p of the minimal polynomial
+    of a random vector under theta, found by evaluating it at each x in turn.
+    Then V = F_p^n is irreducible if v in that kernel spins to V under red
+    and w in Ker(theta - lam)^T spins to V under the transposes.  A proper
+    submodule W would miss v, so theta - lam would be invertible on W and
+    singular on V/W, and the annihilator of W would contain w.  End_A(V) is
+    then a field commuting with theta, so it acts on the one-dimensional
+    kernel, and is F_p: V is absolutely irreducible and, by Burnside's
+    theorem, A = M_n(F_p).  A short spin, or no such lam in ``_DRAWS``
+    draws, gives False.
     """
     rows = [[g[i : i + n] for i in range(0, n * n, n)] for g in red]
     cols = [[g[j::n] for j in range(n)] for g in red]
@@ -271,12 +209,16 @@ def _meataxe_mod(n: int, red: list[list[int]], p: int) -> bool:
         while len(krylov) <= n:
             krylov.append(act(by_rows, krylov[-1]))
         # the first dependency among u, theta u, .. is the minimal polynomial
-        # of u under theta, whose roots are eigenvalues of theta
-        poly = _left_kernel_mod(krylov, p)[0]
-        while not poly[-1]:
-            poly.pop()
-        lam = _root_mod([x * pow(poly[-1], -1, p) % p for x in poly], p, rng)
-        if lam is None:
+        # of u under theta, whose roots are eigenvalues of theta; lam is the
+        # least of them, by Horner's rule at x = 0, 1, .., p - 1
+        poly = _left_kernel_mod(krylov, p)[0][::-1]
+        for lam in range(p):
+            value = 0
+            for c in poly:
+                value = value * lam + c
+            if not value % p:
+                break
+        else:
             continue
         shifted = [x - lam if k % (n + 1) == 0 else x for k, x in enumerate(theta)]
         right = _left_kernel_mod([shifted[j::n] for j in range(n)], p)
@@ -300,6 +242,6 @@ def _full_mod(n: int, gens: list, p: int, s: int) -> Optional[bool]:
 
 
 def certified_full(n: int, gens: list) -> bool:
-    """Whether ``_full_mod`` certifies the flat n x n gens at some prime;
+    """Whether ``_full_mod`` certifies the flat n x n gens at ``_CERT_PRIME``;
     False below ``_MEATAXE_DIM``, where the exact closure is the cheaper test."""
-    return n >= _MEATAXE_DIM and any(_full_mod(n, gens, p, s) for p, s in _CERT_PRIMES)
+    return n >= _MEATAXE_DIM and bool(_full_mod(n, gens, *_CERT_PRIME))

@@ -304,14 +304,15 @@ def is_irreducible(sys: System) -> bool:
 
     Two paths.  From dimension ``modp._MEATAXE_DIM`` on, the MeatAxe
     (Norton's criterion) may first certify True in ``modp.certified_full``
-    (all arithmetic mod p is there), mod a prime that divides no
-    denominator: reduction mod p is a ring map and rank can only drop under
-    it, so the algebra over Q(i) is full as well.  Below that dimension, on
-    every miss and for every False the exact word-span closure decides, so
-    False is always exact: ``spin`` spins the identity under the nonzero
-    generators, multiplying each new word by every generator on the right,
-    until the span stops growing or is all of End(V).  The span's dimension
-    over Q(i) equals its dimension over C, so the verdict transfers.
+    (all arithmetic mod p is there), mod its one prime, 257, when that
+    divides no denominator: reduction mod p is a ring map and rank can only
+    drop under it, so the algebra over Q(i) is full as well.  Below that
+    dimension, on a miss and for every False the exact word-span closure
+    decides, so False is always exact: ``spin`` spins the identity under the
+    nonzero generators, multiplying each new word by every generator on the
+    right, until the span stops growing or is all of End(V).  The span's
+    dimension over Q(i) equals its dimension over C, so the verdict
+    transfers.
     """
     n = sys.dimension
     if n < 1:

@@ -33,9 +33,8 @@ from midconv.exactalg import (
     sylvester_operator,
 )
 from midconv.modp import (
-    _CERT_PRIMES,
+    _CERT_PRIME,
     _echelon_insert_mod,
-    _root_mod,
     certified_invertible,
     spin,
     zi_root_candidates,
@@ -246,11 +245,11 @@ class TestRowReduce:
 
 
 def _shortcut_cases(rng):
-    """Square matrices named by kind, with whether the first prime of
-    ``_CERT_PRIMES`` certifies them invertible.  Only the "singular-" kinds
-    are singular over Q(i); "modp-singular-" ones are singular mod p alone,
-    and the prime divides a denominator of the "denominator-" ones."""
-    p, s = _CERT_PRIMES[0]
+    """Square matrices named by kind, with whether ``_CERT_PRIME`` certifies
+    them invertible.  Only the "singular-" kinds are singular over Q(i);
+    "modp-singular-" ones are singular mod p alone, and the prime divides a
+    denominator of the "denominator-" ones."""
+    p, s = _CERT_PRIME
 
     def big():
         return gr(rng.randint(-(2**63), 2**63), rng.randint(-(2**63), 2**63))
@@ -737,20 +736,6 @@ class TestRootFinder:
         assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 1]])) == {gr(1): 1}
         # x^3 - 2 has no root mod 7, beside the root 1 that does
         assert qi_roots(poly_from_factors([[-1, 1], [-2, 0, 0, 1]])) == {gr(1): 1}
-
-
-class TestRootMod:
-    def test_a_root_exactly_when_one_exists_by_brute_force(self):
-        # monic f over F_p of degree 2..7, with repeated and missing roots
-        rng = random.Random(5)
-        for p in (3, 7, 13, 101):
-            for _ in range(40):
-                f = [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1]
-                if rng.random() < 0.3:
-                    f = [0] + f  # a root at 0, beside whatever else f has
-                roots = {x for x in range(p) if sum(c * x**k for k, c in enumerate(f)) % p == 0}
-                r = _root_mod(f, p, random.Random(p))
-                assert r in roots if roots else r is None, (p, f)
 
 
 def zi_poly(factors):

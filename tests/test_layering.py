@@ -12,7 +12,7 @@ from midconv import modp
 
 SOURCES = sorted(Path(midconv.__file__).parent.glob("*.py"))
 MODP_ONLY = {
-    "_CERT_PRIMES",
+    "_CERT_PRIME",
     "_reduce_mod",
     "_echelon_insert_mod",
     "_MEATAXE_DIM",

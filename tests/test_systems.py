@@ -333,15 +333,15 @@ def logged(monkeypatch, module, name: str, log: list) -> None:
 
 class TestIrreducibilityCertificate:
     """is_irreducible has two paths: from ``_MEATAXE_DIM`` on, the MeatAxe
-    certifies True mod p (here p = 5 with i -> 2, or the module's primes);
+    certifies True mod p (here p = 5 with i -> 2, or the module's prime);
     below it, on every miss and for every False the exact closure decides.
-    A fallback test patches ``_MEATAXE_DIM`` so that ``_full_mod`` runs."""
+    A fallback test patches ``_MEATAXE_DIM`` so that ``_full_mod`` runs, and
+    an exact baseline patches it above the dimensions it decides."""
 
     def test_certificate_primes(self):
-        assert len(modp._CERT_PRIMES) == 2
-        for p, s in modp._CERT_PRIMES:
-            assert p % 4 == 1 and is_prime(p)
-            assert 0 < s < p and s * s % p == p - 1
+        p, s = modp._CERT_PRIME
+        assert p % 4 == 1 and is_prime(p)
+        assert 0 < s < p and s * s % p == p - 1
         assert [is_prime(n) for n in (1, 2, 5, 25, 561, 1_000_000_007, 3_215_031_751)] == [
             False, True, True, False, False, True, False,
         ]
@@ -352,7 +352,7 @@ class TestIrreducibilityCertificate:
         log = []
         logged(monkeypatch, modp, "_full_mod", log)
         monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
-        monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
+        monkeypatch.setattr(modp, "_CERT_PRIME", (5, 2))
         assert is_irreducible(sys)
         assert log == [("_full_mod", False)]
 
@@ -362,7 +362,7 @@ class TestIrreducibilityCertificate:
         log = []
         logged(monkeypatch, modp, "_full_mod", log)
         monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
-        monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
+        monkeypatch.setattr(modp, "_CERT_PRIME", (5, 2))
         assert is_irreducible(sys)
         assert log == [("_full_mod", None)]
 
@@ -376,12 +376,12 @@ class TestIrreducibilityCertificate:
     def test_generators_that_all_vanish_mod_p_are_never_certified(self, n):
         # the algebra mod p is then the scalars, a proper subalgebra from n = 2 on
         corpus = random.Random(n)
-        for p, s in modp._CERT_PRIMES + ((5, 2),):
+        for p, s in (modp._CERT_PRIME, (5, 2)):
             sys = fuchsian({pt: p * random_matrix(corpus, n) for pt in (0, 1)})
             assert generators(sys) and modp._full_mod(n, generators(sys), p, s) is False
 
     def test_reducible_families_never_certified(self, rng):
-        primes = modp._CERT_PRIMES + ((5, 2), (13, 5))
+        primes = (modp._CERT_PRIME, (5, 2), (13, 5))
         families = [fuchsian({0: E11, 1: E21}), fuchsian({0: D10, 1: 5 * E12})]
         for _ in range(10):
             n = rng.choice([2, 3, 4])
@@ -395,8 +395,8 @@ class TestIrreducibilityCertificate:
                 assert modp._full_mod(sys.dimension, generators(sys), p, s) is not True
             assert not is_irreducible(sys)
 
-    @pytest.mark.parametrize("primes", [modp._CERT_PRIMES, ((5, 2),)], ids=["module-primes", "mod-5"])
-    def test_verdict_agrees_with_exact_closure(self, monkeypatch, rng, primes):
+    @pytest.mark.parametrize("prime", [modp._CERT_PRIME, (5, 2)], ids=["module-prime", "mod-5"])
+    def test_verdict_agrees_with_exact_closure(self, monkeypatch, rng, prime):
         cases = []
         for trial in range(24):
             n = rng.choice([2, 3, 4])
@@ -406,17 +406,18 @@ class TestIrreducibilityCertificate:
                 for pt, order in zip(rng.sample([0, 1, -1, 2], rng.randint(1, 3)), [1, 2, 3])
             )
             cases.append(conjugate_system(random_invertible(rng, n), System(n, Matrix.zeros(n, n), parts)))
-        monkeypatch.setattr(modp, "_CERT_PRIMES", ())
+        # above every dimension here the exact closure alone decides
+        monkeypatch.setattr(modp, "_MEATAXE_DIM", 5)
         exact = [is_irreducible(sys) for sys in cases]
         assert True in exact and False in exact
         log = []
         logged(monkeypatch, modp, "_full_mod", log)
         monkeypatch.setattr(modp, "_MEATAXE_DIM", 2)
-        monkeypatch.setattr(modp, "_CERT_PRIMES", primes)
+        monkeypatch.setattr(modp, "_CERT_PRIME", prime)
         assert [is_irreducible(sys) for sys in cases] == exact
-        # each case reaches _full_mod at the first prime, and is certified at most once
-        assert len(log) >= len(cases)
-        if primes != ((5, 2),):
+        # each case reaches _full_mod once
+        assert len(log) == len(cases)
+        if prime != (5, 2):
             # at 5 the Gaussian draws have denominators 5 and the others are
             # reducible mod 5, so there only the closure says True
             assert [out for _, out in log].count(True) > len(cases) // 3
@@ -431,14 +432,14 @@ class TestIrreducibilityCertificate:
         log = []
         logged(monkeypatch, modp, "_full_mod", log)
         monkeypatch.setattr(modp, "_MEATAXE_DIM", meataxe_dim)
-        monkeypatch.setattr(modp, "_CERT_PRIMES", ((5, 2),))
+        monkeypatch.setattr(modp, "_CERT_PRIME", (5, 2))
         assert is_irreducible(sys) is False
         # below _MEATAXE_DIM the exact closure alone decides; from it the MeatAxe runs first
         assert log == ([("_full_mod", False)] if meataxe_dim <= 2 else [])
 
-    def test_middle_convolutions_are_certified_at_both_module_primes(self, monkeypatch):
+    def test_middle_convolutions_are_certified_at_the_module_prime(self, monkeypatch):
         # a certificate that never fires would leave every other verdict in place;
-        # the first prime is chosen for cost, and may miss at most MISSES of these
+        # the prime is chosen for cost, and may miss at most MISSES of these
         # irreducible systems (at p = 17 one of the draws is missed)
         MISSES = 0
         corpus = random.Random(8)
@@ -451,10 +452,9 @@ class TestIrreducibilityCertificate:
                 if 6 <= out.dimension <= 9:
                     outputs.append(out)
         outputs += irreducible_corpus(corpus, 20) + irreducible_corpus(corpus, 20, max_dim=6)
-        (p, s), (q, t) = modp._CERT_PRIMES
-        first = [modp._full_mod(out.dimension, generators(out), p, s) for out in outputs]
-        assert len(outputs) - first.count(True) <= MISSES
-        assert all(modp._full_mod(out.dimension, generators(out), q, t) for out in outputs)
+        p, s = modp._CERT_PRIME
+        verdicts = [modp._full_mod(out.dimension, generators(out), p, s) for out in outputs]
+        assert len(outputs) - verdicts.count(True) <= MISSES
 
         def closure(*args):
             raise AssertionError("is_irreducible reached the exact closure")
@@ -468,7 +468,7 @@ class TestIrreducibilityCertificate:
 
     def test_each_path_runs_where_it_is_cheaper(self, monkeypatch, rng):
         # below _MEATAXE_DIM the closure alone; from it the MeatAxe first, and
-        # the closure only after a miss at both primes
+        # the closure only after a miss at the module prime
         log = []
         for name in ("_full_mod", "_meataxe_mod"):
             logged(monkeypatch, modp, name, log)
@@ -487,7 +487,7 @@ class TestIrreducibilityCertificate:
             if n < modp._MEATAXE_DIM:
                 assert reached == ["spin"]
             else:
-                assert reached == ["_meataxe_mod", "_full_mod"] * 2 + ["spin"]
+                assert reached == ["_meataxe_mod", "_full_mod", "spin"]
 
     def test_global_random_state_is_left_alone(self):
         random.seed(7)
