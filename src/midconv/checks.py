@@ -9,7 +9,6 @@ checks themselves are closures inside run_checks, run through the CLI.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .datum import (
     canonical,
@@ -42,6 +41,7 @@ from .normalform import (
 from .rigidity import rigidity_index
 from .systems import (
     PrincipalPart,
+    Record,
     System,
     TruncatedGauge,
     add_scalar,
@@ -110,12 +110,13 @@ def _require(condition: bool, message: str = "") -> None:
         raise InvariantViolation(message)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    trials: int
-    detail: str = ""
+class CheckResult(Record):
+    def __init__(self, name: str, passed: bool, trials: int, detail: str = ""):
+        self.__dict__.update(name=name, passed=passed, trials=trials, detail=detail)
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self._fields, self._values()))
 
 
 def _gauged_parts(rng, sys):

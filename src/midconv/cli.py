@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .checks import run_checks
@@ -85,7 +84,7 @@ def _check(args) -> dict:
     if args.trials < 1:
         raise ValidationError("--trials must be at least 1")
     results = run_checks(_read(args.file), args.seed, args.trials)
-    return {"seed": args.seed, "trials": args.trials, "checks": [asdict(r) for r in results]}
+    return {"seed": args.seed, "trials": args.trials, "checks": [r.as_dict() for r in results]}
 
 
 FILE = (("file", {}),)

@@ -13,7 +13,6 @@ stability conditions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -36,7 +35,7 @@ from .exactalg import (
     rank,
     solve,
 )
-from .systems import PrincipalPart, System, TruncatedGauge, is_irreducible, trim, truncated_inverse
+from .systems import PrincipalPart, Record, System, TruncatedGauge, is_irreducible, trim, truncated_inverse
 
 __all__ = [
     "Block",
@@ -55,22 +54,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """One pole's share of a datum: (W_t, N_t, Q_t, P_t)."""
 
-    point: GaussianRational
-    nilpotent: Matrix
-    q: Matrix
-    p: Matrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", gr(self.point))
-        w = self.nilpotent.rows
-        if not self.nilpotent.is_square():
+    def __init__(self, point: GaussianRational, nilpotent: Matrix, q: Matrix, p: Matrix):
+        point = gr(point)
+        w = nilpotent.rows
+        if not nilpotent.is_square():
             raise DimensionMismatch("nilpotent part must be square")
-        if self.q.cols != w or self.p.rows != w or self.q.rows != self.p.cols:
+        if q.cols != w or p.rows != w or q.rows != p.cols:
             raise DimensionMismatch("block shapes are inconsistent")
+        self.__dict__.update(point=point, nilpotent=nilpotent, q=q, p=p)
         self.powers  # raises NotNilpotent
 
     @cached_property
@@ -96,31 +90,26 @@ def _block(point, nilpotent: Matrix, q: Matrix, p: Matrix, powers: tuple[Matrix,
     return block
 
 
-@dataclass(frozen=True)
-class Datum:
+class Datum(Record):
     """A sextuple (V, W, S, T, Q, P) in pole-blocked form; S defaults to 0.
 
     The zero datum (no blocks) is legal for any dim_v.
     """
 
-    dim_v: int
-    blocks: tuple[Block, ...] = ()
-    s_matrix: Optional[Matrix] = None
-
-    def __post_init__(self):
-        if self.s_matrix is None:
-            object.__setattr__(self, "s_matrix", Matrix.zeros(self.dim_v, self.dim_v))
-        if self.s_matrix.rows != self.dim_v or not self.s_matrix.is_square():
+    def __init__(self, dim_v: int, blocks: Sequence[Block] = (), s_matrix: Optional[Matrix] = None):
+        if s_matrix is None:
+            s_matrix = Matrix.zeros(dim_v, dim_v)
+        if s_matrix.rows != dim_v or not s_matrix.is_square():
             raise DimensionMismatch("S must be an endomorphism of V")
-        blocks = sorted(self.blocks, key=lambda b: b.point.sort_key())
+        blocks = tuple(sorted(blocks, key=lambda b: b.point.sort_key()))
         seen = set()
         for b in blocks:
-            if b.dim_v != self.dim_v:
+            if b.dim_v != dim_v:
                 raise DimensionMismatch("block V-dimension differs from the datum")
             if b.point in seen:
                 raise ValidationError(f"duplicate block point {b.point}")
             seen.add(b.point)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        self.__dict__.update(dim_v=dim_v, blocks=blocks, s_matrix=s_matrix)
 
     @property
     def dim_w(self) -> int:
@@ -256,8 +245,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     return Datum(d.dim_v, blocks, d.s_matrix)
 
 
-@dataclass(frozen=True)
-class MomentValue:
+class MomentValue(Record):
     """Value of the moment map for the centralizer of T.
 
     Per block: -P_t Q_t together with its trace pairings against the
@@ -265,7 +253,8 @@ class MomentValue:
     Equality in the dual of that centralizer is equality of all pairings.
     """
 
-    entries: tuple[tuple[GaussianRational, Matrix, tuple[GaussianRational, ...]], ...]
+    def __init__(self, entries: tuple[tuple[GaussianRational, Matrix, tuple[GaussianRational, ...]], ...]):
+        self.__dict__.update(entries=entries)
 
     def __eq__(self, other):
         if not isinstance(other, MomentValue):

@@ -40,7 +40,24 @@ __all__ = [
 ]
 
 
+# CPython refuses int <-> str conversions of more than this many decimal
+# digits by default (3.11 on, and 3.10 from 3.10.7); documents refuse such
+# integers themselves, so that every version refuses them with one error
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+_TOO_LONG = f"integers in documents are limited to {_MAX_DIGITS} decimal digits"
+
+
+def _int_from_str(text: str) -> int:
+    """int(text), refusing more than _MAX_DIGITS digits as CPython counts them."""
+    if len(text) > _MAX_DIGITS and sum(map(str.isdigit, text)) > _MAX_DIGITS:
+        raise ValidationError(_TOO_LONG)
+    return int(text)
+
+
 def _fraction_to_str(f: Fraction) -> str:
+    if not (-_DIGITS_BOUND < f.numerator < _DIGITS_BOUND and f.denominator < _DIGITS_BOUND):
+        raise ValidationError(_TOO_LONG)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -49,7 +66,7 @@ def _fraction_from_str(s) -> Fraction:
         raise ValidationError(f"rational values must be 'p/q' strings, got {s!r}")
     num, _, den = s.partition("/")
     try:
-        return Fraction(int(num), int(den))
+        return Fraction(_int_from_str(num), _int_from_str(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {s!r}: {exc}") from None
 
@@ -233,7 +250,7 @@ DOCUMENT_KINDS = {
 def parse_document(text: str):
     """JSON text -> typed document object, dispatching on 'kind'."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_int_from_str)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno, column=exc.colno) from None
     if not isinstance(obj, dict):
@@ -251,7 +268,7 @@ def serialize_document(sys: System) -> str:
 def _flag_rational(text: str) -> Fraction:
     """An integer or 'p/q'; int() refuses exponents, which Fraction() expands in full."""
     num, slash, den = text.partition("/")
-    return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(_int_from_str(num), _int_from_str(den) if slash else 1)
 
 
 def parse_scalar_flag(text: str) -> GaussianRational:

@@ -11,8 +11,6 @@ independent oracle for mc with a simple-pole parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DimensionMismatch,
     Exceptional,
@@ -29,6 +27,7 @@ from .exactalg import (
 from .datum import _swap, Block, Datum, kappa, phi, psi, swap
 from .systems import (
     PrincipalPart,
+    Record,
     System,
     add_scalar,
     equivalent,
@@ -130,20 +129,13 @@ def dr_middle_convolution(p: System, lam: GaussianRational) -> System:
     return System(m, Matrix.zeros(m, m), tuple(parts))
 
 
-@dataclass(frozen=True)
-class OkuboTriple:
+class OkuboTriple(Record):
     """(W, T, R) presenting the system (z I - T) u' = R u."""
 
-    t_matrix: Matrix
-    r_matrix: Matrix
-
-    def __post_init__(self):
-        if (
-            not self.t_matrix.is_square()
-            or not self.r_matrix.is_square()
-            or self.t_matrix.rows != self.r_matrix.rows
-        ):
+    def __init__(self, t_matrix: Matrix, r_matrix: Matrix):
+        if not t_matrix.is_square() or not r_matrix.is_square() or t_matrix.rows != r_matrix.rows:
             raise DimensionMismatch("Okubo triple needs square T, R of equal size")
+        self.__dict__.update(t_matrix=t_matrix, r_matrix=r_matrix)
 
 
 def okubo_to_pair(o: OkuboTriple) -> System:

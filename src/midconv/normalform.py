@@ -17,7 +17,6 @@ the solve otherwise; the check command and the tests compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -41,7 +40,7 @@ from .exactalg import (
     solve,
     sylvester_operator,
 )
-from .systems import PrincipalPart, TruncatedGauge, gauge_coadjoint, trim
+from .systems import PrincipalPart, Record, TruncatedGauge, gauge_coadjoint, trim
 
 __all__ = [
     "SpectralBlock",
@@ -62,13 +61,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralBlock:
+class SpectralBlock(Record):
     """One spectrum: tail = (lambda_2, ..., lambda_k) and the residue
     matrix on its subspace."""
 
-    tail: tuple[GaussianRational, ...]
-    gamma: Matrix
+    def __init__(self, tail: tuple[GaussianRational, ...], gamma: Matrix):
+        self.__dict__.update(tail=tail, gamma=gamma)
 
     @property
     def dim(self) -> int:
@@ -85,26 +83,22 @@ class SpectralBlock:
         return len(trim((self.gamma, *self.tail)))
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Finite spectrum set with dimensions and residue matrices.
 
     ``k`` is the ambient truncation order (number of stored coefficients
     of the part it was computed from); tails all have length k-1.
     """
 
-    k: int
-    blocks: tuple[SpectralBlock, ...]
-
-    def __post_init__(self):
-        blocks = sorted(self.blocks, key=lambda b: b.tail_key())
+    def __init__(self, k: int, blocks: Sequence[SpectralBlock]):
+        blocks = tuple(sorted(blocks, key=lambda b: b.tail_key()))
         keys = [b.tail_key() for b in blocks]
         if len(set(keys)) != len(keys):
             raise DimensionMismatch("spectra of a normal form must be pairwise distinct")
         for b in blocks:
-            if len(b.tail) != max(self.k - 1, 0):
+            if len(b.tail) != max(k - 1, 0):
                 raise DimensionMismatch("tail length must be k-1")
-        object.__setattr__(self, "blocks", tuple(blocks))
+        self.__dict__.update(k=k, blocks=blocks)
 
     @property
     def dimension(self) -> int:

@@ -12,13 +12,12 @@ steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation, IrrationalSpectrum, NoNormalForm, NotInD0, NotRigid, Reducible, ZeroLambda
 from .exactalg import GaussianRational
 from .functors import mc
 from .normalform import _stabilizer_dim, compute_normal_form, irrational_alpha_could_win, select_alpha
 from .systems import (
+    Record,
     System,
     add_scalar,
     is_irreducible,
@@ -37,31 +36,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    alpha: System
-    lam: GaussianRational
-    rank_before: int
-    rank_after: int
-    result: System
+class ReductionStep(Record):
+    def __init__(
+        self, alpha: System, lam: GaussianRational, rank_before: int, rank_after: int, result: System
+    ):
+        self.__dict__.update(
+            alpha=alpha, lam=lam, rank_before=rank_before, rank_after=rank_after, result=result
+        )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Ordered log of reduction steps; ranks strictly decrease and the
     final rank is at most one."""
 
-    steps: tuple[ReductionStep, ...]
-
-    def __post_init__(self):
-        ranks = [s.rank_before for s in self.steps] + (
-            [self.steps[-1].rank_after] if self.steps else []
+    def __init__(self, steps: tuple[ReductionStep, ...]):
+        ranks = [s.rank_before for s in steps] + (
+            [steps[-1].rank_after] if steps else []
         )
         for a, b in zip(ranks, ranks[1:]):
             if b >= a:
                 raise ValueError("trace ranks must strictly decrease")
-        if self.steps and self.steps[-1].rank_after > 1:
+        if steps and steps[-1].rank_after > 1:
             raise ValueError("trace must end at rank <= 1")
+        self.__dict__.update(steps=steps)
 
     @property
     def final_rank(self) -> int:

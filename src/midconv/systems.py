@@ -16,7 +16,6 @@ product coefficient) builds ``truncated_inverse``, ``gauge_compose`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .exactalg import (
 from .modp import certified_full, spin
 
 __all__ = [
+    "Record",
     "PrincipalPart",
     "System",
     "TruncatedGauge",
@@ -60,27 +60,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrincipalPart:
+class Record:
+    """Base of the immutable records.  The fields are the parameters of the
+    subclass's ``__init__``, in order, which validates them and stores each
+    in the instance ``__dict__`` once.  Equality (same class, equal fields),
+    hash and repr read the fields in that order.  There are no
+    ``__slots__``, so a ``cached_property`` can store its value beside the
+    fields."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class PrincipalPart(Record):
     """Coefficients [A_1, ..., A_k] of (z-t)^{-1}..(z-t)^{-k} at pole t.
 
     Trailing zero coefficients are legal; ``order`` gives the semantic
     pole order while len(coefficients) is the storage capacity.
     """
 
-    point: GaussianRational
-    coefficients: tuple[Matrix, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", gr(self.point))
-        coeffs = tuple(self.coefficients)
+    def __init__(self, point: GaussianRational, coefficients: Sequence[Matrix]):
+        point = gr(point)
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValidationError("a principal part needs at least one coefficient")
         n = coeffs[0].rows
         for c in coeffs:
             if not c.is_square() or c.rows != n:
                 raise DimensionMismatch("principal part coefficients must be square of equal size")
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__.update(point=point, coefficients=coeffs)
 
     @property
     def dimension(self) -> int:
@@ -101,24 +131,24 @@ def order(part: PrincipalPart) -> int:
     return len(trim(part.coefficients))
 
 
-@dataclass(frozen=True, eq=False)
-class System:
+class System(Record):
     """A pair (V, A): constant term plus principal parts at distinct poles.
 
     The optional exponent declaration is a tuple of (point, order) pairs
     asserting that prod (S - s)^{l_s} = 0; it is validated on construction.
     """
 
-    dimension: int
-    constant: Matrix
-    parts: tuple[PrincipalPart, ...] = ()
-    declaration: Optional[tuple[tuple[GaussianRational, int], ...]] = None
-
-    def __post_init__(self):
-        n = self.dimension
-        if self.constant.rows != n or self.constant.cols != n:
+    def __init__(
+        self,
+        dimension: int,
+        constant: Matrix,
+        parts: Iterable[PrincipalPart] = (),
+        declaration: Optional[Iterable[tuple[GaussianRational, int]]] = None,
+    ):
+        n = dimension
+        if constant.rows != n or constant.cols != n:
             raise DimensionMismatch("constant term has wrong shape")
-        parts = sorted(self.parts, key=lambda p: p.point.sort_key())
+        parts = tuple(sorted(parts, key=lambda p: p.point.sort_key()))
         seen = set()
         for p in parts:
             if p.dimension != n:
@@ -126,21 +156,20 @@ class System:
             if p.point in seen:
                 raise ValidationError(f"duplicate pole point {p.point}")
             seen.add(p.point)
-        object.__setattr__(self, "parts", tuple(parts))
-        if self.declaration is not None:
-            decl = tuple((gr(s), l) for s, l in self.declaration)
-            for _, l in decl:
+        if declaration is not None:
+            declaration = tuple((gr(s), l) for s, l in declaration)
+            for _, l in declaration:
                 if type(l) is not int or l < 0:
                     raise ValidationError(f"a declared order must be a non-negative integer, got {l!r}")
-            object.__setattr__(self, "declaration", decl)
             prod = Matrix.identity(n)
-            for s, l in decl:
-                shifted = self.constant.shift(-s)
+            for s, l in declaration:
+                shifted = constant.shift(-s)
                 # Ker (S - s)^l stops growing at l = n, so the verdict is the same
                 for _ in range(min(l, n)):
                     prod = prod * shifted
             if not prod.is_zero():
                 raise ValidationError("constant term violates the declared exponent condition")
+        self.__dict__.update(dimension=dimension, constant=constant, parts=parts, declaration=declaration)
 
     def part_at(self, point: GaussianRational) -> Optional[PrincipalPart]:
         for p in self.parts:
@@ -217,17 +246,13 @@ def add_scalar(sys: System, alpha: System) -> System:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedGauge:
+class TruncatedGauge(Record):
     """g(z) = g_0 + g_1 z + ... + g_{k-1} z^{k-1} in the local coordinate
     at ``point``, with invertible g_0."""
 
-    point: GaussianRational
-    coefficients: tuple[Matrix, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", gr(self.point))
-        coeffs = tuple(self.coefficients)
+    def __init__(self, point: GaussianRational, coefficients: Sequence[Matrix]):
+        point = gr(point)
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValidationError("a gauge element needs at least one coefficient")
         n = coeffs[0].rows
@@ -236,7 +261,7 @@ class TruncatedGauge:
                 raise DimensionMismatch("gauge coefficients must be square of equal size")
         if rank(coeffs[0]) != n:
             raise SingularGauge("constant term of the gauge element is singular")
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__.update(point=point, coefficients=coeffs)
 
     @property
     def dimension(self) -> int:

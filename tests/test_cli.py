@@ -9,6 +9,9 @@ from midconv.documents import (
     dumps_canonical,
     matrix_to_json,
     parse_document,
+    parse_scalar_flag,
+    scalar_from_json,
+    scalar_to_json,
     serialize_document,
     system_from_document,
     system_to_document,
@@ -105,6 +108,48 @@ class TestDocuments:
             parsed = parse_document(text)
             assert parsed == sys_
             assert serialize_document(parsed) == text
+
+
+class TestOversizedIntegers:
+    """Integers of more than 4300 decimal digits, CPython's default int <->
+    str limit, are refused by the documents layer itself: the same
+    ValidationError when reading and when writing, on every version."""
+
+    LIMIT = "integers in documents are limited to 4300 decimal digits"
+    LONGEST = 10**4300 - 1
+
+    @pytest.mark.parametrize(
+        "value", [LONGEST, -LONGEST, gr(1, LONGEST) / LONGEST], ids=["positive", "negative", "denominator"]
+    )
+    def test_4300_digits_round_trip(self, value):
+        x = gr(value)
+        assert scalar_from_json(scalar_to_json(x)) == x
+
+    @pytest.mark.parametrize(
+        "value", [LONGEST + 1, -LONGEST - 1, gr(0, 1) / (LONGEST + 1)], ids=["positive", "negative", "denominator"]
+    )
+    def test_writing_more_digits_is_refused(self, value):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            scalar_to_json(gr(value))
+
+    @pytest.mark.parametrize(
+        "re",
+        ["1" * 4301 + "/1", "-" + "9" * 4301 + "/1", "1/" + "7" * 4301, "0" * 4300 + "1/1"],
+        ids=["numerator", "negative", "denominator", "leading-zeros"],
+    )
+    def test_reading_more_digits_is_refused(self, re):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            scalar_from_json({"re": re, "im": "0/1"})
+
+    def test_reading_4300_digits_with_separators_is_accepted(self):
+        # CPython counts the digits, not the sign, blanks or underscores
+        assert scalar_from_json({"re": " -" + "_".join("1" * 4300) + "/1", "im": "0/1"}) == gr(-(self.LONGEST // 9))
+
+    def test_a_json_integer_or_a_flag_with_more_digits_is_refused(self):
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            parse_document('{"kind": "system", "dimension": ' + "1" * 4301 + "}")
+        with pytest.raises(ValidationError, match=self.LIMIT):
+            parse_scalar_flag("1," + "1" * 4301)
 
 
 def _rank_one_document(**changes) -> bytes:

@@ -237,17 +237,17 @@ class TestMcHandsOnTBlocking:
         # with its T-blocking: no table of powers is computed twice
         handed_on = len(kappa(p).blocks)
         blocks, tables = [], []
-        init = Block.__post_init__
+        init = Block.__init__
 
-        def built(block):
+        def built(block, *args, **kwargs):
             blocks.append(block)
-            init(block)
+            init(block, *args, **kwargs)
 
         def counted(nil):
             tables.append(nil)
             return nilpotent_powers(nil)
 
-        monkeypatch.setattr(Block, "__post_init__", built)
+        monkeypatch.setattr(Block, "__init__", built)
         for module in (datum, functors):
             monkeypatch.setattr(module, "nilpotent_powers", counted, raising=False)
         mc(p, alpha)

@@ -1,8 +1,12 @@
 """Module layering: ``modp`` is the lowest midconv module and the one home
 of arithmetic mod p; other modules reach it only through ``modp.__all__``,
-and each module imports only the midconv modules its layer allows."""
+and each module imports only the midconv modules its layer allows.
+Importing the CLI, which every ``midconv`` process pays for, loads neither
+``dataclasses`` nor ``inspect``."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +80,17 @@ def midconv_imports(module: ast.Module) -> set[str]:
     return found
 
 
+def absolute_imports(module: ast.Module) -> set[str]:
+    """The top-level packages a module imports by absolute name."""
+    found = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[0] for a in node.names}
+    return found
+
+
 def residue_operations(module: ast.Module) -> list[str]:
     """Every ``%`` and every three-argument ``pow`` in a module."""
     found = []
@@ -136,3 +151,23 @@ def test_each_module_imports_only_its_layer():
     assert {p.stem for p in SOURCES} == set(IMPORTS)
     for path in SOURCES:
         assert midconv_imports(tree(path)) == IMPORTS[path.stem], path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in absolute_imports(tree(path))
+
+
+def test_absolute_imports_are_found():
+    found = absolute_imports(ast.parse("import os.path\nfrom dataclasses import dataclass\nfrom . import x"))
+    assert found == {"os", "dataclasses"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without the site hooks, which may import either
+    # first; this also catches an import that some other module pulls in
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import midconv.cli; print(*sys.modules)"
+    src = str(Path(midconv.__file__).parent.parent)
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert "midconv.cli" in loaded.stdout.split()
+    assert {"dataclasses", "inspect"} & set(loaded.stdout.split()) == set()
