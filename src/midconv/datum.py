@@ -31,6 +31,7 @@ from .exactalg import (
     hat_matrix,
     intertwiner_basis,
     nilpotent_powers,
+    point_text,
     quotient_projection,
     rank,
     solve,
@@ -107,7 +108,7 @@ class Datum(Record):
             if b.dim_v != dim_v:
                 raise DimensionMismatch("block V-dimension differs from the datum")
             if b.point in seen:
-                raise ValidationError(f"duplicate block point {b.point}")
+                raise ValidationError(f"duplicate block point {point_text(b.point)}")
             seen.add(b.point)
         self.__dict__.update(dim_v=dim_v, blocks=blocks, s_matrix=s_matrix)
 
@@ -229,7 +230,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     Q_t -> Sum g_k Q_t N_t^k,  P_t -> Sum N_t^k P_t (g^{-1})_k."""
     target = d.block_at(g.point)
     if target is None:
-        raise PointMismatch(f"no block at point {g.point}")
+        raise PointMismatch(f"no block at point {point_text(g.point)}")
     if g.dimension != d.dim_v:
         raise DimensionMismatch("gauge dimension differs from dim V")
     npows = target.powers

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .datum import Block, Datum
 from .errors import ParseError, ValidationError
-from .exactalg import GaussianRational, Matrix, gr
+from .exactalg import _DIGITS_BOUND, _MAX_DIGITS, GaussianRational, Matrix, gr
 from .functors import OkuboTriple
-from .normalform import NormalForm
 from .systems import PrincipalPart, System
 
 __all__ = [
@@ -40,11 +39,8 @@ __all__ = [
 ]
 
 
-# CPython refuses int <-> str conversions of more than this many decimal
-# digits by default (3.11 on, and 3.10 from 3.10.7); documents refuse such
-# integers themselves, so that every version refuses them with one error
-_MAX_DIGITS = 4300
-_DIGITS_BOUND = 10**_MAX_DIGITS
+# documents refuse integers CPython would not convert to or from str by
+# default, so that every version refuses them with one error
 _TOO_LONG = f"integers in documents are limited to {_MAX_DIGITS} decimal digits"
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "GaussianRational",
     "Matrix",
     "gr",
+    "point_text",
     "echelon_insert",
     "rank",
     "kernel_basis",
@@ -220,6 +221,20 @@ def gr(re=0, im=0) -> GaussianRational:
     if isinstance(re, GaussianRational) and type(im) is int and not im:
         return re
     return GaussianRational(re, im)
+
+
+# CPython refuses int <-> str conversions of more than this many decimal
+# digits by default (3.11 on, and 3.10 from 3.10.7); documents refuse such
+# integers, and messages give such a point by its size, on every version
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+
+
+def point_text(x: GaussianRational) -> str:
+    """x as error messages give it: its repr, or its size in bits where a
+    part of it has more than _MAX_DIGITS decimal digits."""
+    largest = max(abs(x.p), abs(x.q), x.r)
+    return repr(x) if largest < _DIGITS_BOUND else f"<a point of {largest.bit_length()} bits>"
 
 
 def _coerce_or_none(x):

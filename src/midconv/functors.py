@@ -22,6 +22,7 @@ from .exactalg import (
     GaussianRational,
     Matrix,
     gr,
+    point_text,
     quotient_projection,
 )
 from .datum import _swap, Block, Datum, kappa, phi, psi, swap
@@ -72,11 +73,11 @@ def mc(p: System, alpha: System) -> System:
             continue
         if part.point not in allowed:
             raise PoleMismatch(
-                f"parameter pole {part.point} is outside the constant term's spectrum"
+                f"parameter pole {point_text(part.point)} is outside the constant term's spectrum"
             )
         if d > allowed[part.point]:
             raise PoleMismatch(
-                f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
+                f"parameter pole order {d} at {point_text(part.point)} exceeds the allowed {allowed[part.point]}"
             )
     # the second hd dualizes a datum whose S is h's T, so T's blocking is handed
     # on, with the powers of its nilpotents

@@ -34,6 +34,7 @@ from .exactalg import (
     gr,
     hat_matrix,
     nilpotent_partition,
+    point_text,
     qi_roots,
     quotient_projection,
     rank,
@@ -182,7 +183,7 @@ def compute_normal_form(part: PrincipalPart) -> NormalForm:
     try:
         blocks = _split(list(part.coefficients), k)
     except (NoNormalForm, IrrationalSpectrum) as e:
-        raise type(e)(f"pole {part.point}: {e}") from e
+        raise type(e)(f"pole {point_text(part.point)}: {e}") from e
     return NormalForm(k, tuple(SpectralBlock(tuple(tail), gamma) for tail, gamma in blocks))
 
 

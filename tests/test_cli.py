@@ -534,6 +534,33 @@ print(json.dumps({"debug": __debug__, "passed": {r.name: r.passed for r in resul
             main(["no-such-command"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["canon", "-h"], ["mc", "in.sys"], ["no-such-command"], [], ["canon", "in.sys", "extra"]],
+        ids=["help", "command-help", "missing-alpha", "unknown-command", "no-arguments", "extra-argument"],
+    )
+    def test_one_command_parser_answers_as_the_complete_one(self, capsys, monkeypatch, argv):
+        # main builds the subparser of a known first word only; its help,
+        # usage errors and exit status are those of the parser of every command
+        from midconv import cli
+
+        def outcome(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            return info.value.code, capsys.readouterr()
+
+        build = cli._build_parser
+        complete = outcome(build().parse_args)
+        built = []
+
+        def recording(names):
+            built.append(list(names))
+            return build(names)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        assert outcome(main) == complete
+        assert built == [argv[:1] if argv[:1] in (["canon"], ["mc"]) else list(cli.COMMANDS)]
+
     def test_byte_identical_reports(self, capsys, triple_file):
         status1 = main(["rigidity", triple_file])
         out1 = capsys.readouterr().out

@@ -17,7 +17,7 @@ from midconv.datum import (
     psi,
     swap,
 )
-from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent, NotStable, PointMismatch
+from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent, NotStable, PointMismatch, ValidationError
 from midconv.exactalg import (
     Matrix,
     gr,
@@ -77,6 +77,20 @@ class TestDatum:
         for d in (Datum(1, (RANK1_BLOCK,)), Datum(1, ())):
             with pytest.raises(PointMismatch):
                 gk_action(g, d)
+
+    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a point of 16610 bits>")])
+    def test_a_duplicate_block_point_is_named_even_past_the_digit_limit(self, point, shown):
+        block = Block(point, J2, Matrix.from_rows([[2, 3]]), Matrix.column([0, 1]))
+        with pytest.raises(ValidationError) as info:
+            Datum(1, (block, block))
+        assert str(info.value) == f"duplicate block point {shown}"
+
+    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a point of 16610 bits>")])
+    def test_a_missing_block_is_named_even_past_the_digit_limit(self, point, shown):
+        g = TruncatedGauge(point, (Matrix.from_rows([[2]]),))
+        with pytest.raises(PointMismatch) as info:
+            gk_action(g, Datum(1, (RANK1_BLOCK,)))
+        assert str(info.value) == f"no block at point {shown}"
 
     def test_phi_inverts_kappa_with_a_constant(self, rng):
         nonzero = 0

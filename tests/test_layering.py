@@ -1,10 +1,15 @@
 """Module layering: ``modp`` is the lowest midconv module and the one home
 of arithmetic mod p; other modules reach it only through ``modp.__all__``,
-and each module imports only the midconv modules its layer allows.
-Importing the CLI, which every ``midconv`` process pays for, loads neither
-``dataclasses`` nor ``inspect``."""
+and each module imports only the midconv modules its layer allows, names
+it reaches through the package's lazy table counted as imports of their
+defining modules.  Importing the CLI, which every ``midconv`` process pays
+for, loads neither ``dataclasses`` nor ``inspect``; a bare ``import midconv``
+loads no submodule, and a ``midconv`` process only the modules its command
+runs."""
 
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +20,9 @@ import midconv
 from midconv import modp
 
 SOURCES = sorted(Path(midconv.__file__).parent.glob("*.py"))
+SRC = str(Path(midconv.__file__).parent.parent)
+# the package's lazy table: each exported name -> its defining module
+HOME = {name: module for module, names in midconv._EXPORTS.items() for name in names}
 MODP_ONLY = {
     "_CERT_PRIME",
     "_reduce_mod",
@@ -35,7 +43,7 @@ IMPORTS = {
     "normalform": {"errors", "exactalg", "systems"},
     "functors": {"datum", "errors", "exactalg", "systems"},
     "rigidity": {"errors", "exactalg", "functors", "normalform", "systems"},
-    "documents": {"datum", "errors", "exactalg", "functors", "normalform", "systems"},
+    "documents": {"datum", "errors", "exactalg", "functors", "systems"},
     "checks": {"datum", "errors", "exactalg", "functors", "normalform", "rigidity", "systems"},
     "cli": {"checks", "datum", "documents", "errors", "functors", "normalform", "rigidity", "systems"},
     "__init__": {"datum", "exactalg", "functors", "normalform", "rigidity", "systems"},
@@ -68,16 +76,32 @@ def modp_imports(module: ast.Module) -> list[str]:
 
 
 def midconv_imports(module: ast.Module) -> set[str]:
-    """The midconv modules a module imports, relatively or by name."""
-    found = set()
+    """The midconv modules a module imports, relatively or by name, and the
+    modules the package's lazy table names for it: the table's own keys,
+    and the defining module of each name read off ``import midconv``."""
+    found, package = set(), set()
     for node in ast.walk(module):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             found |= {node.module} if node.module else {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("midconv"):
             found.add(node.module.removeprefix("midconv").lstrip(".") or "__init__")
         elif isinstance(node, ast.Import):
-            found |= {a.name.removeprefix("midconv.") for a in node.names if a.name.startswith("midconv")}
+            package |= {a.asname or a.name for a in node.names if a.name == "midconv"}
+            found |= {a.name.removeprefix("midconv.") for a in node.names if a.name.startswith("midconv.")}
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]:
+            found |= {key.value for key in node.value.keys}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in package:
+            if not node.attr.startswith("_"):  # the package's own attributes, such as the table
+                found.add(HOME[node.attr])
     return found
+
+
+def test_names_read_through_the_lazy_table_count_as_imports():
+    code = "import midconv as lib\nimport midconv.errors\nlib.mc(lib.kappa(x), lib.__name__)\n_EXPORTS = {'modp': ()}"
+    assert midconv_imports(ast.parse(code)) == {"datum", "errors", "functors", "modp"}
+    with pytest.raises(KeyError):  # a name the table lacks is no silent pass
+        midconv_imports(ast.parse("import midconv\nmidconv.no_such_name"))
 
 
 def absolute_imports(module: ast.Module) -> set[str]:
@@ -171,3 +195,144 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert "midconv.cli" in loaded.stdout.split()
     assert {"dataclasses", "inspect"} & set(loaded.stdout.split()) == set()
+
+
+LAZY_MODULES = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import midconv.cli
+
+def ran():
+    return sorted(n for n, m in sys.modules.items() if n.startswith("midconv.") and type(m) is types.ModuleType)
+
+present, before = sorted(n for n in sys.modules if n.startswith("midconv.")), ran()
+sys.modules["midconv.rigidity"].katz_reduce
+print(json.dumps([present, before, ran()]))
+"""
+
+
+def test_importing_the_cli_puts_every_table_module_in_sys_modules_unrun():
+    # code that wraps names in the loaded midconv modules finds every module
+    # a command may run; the two no command has run yet run on first read
+    child = subprocess.run([sys.executable, "-S", "-c", LAZY_MODULES, SRC], capture_output=True, text=True, check=True)
+    present, before, after = json.loads(child.stdout)
+    table = {f"midconv.{m}" for m in midconv._EXPORTS}
+    assert table <= set(present) and "midconv.checks" not in present
+    assert set(present) - set(before) == {"midconv.normalform", "midconv.rigidity"}
+    assert set(after) == set(present)
+
+
+# run in a fresh interpreter: what a bare import loads, then the namespace
+CONTRACT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("midconv"))
+
+import midconv
+facts = {"bare": loaded(), "dir_covers_all": set(midconv.__all__) <= set(dir(midconv))}
+facts["rigidity"] = midconv.rigidity.__name__
+facts["after_rigidity"] = loaded()
+star = {}
+exec("from midconv import *", star)
+facts["star"] = sorted(set(star) - {"__builtins__"}) == sorted(midconv.__all__)
+facts["homes"] = {}
+for name in midconv.__all__:
+    value = getattr(midconv, name)
+    home = sys.modules[value.__module__]
+    facts["homes"][name] = [value.__module__, getattr(home, name) is value]
+import midconv.functors
+sentinel = object()
+midconv.functors.mc = sentinel
+facts["patched_seen"] = midconv.mc is sentinel and getattr(midconv, "mc") is sentinel
+try:
+    midconv.no_such_name
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+@pytest.fixture(scope="module")
+def contract():
+    child = subprocess.run([sys.executable, "-S", "-c", CONTRACT, SRC], capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def test_a_bare_import_loads_no_submodule(contract):
+    assert contract["bare"] == ["midconv"]
+
+
+def test_a_submodule_loads_on_first_access(contract):
+    assert contract["rigidity"] == "midconv.rigidity"
+    assert "midconv.rigidity" in contract["after_rigidity"] and "midconv.checks" not in contract["after_rigidity"]
+
+
+def test_dir_and_star_import_cover_exactly_all(contract):
+    assert contract["dir_covers_all"] and contract["star"]
+
+
+def test_each_name_is_its_defining_module_object(contract):
+    assert sorted(contract["homes"]) == sorted(midconv.__all__)
+    for name, (module, same) in contract["homes"].items():
+        assert module == f"midconv.{HOME[name]}" and same, name
+
+
+def test_a_patch_of_the_defining_module_is_seen_through_the_package(contract, monkeypatch):
+    assert contract["patched_seen"]
+    sentinel = object()
+    monkeypatch.setattr(midconv.normalform, "select_alpha", sentinel)
+    assert midconv.select_alpha is sentinel
+
+
+def test_an_unknown_name_raises_attribute_error(contract):
+    assert contract["unknown"] == "module 'midconv' has no attribute 'no_such_name'"
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the seven commands the benchmark runs, and check
+COMMAND_LINES = {
+    "rigidity": ["rigid-triple.sys"],
+    "katz-reduce": ["rigid-triple.sys"],
+    "hd": ["rank1-irregular.sys"],
+    "mc": ["rigid-triple.sys", "--alpha", "alpha-simple.sys"],
+    "canon": ["rank1-irregular.sys"],
+    "normal-form": ["rank1-irregular.sys"],
+    "equiv": ["rigid-triple.sys", "rigid-triple.sys"],
+    "check": ["alpha-simple.sys", "--trials", "1"],
+}
+# python -m midconv.cli, with the midconv modules whose code ran on the last
+# line of stderr; a lazy module the command never read keeps its own type
+RUN_AS_MAIN = """
+import runpy, sys, types
+try:
+    runpy.run_module("midconv.cli", run_name="__main__", alter_sys=True)
+finally:
+    ran = [n for n, m in sys.modules.items() if n.startswith("midconv") and type(m) is types.ModuleType]
+    print("\\n" + " ".join(sorted(ran)), file=sys.stderr)
+"""
+
+
+def modules_loaded_by(command: str) -> set[str]:
+    argv = [a if a.startswith("-") or a.isdigit() else str(FIXTURES / a) for a in COMMAND_LINES[command]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    child = subprocess.run(
+        [sys.executable, "-c", RUN_AS_MAIN, command, *argv], capture_output=True, text=True, env=env
+    )
+    assert child.returncode == 0 and json.loads(child.stdout)["command"] == command, child.stderr
+    return {m.removeprefix("midconv.") for m in child.stderr.splitlines()[-1].split()}
+
+
+@pytest.mark.parametrize("command", COMMAND_LINES)
+def test_a_process_loads_only_the_modules_its_command_runs(command):
+    loaded = modules_loaded_by(command)
+    assert {"midconv", "documents", "errors", "systems"} <= loaded
+    library = {"normalform", "rigidity", "checks"} & loaded
+    expected = {
+        "rigidity": {"normalform", "rigidity"},
+        "katz-reduce": {"normalform", "rigidity"},
+        "normal-form": {"normalform"},
+        "check": {"normalform", "rigidity", "checks"},
+    }
+    assert library == expected.get(command, set())
