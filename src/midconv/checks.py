@@ -24,7 +24,6 @@ from .exactalg import (
     Matrix,
     gr,
     kernel_basis,
-    point_text,
     rank,
 )
 from .functors import hd_double
@@ -216,7 +215,7 @@ def run_checks(sys: System, seed: int, trials: int) -> list[CheckResult]:
             kernel = hat_kernel_dim(part, sel)
             _require(kernel == hat_kernel_dim_formula(nf, sel), "kernel modes disagree")
             if irrational_alpha_could_win(nf):  # sel may miss the largest kernel the inequality needs
-                raise IrrationalSpectrum(f"pole {point_text(part.point)}: an alpha outside Q(i) may score higher")
+                raise IrrationalSpectrum(f"pole {part.point}: an alpha outside Q(i) may score higher")
             _require(_stabilizer_dim(part, nf) <= n * kernel, "Katz inequality failed")
 
     def normal_form_gauge_invariance():

@@ -31,7 +31,6 @@ from .exactalg import (
     hat_matrix,
     intertwiner_basis,
     nilpotent_powers,
-    point_text,
     quotient_projection,
     rank,
     solve,
@@ -108,7 +107,7 @@ class Datum(Record):
             if b.dim_v != dim_v:
                 raise DimensionMismatch("block V-dimension differs from the datum")
             if b.point in seen:
-                raise ValidationError(f"duplicate block point {point_text(b.point)}")
+                raise ValidationError(f"duplicate block point {b.point}")
             seen.add(b.point)
         self.__dict__.update(dim_v=dim_v, blocks=blocks, s_matrix=s_matrix)
 
@@ -136,19 +135,22 @@ class Datum(Record):
 
     @cached_property
     def s_blocking(self):
-        """(eigenvalue, basis, nil) triples of S, cached; the E-side blocking."""
-        return generalized_eigendecomposition(self.s_matrix)
+        """(eigenvalue, basis, nil, powers of nil) per generalized
+        eigenspace of S, cached; the blocking ``swap`` reads."""
+        eig = generalized_eigendecomposition(self.s_matrix)
+        return [(ev, b, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in eig]
 
     def t_blocking(self):
-        """generalized_eigendecomposition(T) read off the blocks, with no
-        spectrum computed: T's generalized eigenspaces are the coordinate
-        blocks, whose reduced echelon bases are unit vectors, and the
-        points are distinct and in eigenvalue sort order."""
+        """The blocking of T read off the blocks, with no spectrum or power
+        computed: T's generalized eigenspaces are the coordinate blocks,
+        whose reduced echelon bases are unit vectors, the points are
+        distinct and in eigenvalue sort order, and each block holds the
+        powers of its N_t."""
         eye = Matrix.identity(self.dim_w)
         out = []
         offset = 0
         for b in self.blocks:
-            out.append((b.point, eye.submatrix(0, eye.rows, offset, offset + b.dim_w), b.nilpotent))
+            out.append((b.point, eye.submatrix(0, eye.rows, offset, offset + b.dim_w), b.nilpotent, b.powers))
             offset += b.dim_w
         return out
 
@@ -230,7 +232,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     Q_t -> Sum g_k Q_t N_t^k,  P_t -> Sum N_t^k P_t (g^{-1})_k."""
     target = d.block_at(g.point)
     if target is None:
-        raise PointMismatch(f"no block at point {point_text(g.point)}")
+        raise PointMismatch(f"no block at point {g.point}")
     if g.dimension != d.dim_v:
         raise DimensionMismatch("gauge dimension differs from dim V")
     npows = target.powers
@@ -335,31 +337,27 @@ def datum_isomorphism(d1: Datum, d2: Datum):
 # ---------------------------------------------------------------------------
 
 
-def swap(d: Datum, s_blocking) -> Datum:
+def swap(d: Datum, blocking) -> Datum:
     """The dual sextuple (W, V, T, S, P, Q) blocked by the generalized
-    eigenspaces of S, s_blocking = generalized_eigendecomposition(S): with
-    B the hstack of the eigenbases, the block at s is (nil_s, P B_s, rows
-    of B^{-1} Q at s), so phi(swap(d, ...)) = T + P (zeta I - S)^{-1} Q.
+    eigenspaces of S, as a ``Datum.s_blocking`` lists them: with B the
+    hstack of the eigenbases, the block at s is (nil_s, P B_s, rows of
+    B^{-1} Q at s), built with the powers of nil_s the entry holds, so
+    phi(swap(d, ...)) = T + P (zeta I - S)^{-1} Q.
 
     When B is the identity, as it is for a ``t_blocking`` and for S = 0,
     P and Q are taken as they are; any other B is multiplied and solved
     exactly."""
-    return _swap(d, s_blocking, [tuple(nilpotent_powers(nil)) for _, _, nil in s_blocking])
-
-
-def _swap(d: Datum, s_blocking, powers) -> Datum:
-    """``swap`` given the powers of each nil in s_blocking."""
-    basis = Matrix.hstack([b for _, b, _ in s_blocking])
+    basis = Matrix.hstack([b for _, b, _, _ in blocking])
     if basis == Matrix.identity(basis.rows):
         q_c, p_c = d.p_matrix(), d.q_matrix()
     else:
         q_c, p_c = d.p_matrix() * basis, solve(basis, d.q_matrix())
     blocks = []
     offset, w = 0, d.dim_w
-    for (ev, b, nil), npows in zip(s_blocking, powers):
+    for ev, b, nil, powers in blocking:
         end = offset + b.cols
         q, p = q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)
-        blocks.append(_block(ev, nil, q, p, npows))
+        blocks.append(_block(ev, nil, q, p, powers))
         offset = end
     return Datum(w, tuple(blocks), d.t_matrix())
 

@@ -199,7 +199,7 @@ def okubo_from_document(doc) -> OkuboTriple:
     return OkuboTriple(t, r)
 
 
-def normal_form_to_document(nf: NormalForm, point) -> dict:
+def normal_form_to_document(nf, point) -> dict:
     doc = {"kind": "normal_form", "point": scalar_to_json(gr(point)), "order_bound": nf.k}
     doc["spectra"] = [
         {

@@ -33,7 +33,6 @@ __all__ = [
     "GaussianRational",
     "Matrix",
     "gr",
-    "point_text",
     "echelon_insert",
     "rank",
     "kernel_basis",
@@ -204,6 +203,9 @@ class GaussianRational:
         return hash((self.p, self.q, self.r)) if self.q else hash(self.p if self.r == 1 else self.re)
 
     def __repr__(self):
+        largest = max(abs(self.p), abs(self.q), self.r)
+        if largest >= _DIGITS_BOUND:
+            return f"<a number of {largest.bit_length()} bits>"
         if self.q == 0:
             return str(self.re)
         if self.p == 0:
@@ -225,16 +227,9 @@ def gr(re=0, im=0) -> GaussianRational:
 
 # CPython refuses int <-> str conversions of more than this many decimal
 # digits by default (3.11 on, and 3.10 from 3.10.7); documents refuse such
-# integers, and messages give such a point by its size, on every version
+# integers, and a GaussianRational's repr gives its size instead
 _MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**_MAX_DIGITS
-
-
-def point_text(x: GaussianRational) -> str:
-    """x as error messages give it: its repr, or its size in bits where a
-    part of it has more than _MAX_DIGITS decimal digits."""
-    largest = max(abs(x.p), abs(x.q), x.r)
-    return repr(x) if largest < _DIGITS_BOUND else f"<a point of {largest.bit_length()} bits>"
 
 
 def _coerce_or_none(x):

@@ -22,10 +22,9 @@ from .exactalg import (
     GaussianRational,
     Matrix,
     gr,
-    point_text,
     quotient_projection,
 )
-from .datum import _swap, Block, Datum, kappa, phi, psi, swap
+from .datum import Block, Datum, kappa, phi, psi, swap
 from .systems import (
     PrincipalPart,
     Record,
@@ -73,15 +72,15 @@ def mc(p: System, alpha: System) -> System:
             continue
         if part.point not in allowed:
             raise PoleMismatch(
-                f"parameter pole {point_text(part.point)} is outside the constant term's spectrum"
+                f"parameter pole {part.point} is outside the constant term's spectrum"
             )
         if d > allowed[part.point]:
             raise PoleMismatch(
-                f"parameter pole order {d} at {point_text(part.point)} exceeds the allowed {allowed[part.point]}"
+                f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
     # the second hd dualizes a datum whose S is h's T, so T's blocking is handed
     # on, with the powers of its nilpotents
-    return phi(_swap(kappa(add_scalar(phi(dual), alpha)), h.t_blocking(), [b.powers for b in h.blocks]))
+    return phi(swap(kappa(add_scalar(phi(dual), alpha)), h.t_blocking()))
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:

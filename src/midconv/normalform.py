@@ -34,7 +34,6 @@ from .exactalg import (
     gr,
     hat_matrix,
     nilpotent_partition,
-    point_text,
     qi_roots,
     quotient_projection,
     rank,
@@ -100,10 +99,6 @@ class NormalForm(Record):
             if len(b.tail) != max(k - 1, 0):
                 raise DimensionMismatch("tail length must be k-1")
         self.__dict__.update(k=k, blocks=blocks)
-
-    @property
-    def dimension(self) -> int:
-        return sum(b.dim for b in self.blocks)
 
 
 def assemble_normal_form(nf: NormalForm) -> list[Matrix]:
@@ -183,7 +178,7 @@ def compute_normal_form(part: PrincipalPart) -> NormalForm:
     try:
         blocks = _split(list(part.coefficients), k)
     except (NoNormalForm, IrrationalSpectrum) as e:
-        raise type(e)(f"pole {point_text(part.point)}: {e}") from e
+        raise type(e)(f"pole {part.point}: {e}") from e
     return NormalForm(k, tuple(SpectralBlock(tuple(tail), gamma) for tail, gamma in blocks))
 
 

@@ -13,7 +13,7 @@ steps.
 from __future__ import annotations
 
 from .errors import InvariantViolation, IrrationalSpectrum, NoNormalForm, NotInD0, NotRigid, Reducible, ZeroLambda
-from .exactalg import GaussianRational, point_text
+from .exactalg import GaussianRational
 from .functors import mc
 from .normalform import _stabilizer_dim, compute_normal_form, irrational_alpha_could_win, select_alpha
 from .systems import (
@@ -155,7 +155,7 @@ def katz_reduce(p: System) -> ReductionTrace:
                 if irrational_alpha_could_win(nf):
                     raise IrrationalSpectrum(
                         f"reduction step {len(steps) + 1}, "
-                        f"a residue at pole {point_text(point)} has eigenvalues outside Q(i)"
+                        f"a residue at pole {point} has eigenvalues outside Q(i)"
                     )
             raise InvariantViolation("rank did not decrease on a rigid input")  # pragma: no cover
         steps.append(

@@ -34,7 +34,6 @@ from .exactalg import (
     gr,
     intertwiner_basis,
     invert,
-    point_text,
     rank,
 )
 from .modp import certified_full, spin
@@ -155,7 +154,7 @@ class System(Record):
             if p.dimension != n:
                 raise DimensionMismatch("principal part dimension differs from system dimension")
             if p.point in seen:
-                raise ValidationError(f"duplicate pole point {point_text(p.point)}")
+                raise ValidationError(f"duplicate pole point {p.point}")
             seen.add(p.point)
         if declaration is not None:
             declaration = tuple((gr(s), l) for s, l in declaration)

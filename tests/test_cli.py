@@ -6,8 +6,10 @@ import pytest
 
 from midconv.cli import main
 from midconv.documents import (
+    datum_from_document,
     dumps_canonical,
     matrix_to_json,
+    okubo_from_document,
     parse_document,
     parse_scalar_flag,
     scalar_from_json,
@@ -158,31 +160,59 @@ def _rank_one_document(**changes) -> bytes:
     return dumps_canonical(doc).encode()
 
 
+ZERO = {"re": "0/1", "im": "0/1"}
+# each malformed input -> a command that reads it and the file's bytes
 UNREADABLE = {
-    "dimension-not-a-number": _rank_one_document(dimension="abc"),
-    "dimension-fractional": _rank_one_document(dimension=1.5),
-    "dimension-boolean": _rank_one_document(dimension=True),
-    "row-not-a-list": _rank_one_document(constant=[1]),
-    "part-not-an-object": _rank_one_document(parts=[[1]]),
-    "kind-not-a-string": b'{"kind": []}',
-    "not-utf-8": b'{"kind": "system", "name": "\xff"}',
-    "missing-file": None,
+    "dimension-not-a-number": ("irred", _rank_one_document(dimension="abc")),
+    "dimension-fractional": ("irred", _rank_one_document(dimension=1.5)),
+    "dimension-boolean": ("irred", _rank_one_document(dimension=True)),
+    "row-not-a-list": ("irred", _rank_one_document(constant=[1])),
+    "part-not-an-object": ("irred", _rank_one_document(parts=[[1]])),
+    "kind-not-a-string": ("irred", b'{"kind": []}'),
+    "not-utf-8": ("irred", b'{"kind": "system", "name": "\xff"}'),
+    "missing-file": ("irred", None),
+    "not-an-object": ("irred", b"[]"),
+    "rational-not-a-string": ("irred", _rank_one_document(constant=[[{"re": 0, "im": "0/1"}]])),
+    "rational-without-slash": ("irred", _rank_one_document(constant=[[{"re": "0", "im": "0/1"}]])),
+    "rational-zero-denominator": ("irred", _rank_one_document(constant=[[{"re": "1/0", "im": "0/1"}]])),
+    "scalar-without-im": ("irred", _rank_one_document(constant=[[{"re": "0/1"}]])),
+    "rows-ragged": ("irred", _rank_one_document(constant=[[ZERO], [ZERO, ZERO]])),
+    "too-many-rows": ("irred", _rank_one_document(constant=[[ZERO], [ZERO]])),
+    "too-many-columns": ("irred", _rank_one_document(constant=[[ZERO, ZERO]])),
+    "system-missing-field": ("irred", b'{"kind": "system", "dimension": 1}'),
+    "datum-missing-field": ("stable", b'{"kind": "datum", "dimension": 1}'),
+    "okubo-missing-field": ("okubo", b'{"kind": "okubo", "dimension": 1}'),
+    "declarations-not-an-object": ("irred", _rank_one_document(declarations=[])),
+    "declarations-of-unequal-length": ("irred", _rank_one_document(declarations={"points": [ZERO], "orders": []})),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 def test_unreadable_input_is_a_validation_report(capsys, tmp_path, case):
+    command, content = UNREADABLE[case]
     path = tmp_path / "in.sys"
-    if UNREADABLE[case] is not None:
-        path.write_bytes(UNREADABLE[case])
-    status, report = run_cli(capsys, "irred", str(path))
+    if content is not None:
+        path.write_bytes(content)
+    status, report = run_cli(capsys, command, str(path))
     assert status == 1
     assert report["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("read", [system_from_document, datum_from_document, okubo_from_document])
+def test_a_reader_refuses_a_document_of_another_kind(read):
+    doc = {"kind": "datum" if read is system_from_document else "system", "dimension": 0}
+    with pytest.raises(ValidationError, match="expected a document of kind"):
+        read(doc)
+
+
 @pytest.mark.parametrize(
     "flags",
-    [("dr", "--lambda", "1e999999999"), ("stab-dim", "--point", "1e9,0"), ("dr", "--lambda", "0.5")],
+    [
+        ("dr", "--lambda", "1e999999999"),
+        ("stab-dim", "--point", "1e9,0"),
+        ("dr", "--lambda", "0.5"),
+        ("dr", "--lambda", "1,2,3"),
+    ],
 )
 def test_scalar_flag_is_an_integer_or_ratio(capsys, triple_file, flags):
     status, report = run_cli(capsys, *flags, triple_file)
@@ -239,6 +269,12 @@ def test_check_without_trials_is_rejected(capsys, triple_file, trials):
     status, report = run_cli(capsys, "check", "--trials", trials, triple_file)
     assert status == 1
     assert report["error"]["type"] == "ValidationError"
+
+
+def test_a_point_with_no_pole_is_a_validation_report(capsys, triple_file):
+    status, report = run_cli(capsys, "stab-dim", "--point", "5", triple_file)
+    assert status == 1
+    assert report["error"] == {"type": "ValidationError", "message": "no pole at 5"}
 
 
 @pytest.mark.parametrize("parts", [{}, {0: [1], 1: [2]}], ids=["no-pole", "two-poles"])

@@ -78,14 +78,14 @@ class TestDatum:
             with pytest.raises(PointMismatch):
                 gk_action(g, d)
 
-    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a point of 16610 bits>")])
+    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a number of 16610 bits>")])
     def test_a_duplicate_block_point_is_named_even_past_the_digit_limit(self, point, shown):
         block = Block(point, J2, Matrix.from_rows([[2, 3]]), Matrix.column([0, 1]))
         with pytest.raises(ValidationError) as info:
             Datum(1, (block, block))
         assert str(info.value) == f"duplicate block point {shown}"
 
-    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a point of 16610 bits>")])
+    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a number of 16610 bits>")])
     def test_a_missing_block_is_named_even_past_the_digit_limit(self, point, shown):
         g = TruncatedGauge(point, (Matrix.from_rows([[2]]),))
         with pytest.raises(PointMismatch) as info:
@@ -438,7 +438,7 @@ class TestHarnad:
                 eig = d.s_blocking
             except DomainError:
                 continue
-            b = Matrix.hstack([basis for _, basis, _ in eig])
+            b = Matrix.hstack([basis for _, basis, _, _ in eig])
             binv = invert(b)
             twice = swap(swap(d, eig), d.t_blocking())
             assert twice.s_matrix == binv * d.s_matrix * b
@@ -450,10 +450,10 @@ class TestHarnad:
     def generic_swap(d, s_blocking):
         """swap by its formula with every product formed: the block at s is
         (nil_s, P B_s, rows of B^-1 Q at s)."""
-        b = Matrix.hstack([basis for _, basis, _ in s_blocking])
+        b = Matrix.hstack([basis for _, basis, _, _ in s_blocking])
         q_c, p_c, w = d.p_matrix() * b, solve(b, d.q_matrix()), d.dim_w
         blocks, offset = [], 0
-        for ev, basis, nil in s_blocking:
+        for ev, basis, nil, _ in s_blocking:
             end = offset + basis.cols
             blocks.append(Block(ev, nil, q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)))
             offset = end
@@ -471,7 +471,7 @@ class TestHarnad:
         expected = [self.generic_swap(d, d.s_blocking) for d in data]
         self.refuse_solve(monkeypatch)
         for d, e in zip(data, expected):
-            assert Matrix.hstack([b for _, b, _ in d.s_blocking]) == Matrix.identity(d.dim_v)
+            assert Matrix.hstack([b for _, b, _, _ in d.s_blocking]) == Matrix.identity(d.dim_v)
             assert swap(d, d.s_blocking) == e
 
     def test_swap_by_a_t_blocking_is_the_generic_formula(self, rng, monkeypatch):

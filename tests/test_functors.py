@@ -223,7 +223,8 @@ class TestMcHandsOnTBlocking:
         h = kappa(p)
         assert len(h.blocks) >= 2
         # entry for entry, in order: the S of the second duality is psi(h)'s constant T
-        assert h.t_blocking() == generalized_eigendecomposition(psi(h).constant)
+        ged = generalized_eigendecomposition(psi(h).constant)
+        assert h.t_blocking() == [(ev, b, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in ged]
         assert psi(h).constant == h.t_matrix()
 
     @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
@@ -258,7 +259,7 @@ class TestMcHandsOnTBlocking:
     def test_jordan_constant_blocks_at_the_pole_of_alpha(self):
         p, alpha = jordan_constant_input(random.Random(7), 3)
         s = alpha.parts[0].point
-        nil = {ev: nil for ev, _, nil in kappa(p).s_blocking}[s]
+        nil = {ev: nil for ev, _, nil, _ in kappa(p).s_blocking}[s]
         assert not nil.is_zero()
         assert mc(p, alpha) == hd(add_scalar(hd(p), alpha))
 

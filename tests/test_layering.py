@@ -5,13 +5,17 @@ it reaches through the package's lazy table counted as imports of their
 defining modules.  Importing the CLI, which every ``midconv`` process pays
 for, loads neither ``dataclasses`` nor ``inspect``; a bare ``import midconv``
 loads no submodule, and a ``midconv`` process only the modules its command
-runs."""
+runs.  An underscore name crosses from one module to another only where a
+table lists it, and every annotation names a type that is defined."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -169,6 +173,60 @@ def test_no_residue_is_taken_outside_modp(path):
 def test_residue_operations_are_found():
     found = residue_operations(ast.parse("a % m\nb %= m\npow(x, -1, p)\npow(x, 2)\nf'{x:%}'"))
     assert sorted(found) == ["a % m", "b %= m", "pow(x, -1, p)"]
+
+
+def private_imports(module: ast.Module) -> set[tuple[str, str]]:
+    """(midconv module, name) for each underscore name a module imports
+    from another midconv module, relatively or by name."""
+    return {
+        (node.module.removeprefix("midconv."), alias.name)
+        for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and (node.level == 1 or node.module.startswith("midconv."))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {(path.stem, *pair) for path in SOURCES for pair in private_imports(tree(path))}
+    assert found == {
+        ("checks", "normalform", "_stabilizer_dim"),
+        ("rigidity", "normalform", "_stabilizer_dim"),
+        ("documents", "exactalg", "_DIGITS_BOUND"),
+        ("documents", "exactalg", "_MAX_DIGITS"),
+    }
+
+
+def test_private_imports_are_found():
+    code = "from .a import _x, y\nfrom midconv.b import _z\nfrom . import _c\nimport _thread"
+    assert private_imports(ast.parse(code)) == {("a", "_x"), ("b", "_z")}
+
+
+def defined_functions():
+    """Every function and method defined at the top level of a midconv
+    module or of one of its classes, properties and cached properties
+    included, as (qualified name, function)."""
+    for path in SOURCES:
+        module = importlib.import_module("midconv" if path.stem == "__init__" else f"midconv.{path.stem}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if isinstance(value, type) else (value,)
+            for member in members:
+                for f in (member, getattr(member, "__func__", None), getattr(member, "fget", None),
+                          getattr(member, "func", None)):
+                    if inspect.isfunction(f) and f.__module__ == module.__name__:
+                        yield f"{module.__name__}.{f.__qualname__}", f
+
+
+def test_every_annotation_names_a_defined_type():
+    names = set()
+    for name, f in defined_functions():
+        typing.get_type_hints(f)  # NameError for an annotation naming nothing defined
+        names.add(name)
+    assert len(names) > 100
+    assert {"midconv.documents.normal_form_to_document", "midconv.datum.Block.powers"} <= names
 
 
 def test_each_module_imports_only_its_layer():

@@ -2,7 +2,8 @@
 deleted, records of one class with equal fields are equal and hash alike,
 a record never equals an object of another class with the same fields,
 construction by keyword and the defaults work, and repr names the class
-and its fields."""
+and its fields.  A scalar past CPython's int -> str digit limit prints as
+its size, alone, in a matrix or in any record."""
 
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 
 from midconv.checks import CheckResult
 from midconv.datum import Block, Datum, MomentValue
-from midconv.exactalg import Matrix, gr
+from midconv.exactalg import GaussianRational, Matrix, gr
 from midconv.functors import OkuboTriple
 from midconv.normalform import NormalForm, SpectralBlock
 from midconv.rigidity import ReductionStep, ReductionTrace
@@ -21,22 +22,23 @@ def one(x) -> Matrix:
     return Matrix.from_rows([[x]])
 
 
-def fields() -> dict:
-    """Each record class -> the fields of one instance, by keyword in order."""
-    part = PrincipalPart(gr(1), (one(2),))
+def fields(x=2) -> dict:
+    """Each record class -> the fields of one instance, by keyword in order;
+    every instance but the CheckResult holds the scalar x."""
+    part = PrincipalPart(gr(1), (one(x),))
     sys_ = System(1, one(0), (part,))
-    block = Block(gr(0), Matrix.zeros(1, 1), one(1), one(3))
+    block = Block(gr(0), Matrix.zeros(1, 1), one(1), one(x))
     step = ReductionStep(alpha=sys_, lam=gr(1), rank_before=2, rank_after=1, result=sys_)
-    spectral = SpectralBlock(tail=(gr(1),), gamma=one(2))
+    spectral = SpectralBlock(tail=(gr(1),), gamma=one(x))
     return {
-        PrincipalPart: {"point": gr(1), "coefficients": (one(2),)},
+        PrincipalPart: {"point": gr(1), "coefficients": (one(x),)},
         System: {"dimension": 1, "constant": one(0), "parts": (part,), "declaration": None},
-        TruncatedGauge: {"point": gr(1), "coefficients": (one(1), one(5))},
-        Block: {"point": gr(0), "nilpotent": Matrix.zeros(1, 1), "q": one(1), "p": one(3)},
+        TruncatedGauge: {"point": gr(1), "coefficients": (one(1), one(x))},
+        Block: {"point": gr(0), "nilpotent": Matrix.zeros(1, 1), "q": one(1), "p": one(x)},
         Datum: {"dim_v": 1, "blocks": (block,), "s_matrix": one(0)},
-        MomentValue: {"entries": ((gr(0), one(-3), (gr(-3),)),)},
-        OkuboTriple: {"t_matrix": one(1), "r_matrix": one(2)},
-        SpectralBlock: {"tail": (gr(1),), "gamma": one(2)},
+        MomentValue: {"entries": ((gr(0), one(-3), (gr(x),)),)},
+        OkuboTriple: {"t_matrix": one(1), "r_matrix": one(x)},
+        SpectralBlock: {"tail": (gr(1),), "gamma": one(x)},
         NormalForm: {"k": 2, "blocks": (spectral,)},
         ReductionStep: {"alpha": sys_, "lam": gr(1), "rank_before": 2, "rank_after": 1, "result": sys_},
         ReductionTrace: {"steps": (step,)},
@@ -120,3 +122,18 @@ def test_repr_names_the_class_and_its_fields(cls):
     positions = [text.index(f"{', ' if i else '('}{name}=") for i, name in enumerate(kwargs)]
     assert positions == sorted(positions)
     assert repr(cls(**kwargs)) == text
+
+
+def holding(x) -> dict:
+    """Each kind of value -> one that holds the scalar x: the scalar, a
+    matrix and every record class with a scalar or matrix field."""
+    records = {cls: cls(**kwargs) for cls, kwargs in fields(x).items() if cls is not CheckResult}
+    return {GaussianRational: gr(x), Matrix: one(x), **records}
+
+
+@pytest.mark.parametrize("kind", holding(2), ids=lambda c: c.__name__)
+def test_a_scalar_past_the_digit_limit_prints_as_its_size(kind):
+    # CPython refuses to write an int of more than 4300 digits as text
+    value = holding(gr(10**5000))[kind]
+    for text in (repr(value), str(value), f"{value}"):
+        assert "<a number of 16610 bits>" in text

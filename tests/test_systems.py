@@ -54,7 +54,7 @@ class TestSystemModel:
         with pytest.raises(ValidationError):
             System(2, Z2, (PrincipalPart(gr(0), (E12,)), PrincipalPart(gr(0), (E21,))))
 
-    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a point of 16610 bits>")])
+    @pytest.mark.parametrize("point, shown", [(gr(3, -1), "3-1i"), (gr(10**5000), "<a number of 16610 bits>")])
     def test_a_duplicate_point_is_named_even_past_the_digit_limit(self, point, shown):
         part = PrincipalPart(point, (E12,))
         with pytest.raises(ValidationError) as info:
