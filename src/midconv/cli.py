@@ -52,7 +52,7 @@ def _read(path: str, kind: str = "system"):
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     doc = parse_document(text)
-    if not isinstance(doc, DOCUMENT_KINDS[kind].type):
+    if not isinstance(doc, getattr(lib, DOCUMENT_KINDS[kind].type_name)):
         article = "an" if kind[0] in "aeiou" else "a"
         raise ValidationError(f"{path}: expected {article} {kind} document")
     return doc

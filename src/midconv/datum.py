@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+_ZERO = gr(0)
+
+
 class Block(Record):
     """One pole's share of a datum: (W_t, N_t, Q_t, P_t)."""
 
@@ -165,7 +168,8 @@ def phi(d: Datum) -> System:
     block, trimmed; only an unstable block can lose coefficients."""
     parts = []
     for b in d.blocks:
-        coeffs = trim(b.q * power * b.p for power in b.powers)
+        # the first power is I, so its coefficient is Q_t P_t
+        coeffs = trim((b.q * power if k else b.q) * b.p for k, power in enumerate(b.powers))
         if coeffs:
             parts.append(PrincipalPart(b.point, coeffs))
     return System(d.dim_v, d.s_matrix, tuple(parts))
@@ -179,10 +183,21 @@ def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:
     c - n is quotiented by Ker A-hat.  In the pivot coordinates of
     quotient_projection(A-hat) = (pi, pivots) each map is read off
     directly: Q = Q-hat at the pivots, P = the last block column of pi and
-    N = [0 | pi] at the pivots.  Poles whose A-hat vanishes are dropped.
+    N = [0 | pi] at the pivots, whose column at pivot c is column c - n of
+    pi, or zero for c < n.  Poles whose A-hat vanishes are dropped.
     The result is stable whenever dim_v >= 1 and satisfies
     phi(canonical(A)) = A.
     """
+    return Datum(dim_v, _canonical_blocks(parts, dim_v))
+
+
+def kappa(sys: System) -> Datum:
+    """Section of phi: the canonical datum of the principal parts plus S."""
+    return Datum(sys.dimension, _canonical_blocks(sys.parts, sys.dimension), sys.constant)
+
+
+def _canonical_blocks(parts: Sequence[PrincipalPart], dim_v: int) -> tuple[Block, ...]:
+    """The blocks of ``canonical(parts, dim_v)``."""
     blocks = []
     for part in parts:
         if part.dimension != dim_v:
@@ -192,20 +207,16 @@ def canonical(parts: Sequence[PrincipalPart], dim_v: int) -> Datum:
         pi, pivots = quotient_projection(ahat)
         if not pivots:
             continue
+        shifted = [pi[i, c - n] if c >= n else _ZERO for i in range(pi.rows) for c in pivots]
         blocks.append(
             Block(
                 point=part.point,
-                nilpotent=Matrix.hstack([Matrix.zeros(pi.rows, n), pi]).select_columns(pivots),
+                nilpotent=Matrix(pi.rows, pi.rows, shifted),
                 q=ahat.submatrix(0, n, 0, ahat.cols).select_columns(pivots),
                 p=pi.submatrix(0, pi.rows, pi.cols - n, pi.cols),
             )
         )
-    return Datum(dim_v, tuple(blocks))
-
-
-def kappa(sys: System) -> Datum:
-    """Section of phi: the canonical datum of the principal parts plus S."""
-    return Datum(sys.dimension, canonical(sys.parts, sys.dimension).blocks, sys.constant)
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .datum import Block, Datum
+import midconv as lib  # Block, Datum and OkuboTriple, looked up at call time
 from .errors import ParseError, ValidationError
 from .exactalg import _DIGITS_BOUND, _MAX_DIGITS, GaussianRational, Matrix, gr
-from .functors import OkuboTriple
 from .systems import PrincipalPart, System
 
 __all__ = [
@@ -155,7 +154,7 @@ def system_from_document(doc) -> System:
     return System(n, constant, tuple(parts), declaration)
 
 
-def datum_to_document(d: Datum) -> dict:
+def datum_to_document(d: lib.Datum) -> dict:
     blocks = [
         {
             "point": scalar_to_json(b.point),
@@ -168,7 +167,7 @@ def datum_to_document(d: Datum) -> dict:
     return {"kind": "datum", "dimension": d.dim_v, "constant": matrix_to_json(d.s_matrix), "blocks": blocks}
 
 
-def datum_from_document(doc) -> Datum:
+def datum_from_document(doc) -> lib.Datum:
     if not isinstance(doc, dict) or doc.get("kind") != "datum":
         raise ValidationError("expected a document of kind 'datum'")
     try:
@@ -181,13 +180,13 @@ def datum_from_document(doc) -> Datum:
             w = nil.rows
             q = matrix_from_json(entry["q"], rows=n, cols=w)
             p = matrix_from_json(entry["p"], rows=w, cols=n)
-            blocks.append(Block(point, nil, q, p))
+            blocks.append(lib.Block(point, nil, q, p))
     except KeyError as exc:
         raise ValidationError(f"missing document field {exc}") from None
-    return Datum(n, tuple(blocks), constant)
+    return lib.Datum(n, tuple(blocks), constant)
 
 
-def okubo_from_document(doc) -> OkuboTriple:
+def okubo_from_document(doc) -> lib.OkuboTriple:
     if not isinstance(doc, dict) or doc.get("kind") != "okubo":
         raise ValidationError("expected a document of kind 'okubo'")
     try:
@@ -196,7 +195,7 @@ def okubo_from_document(doc) -> OkuboTriple:
         r = matrix_from_json(doc["r_matrix"], rows=w, cols=w)
     except KeyError as exc:
         raise ValidationError(f"missing document field {exc}") from None
-    return OkuboTriple(t, r)
+    return lib.OkuboTriple(t, r)
 
 
 def normal_form_to_document(nf, point) -> dict:
@@ -234,12 +233,14 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-# the "kind" field of an input document -> its Python type and reader
-DocumentKind = namedtuple("DocumentKind", "type read")
+# the "kind" field of an input document -> the name of its Python type in
+# the package, so that reading a system loads neither datum nor functors,
+# and its reader
+DocumentKind = namedtuple("DocumentKind", "type_name read")
 DOCUMENT_KINDS = {
-    "system": DocumentKind(System, system_from_document),
-    "datum": DocumentKind(Datum, datum_from_document),
-    "okubo": DocumentKind(OkuboTriple, okubo_from_document),
+    "system": DocumentKind("System", system_from_document),
+    "datum": DocumentKind("Datum", datum_from_document),
+    "okubo": DocumentKind("OkuboTriple", okubo_from_document),
 }
 
 

@@ -259,9 +259,9 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]):
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", tuple(entries))
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_e(self, tuple(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -286,8 +286,7 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         ents = [_ZERO] * (n * n)
-        for i in range(n):
-            ents[i * n + i] = _ONE
+        ents[:: n + 1] = [_ONE] * n
         return Matrix(n, n, ents)
 
     @staticmethod
@@ -306,6 +305,8 @@ class Matrix:
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
         if not mats:
             return Matrix.zeros(0, 0)
+        if len(mats) == 1:
+            return mats[0]
         r = mats[0].rows
         if any(m.rows != r for m in mats):
             raise DimensionMismatch("hstack row mismatch")
@@ -319,6 +320,8 @@ class Matrix:
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
         if not mats:
             return Matrix.zeros(0, 0)
+        if len(mats) == 1:
+            return mats[0]
         c = mats[0].cols
         if any(m.cols != c for m in mats):
             raise DimensionMismatch("vstack column mismatch")
@@ -329,6 +332,8 @@ class Matrix:
 
     @staticmethod
     def block_diagonal(mats: Sequence["Matrix"]) -> "Matrix":
+        if len(mats) == 1:
+            return mats[0]
         r = sum(m.rows for m in mats)
         c = sum(m.cols for m in mats)
         ents = [_ZERO] * (r * c)
@@ -351,6 +356,9 @@ class Matrix:
         return list(self._e[i * self.cols : (i + 1) * self.cols])
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
+        if (c0, c1) == (0, self.cols):
+            # whole rows are one slice, and the whole matrix, immutable, is its own copy
+            return self if (r0, r1) == (0, self.rows) else Matrix(r1 - r0, c1, self._e[r0 * c1 : r1 * c1])
         ents = []
         for i in range(r0, r1):
             ents.extend(self._e[i * self.cols + c0 : i * self.cols + c1])
@@ -421,12 +429,15 @@ class Matrix:
         return Matrix(self.rows, self.cols, [s * a for a in self._e])
 
     def shift(self, c) -> "Matrix":
-        """self + c*I for square self; only the diagonal changes."""
+        """self + c*I for square self; only the diagonal changes, a zero
+        entry to c itself, and self is returned as it is for c = 0."""
         if self.rows != self.cols:
             raise DimensionMismatch("shift of non-square matrix")
         c = _coerce(c)
+        if not (c.p or c.q):
+            return self
         ents = list(self._e)
-        ents[:: self.cols + 1] = [e + c for e in ents[:: self.cols + 1]]
+        ents[:: self.cols + 1] = [e + c if e.p or e.q else c for e in ents[:: self.cols + 1]]
         return Matrix(self.rows, self.cols, ents)
 
     def transpose(self) -> "Matrix":
@@ -442,7 +453,10 @@ class Matrix:
         return t
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self._e)
+        for a in self._e:
+            if a.p or a.q:
+                return False
+        return True
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -469,6 +483,10 @@ class Matrix:
     def __repr__(self):
         rows = ["[" + ", ".join(repr(x) for x in self.row_list(i)) + "]" for i in range(self.rows)]
         return "Matrix([" + ", ".join(rows) + "])"
+
+
+# the slot setters, as for GaussianRational: cheaper than object.__setattr__
+_set_rows, _set_cols, _set_e = Matrix.rows.__set__, Matrix.cols.__set__, Matrix._e.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +831,12 @@ def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Ma
     with mult vectors (j = 1, no product, for a semisimple ev).  From j on
     it equals Ker (m - ev)^mult, and so does the echelon form it is read from.
     Every (m - ev)^j is singular, so it is eliminated with no mod-p pass.
+    A scalar matrix c I, S = 0 among them, is one block (c, I, 0) and an
+    empty one has none, with no spectrum computed.
     """
     n = m.rows
+    if m.is_square() and (not n or m.shift(-m[0, 0]).is_zero()):
+        return [(m[0, 0], Matrix.identity(n), Matrix.zeros(n, n))] if n else []
     out = []
     total = 0
     for ev, mult in char_eigenvalues(m):
@@ -853,6 +875,8 @@ def hat_matrix(coefficients: Sequence[Matrix]) -> Matrix:
     """Upper-triangular block-Toeplitz matrix with A_k on the diagonal and
     A_{k-1}, ..., A_1 on the superdiagonals."""
     k = len(coefficients)
+    if k == 1:
+        return coefficients[0]
     n = coefficients[0].rows
     rows = []
     for i in range(k):

@@ -62,15 +62,15 @@ def spin(seeds, gens, act, insert, full: int):
 
 def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -> bool:
     """``echelon_insert`` over F_p, on lists of ints in [0, p); entries of
-    vec are reduced mod p only when read as a multiplier and at the end."""
+    vec are reduced mod p only when read as a multiplier or a lead, and in
+    the row appended."""
     v = list(vec)
     for row, c in zip(rows, pivots):
         f = v[c] % p
         if f:
             v[c:] = [x - f * y for x, y in zip(v[c:], row[c:])]
-    v = [x % p for x in v]
     for lead, x in enumerate(v):
-        if x:
+        if x % p:
             break
     else:
         return False
@@ -82,11 +82,12 @@ def _echelon_insert_mod(rows: list, pivots: list[int], vec: list[int], p: int) -
 
 def _reduce_mod(gens: list, p: int, s: int) -> Optional[list[list[int]]]:
     """The Gaussian-rational matrices gens, as flat entry lists, mod p with
-    i -> s, those that are zero mod p dropped; None if p divides a denominator."""
-    if any(x.r % p == 0 for g in gens for x in g):
+    i -> s; None if p divides a denominator, which has no inverse mod p.  A
+    denominator 1 needs none."""
+    try:
+        return [[(x.p + x.q * s) * (pow(x.r, -1, p) if x.r != 1 else 1) % p for x in g] for g in gens]
+    except ValueError:
         return None
-    red = [[(x.p + x.q * s) * pow(x.r, -1, p) % p for x in g] for g in gens]
-    return [g for g in red if any(g)]
 
 
 def certified_invertible(n: int, entries: Sequence) -> bool:
@@ -94,17 +95,19 @@ def certified_invertible(n: int, entries: Sequence) -> bool:
     invertible by its rank mod ``_CERT_PRIME``: False when that prime
     divides a denominator or m is singular mod it.
 
-    Rows are reduced and inserted last first, and the first dependent one
-    ends the pass: a hat matrix is block upper triangular, so its last
-    rows are its shortest, and it is singular exactly when its last block
-    row is.
+    The entries are reduced in one pass; rows are inserted last first, and
+    the first dependent one ends the elimination: a hat matrix is block
+    upper triangular, so its last rows are its shortest, and it is singular
+    exactly when its last block row is.
     """
     p, s = _CERT_PRIME
+    red = _reduce_mod([entries], p, s)
+    if red is None:
+        return False
     rows: list = []
     pivots: list[int] = []
     for i in range(n - 1, -1, -1):
-        red = _reduce_mod([entries[i * n : (i + 1) * n]], p, s)
-        if not red or not _echelon_insert_mod(rows, pivots, red[0], p):
+        if not _echelon_insert_mod(rows, pivots, red[0][i * n : (i + 1) * n], p):
             return False
     return True
 
@@ -238,6 +241,7 @@ def _full_mod(n: int, gens: list, p: int, s: int) -> Optional[bool]:
     red = _reduce_mod(gens, p, s)
     if red is None:
         return None
+    red = [g for g in red if any(g)]
     return bool(red) and _meataxe_mod(n, red, p)
 
 

@@ -12,7 +12,8 @@ steps.
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, IrrationalSpectrum, NoNormalForm, NotInD0, NotRigid, Reducible, ZeroLambda
+from .errors import InvariantViolation, IrrationalSpectrum, NoNormalForm, NotInD0, NotRigid, Reducible
+from .errors import ValidationError, ZeroLambda
 from .exactalg import GaussianRational
 from .functors import mc
 from .normalform import _stabilizer_dim, compute_normal_form, irrational_alpha_could_win, select_alpha
@@ -55,9 +56,9 @@ class ReductionTrace(Record):
         )
         for a, b in zip(ranks, ranks[1:]):
             if b >= a:
-                raise ValueError("trace ranks must strictly decrease")
+                raise ValidationError("trace ranks must strictly decrease")
         if steps and steps[-1].rank_after > 1:
-            raise ValueError("trace must end at rank <= 1")
+            raise ValidationError("trace must end at rank <= 1")
         self.__dict__.update(steps=steps)
 
     @property

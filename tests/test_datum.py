@@ -126,6 +126,29 @@ class TestPhi:
         d = canonical(sys.parts, 2)
         assert phi(d) == sys
 
+    def test_the_power_n_to_the_zero_is_no_product(self, rng, monkeypatch):
+        # each coefficient Q N^(k-1) P is formed as Q P at k = 1: blocks with
+        # N = 0 and a Jordan block, so no product has an identity operand
+        blocks = (
+            Block(gr(0), Matrix.zeros(2, 2), random_matrix(rng, 3, 2), random_matrix(rng, 2, 3)),
+            Block(gr(1), J2, random_matrix(rng, 3, 2), random_matrix(rng, 2, 3)),
+        )
+        d = Datum(3, blocks)
+        expected = phi(d)
+        operands = []
+        product = Matrix.__mul__
+
+        def recorded(a, b):
+            operands.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(Matrix, "__mul__", recorded)
+        assert phi(d) == expected
+        assert len(operands) == 4  # Q P at each block, then (Q N) P at the Jordan block
+        assert not [m for pair in operands for m in pair if m == Matrix.identity(m.rows)]
+        for b in blocks:
+            assert expected.part_at(b.point).coefficients[0] == product(b.q, b.p)
+
 
 class TestCanonical:
     def test_rank_one_matches_suspension(self):
@@ -172,6 +195,27 @@ class TestCanonical:
                     assert block.nilpotent == pi * nhat * iota
                     assert block.q == qhat * iota
                     assert block.p == pi * phat
+
+    def test_nilpotent_is_the_hstack_of_zero_and_pi_at_the_pivots(self, rng):
+        # N's column at pivot c is column c - n of pi, or zero for c < n: the
+        # columns of [0 | pi] at the pivots, built without that hstack
+        def entry():
+            return gr(0) if rng.random() < 0.5 else gr(rng.randint(-2, 2), rng.randint(-1, 1))
+
+        seen = set()
+        for k in (1, 2, 3):
+            for n in (1, 2, 3):
+                for _ in range(6):
+                    coeffs = [Matrix(n, n, [entry() for _ in range(n * n)]) for _ in range(k)]
+                    pi, pivots = quotient_projection(hat_matrix(coeffs))
+                    block = canonical([PrincipalPart(gr(0), tuple(coeffs))], n).block_at(0)
+                    if not pivots:
+                        assert block is None
+                        continue
+                    old = Matrix.hstack([Matrix.zeros(pi.rows, n), pi]).select_columns(pivots)
+                    assert block.nilpotent == old
+                    seen.add((k, old.is_zero()))
+        assert seen >= {(1, True), (2, False), (3, False)}
 
     def test_fuchsian_projector(self):
         b = canonical([PrincipalPart(gr(0), (E11,))], 2).blocks[0]

@@ -18,7 +18,7 @@ from midconv.errors import (
 from midconv.exactalg import Matrix, char_poly, gr, invert, nilpotent_powers, solve
 from midconv.functors import OkuboTriple, dr_middle_convolution, mc
 from midconv.normalform import NormalForm, SpectralBlock, predicted_spectra
-from midconv.rigidity import katz_reduce
+from midconv.rigidity import ReductionStep, ReductionTrace, katz_reduce
 from midconv.systems import (
     PrincipalPart,
     System,
@@ -26,6 +26,7 @@ from midconv.systems import (
     conjugate_system,
     gauge_coadjoint,
     is_irreducible,
+    lambda_over_z,
     truncated_inverse,
     zero_pair,
 )
@@ -36,6 +37,11 @@ ROW = Matrix.zeros(1, 2)  # not square
 ONE = Matrix.identity(1)
 BLOCK = Block(gr(0), E12, Matrix.from_rows([[2, 3]]), Matrix.column([0, 1]))
 PAIR = fuchsian({0: E12, 1: E21})
+
+
+def step(rank_before: int, rank_after: int) -> ReductionStep:
+    return ReductionStep(lambda_over_z(1), gr(1), rank_before, rank_after, zero_pair())
+
 
 SITES = [
     # exactalg
@@ -87,6 +93,8 @@ SITES = [
      "predicted-rank-identities"),
     # rigidity: diagonal residues summing to 0, so the pair is in D0 and reducible
     (Reducible, lambda: katz_reduce(fuchsian({0: E11, 1: -E11})), "katz-reduce-reducible"),
+    (ValidationError, lambda: ReductionTrace((step(3, 2), step(2, 2))), "trace-ranks-not-decreasing"),
+    (ValidationError, lambda: ReductionTrace((step(3, 2),)), "trace-ends-above-rank-1"),
 ]
 
 
@@ -95,3 +103,18 @@ def test_a_malformed_call_raises_its_typed_error(error, call):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((step(3, 2), step(2, 2)), "trace ranks must strictly decrease"),
+        ((step(2, 3),), "trace ranks must strictly decrease"),
+        ((step(3, 2),), "trace must end at rank <= 1"),
+    ],
+    ids=["repeated-rank", "rank-grows", "last-rank-2"],
+)
+def test_a_malformed_trace_is_a_validation_error_with_its_message(steps, message):
+    with pytest.raises(ValidationError) as info:
+        ReductionTrace(steps)
+    assert str(info.value) == message

@@ -135,6 +135,35 @@ class TestScalars:
         assert repr(x) == shown
 
 
+class TestTrivialWork:
+    """Operations whose result is an operand return it: matrices are immutable."""
+
+    def test_a_hat_of_one_coefficient_is_that_coefficient(self, rng):
+        a = gaussian_matrix(rng, 3)
+        assert hat_matrix([a]) is a
+        assert hat_matrix([a, a]) == Matrix.vstack(
+            [Matrix.hstack([a, a]), Matrix.hstack([Matrix.zeros(3, 3), a])]
+        )
+
+    def test_the_whole_submatrix_is_the_matrix(self, rng):
+        for rows, cols in ((3, 3), (2, 4), (0, 2), (2, 0)):
+            m = gaussian_matrix(rng, rows, cols)
+            assert m.submatrix(0, m.rows, 0, m.cols) is m
+        m = gaussian_matrix(rng, 3, 4)
+        for r0, r1, c0, c1 in ((1, 3, 0, 4), (0, 2, 0, 4), (0, 3, 1, 3), (2, 2, 0, 4)):
+            expected = [m[i, j] for i in range(r0, r1) for j in range(c0, c1)]
+            assert m.submatrix(r0, r1, c0, c1) == Matrix(r1 - r0, c1 - c0, expected)
+
+    def test_a_stack_of_one_matrix_is_the_matrix(self, rng):
+        m = gaussian_matrix(rng, 2, 3)
+        assert Matrix.hstack([m]) is m and Matrix.vstack([m]) is m
+
+    def test_a_shift_by_zero_is_the_matrix(self, rng):
+        m = gaussian_matrix(rng, 3)
+        assert m.shift(0) is m and m.shift(gr(0)) is m
+        assert m.shift(1) == m + Matrix.identity(3)
+
+
 class TestShift:
     @pytest.mark.parametrize("c", [3, Fraction(-5, 7), gr(Fraction(1, 2), -2)])
     def test_equals_the_dense_sum(self, rng, c):
@@ -840,6 +869,25 @@ class TestEigendecomposition:
         ged = generalized_eigendecomposition(Matrix.zeros(2, 2))
         assert ged[0][1] == Matrix.identity(2)
         assert ged[0][2].is_zero()
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("c", [gr(0), gr(3), gr(Fraction(-1, 2), 2)], ids=["zero", "three", "gaussian"])
+    def test_a_scalar_matrix_is_one_block_with_no_spectrum_computed(self, monkeypatch, n, c):
+        # c I is one generalized eigenspace (c, I, 0); the empty matrix has none
+        calls = []
+        monkeypatch.setattr(exactalg, "char_poly", lambda m: calls.append(m) or char_poly(m))
+        ged = generalized_eigendecomposition(c * Matrix.identity(n))
+        assert ged == ([(c, Matrix.identity(n), Matrix.zeros(n, n))] if n else [])
+        assert calls == []
+
+    def test_a_matrix_with_one_eigenvalue_that_is_not_scalar_computes_its_spectrum(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exactalg, "char_poly", lambda m: calls.append(m) or char_poly(m))
+        for m in (J2.shift(3), Matrix.diagonal([3, 3, 1])):
+            assert generalized_eigendecomposition(m)[-1][0] == gr(3)
+        assert len(calls) == 2
+        with pytest.raises(DimensionMismatch):  # not square, as before the shortcut
+            generalized_eigendecomposition(Matrix.zeros(1, 2))
 
     def test_bases_assemble_invertibly(self, rng):
         for _ in range(10):

@@ -1,8 +1,10 @@
 """Duality and convolution functors."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from midconv import datum, functors
 from midconv.datum import Block, kappa, psi
@@ -16,6 +18,7 @@ from midconv.functors import (
     mc,
     okubo_to_pair,
 )
+from midconv.documents import system_to_document
 from midconv.systems import (
     PrincipalPart,
     System,
@@ -318,6 +321,47 @@ class TestDrOracle:
                 assert a.dimension == b.dimension
                 if a.dimension and is_irreducible(a):
                     assert equivalent(a, b) is not None
+
+
+scalars = st.builds(gr, st.fractions(-2, 2, max_denominator=3), st.integers(-1, 1))
+
+
+def matrices(rows: int, cols: int):
+    return st.lists(scalars, min_size=rows * cols, max_size=rows * cols).map(lambda e: Matrix(rows, cols, e))
+
+
+@st.composite
+def fuchsian_d0_pairs(draw):
+    """S = 0 and 1 to 3 simple poles, each residue a product n x r times
+    r x n, so every rank from 0 to n occurs."""
+    n = draw(st.integers(1, 3))
+    points = st.sampled_from([gr(0), gr(1), gr(-1), gr(2), gr(0, 1), gr(Fraction(1, 2), -1)])
+    parts = []
+    for point in draw(st.lists(points, min_size=1, max_size=3, unique=True)):
+        r = draw(st.integers(0, n))
+        parts.append(PrincipalPart(point, (draw(matrices(n, r)) * draw(matrices(r, n)),)))
+    return System(n, Matrix.zeros(n, n), tuple(parts))
+
+
+class TestMcIsTheTwoStepConstruction:
+    """On a Fuchsian pair with S = 0, mc(p, lambda/z) is the Dettweiler-Reiter
+    construction in the same coordinates, entry for entry: the pivot
+    coordinates of both quotients are the reduced echelon ones."""
+
+    @given(fuchsian_d0_pairs(), st.one_of(st.just(gr(0)), scalars))
+    @example(fuchsian({0: E12, 1: E21}), gr(0))  # lambda = 0
+    @example(fuchsian({0: E12, 1: E21}), gr(1, 1))  # lambda outside Q
+    @example(fuchsian({0: Z2, 1: Z2}), gr(2))  # no effective pole: both are the zero pair
+    @example(fuchsian({0: E12, 1: -E12}), gr(0))  # output dimension 0
+    @settings(max_examples=80, deadline=None)
+    def test_mc_equals_dr_entry_for_entry(self, p, lam):
+        via_duality, via_quotients = mc(p, lambda_over_z(lam)), dr_middle_convolution(p, lam)
+        assert via_duality == via_quotients
+        assert system_to_document(via_duality) == system_to_document(via_quotients)
+
+    def test_the_examples_reach_dimension_zero(self):
+        for p, lam in ((fuchsian({0: Z2, 1: Z2}), gr(2)), (fuchsian({0: E12, 1: -E12}), gr(0))):
+            assert mc(p, lambda_over_z(lam)) == dr_middle_convolution(p, lam) == zero_pair()
 
 
 class TestOkubo:

@@ -235,6 +235,33 @@ def test_each_module_imports_only_its_layer():
         assert midconv_imports(tree(path)) == IMPORTS[path.stem], path.name
 
 
+# The midconv modules of IMPORTS that a module reaches only through the
+# package at call time, so that importing it runs none of them
+CALL_TIME = {
+    "__init__": IMPORTS["__init__"],
+    "cli": {"checks", "datum", "functors", "normalform", "rigidity"},
+    "documents": {"datum", "functors"},
+}
+
+
+def top_level_imports(module: ast.Module) -> set[str]:
+    """The midconv modules that the import statements in a module's body,
+    outside any function, name: those its own import runs."""
+    return midconv_imports(ast.Module([n for n in module.body if isinstance(n, (ast.Import, ast.ImportFrom))], []))
+
+
+def test_importing_a_module_runs_only_its_top_level_layer():
+    for path in SOURCES:
+        found = top_level_imports(tree(path))
+        assert found == IMPORTS[path.stem] - CALL_TIME.get(path.stem, set()), path.name
+
+
+def test_top_level_imports_leave_out_call_time_reads():
+    code = "import midconv as lib\nfrom .errors import E\ndef f():\n    from .checks import g\n    return lib.kappa"
+    assert top_level_imports(ast.parse(code)) == {"errors"}
+    assert midconv_imports(ast.parse(code)) == {"checks", "datum", "errors"}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in absolute_imports(tree(path))
@@ -271,12 +298,12 @@ print(json.dumps([present, before, ran()]))
 
 def test_importing_the_cli_puts_every_table_module_in_sys_modules_unrun():
     # code that wraps names in the loaded midconv modules finds every module
-    # a command may run; the two no command has run yet run on first read
+    # a command may run; the four no command has run yet run on first read
     child = subprocess.run([sys.executable, "-S", "-c", LAZY_MODULES, SRC], capture_output=True, text=True, check=True)
     present, before, after = json.loads(child.stdout)
     table = {f"midconv.{m}" for m in midconv._EXPORTS}
     assert table <= set(present) and "midconv.checks" not in present
-    assert set(present) - set(before) == {"midconv.normalform", "midconv.rigidity"}
+    assert set(present) - set(before) == {"midconv.datum", "midconv.functors", "midconv.normalform", "midconv.rigidity"}
     assert set(after) == set(present)
 
 
@@ -386,11 +413,16 @@ def modules_loaded_by(command: str) -> set[str]:
 def test_a_process_loads_only_the_modules_its_command_runs(command):
     loaded = modules_loaded_by(command)
     assert {"midconv", "documents", "errors", "systems"} <= loaded
-    library = {"normalform", "rigidity", "checks"} & loaded
+    library = {"datum", "functors", "normalform", "rigidity", "checks"} & loaded
+    duality = {"datum", "functors"}
     expected = {
-        "rigidity": {"normalform", "rigidity"},
-        "katz-reduce": {"normalform", "rigidity"},
+        "rigidity": duality | {"normalform", "rigidity"},
+        "katz-reduce": duality | {"normalform", "rigidity"},
+        "hd": duality,
+        "mc": duality,
+        "canon": {"datum"},
         "normal-form": {"normalform"},
-        "check": {"normalform", "rigidity", "checks"},
+        "equiv": set(),
+        "check": duality | {"normalform", "rigidity", "checks"},
     }
-    assert library == expected.get(command, set())
+    assert library == expected[command]

@@ -12,6 +12,7 @@ from midconv.errors import (
     NotInD0,
     NotRigid,
     Reducible,
+    ValidationError,
 )
 from midconv.exactalg import Matrix, gr
 from midconv.normalform import (
@@ -236,5 +237,5 @@ class TestKatzReduce:
         from midconv.rigidity import ReductionStep, ReductionTrace
 
         step = ReductionStep(scalar_system({}), gr(0), 2, 2, fuchsian({0: E12, 1: E21}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             ReductionTrace((step,))

@@ -1,7 +1,8 @@
 """The CI workflow file parses as YAML, its pinned-digest step checks every
 benchmark workload under two hash seeds, its smoke test runs the goldens
-on the installed package, and the two steps that keep the library free of
-assert statements stay in force.
+on the installed package, the two steps that keep the library free of
+assert statements stay in force, and the tier-1 step fails on a
+DeprecationWarning raised from midconv code.
 
 A workflow that does not parse shows up on GitHub as a workflow error, never
 as a failed run, so nothing else would catch it.  Skipped where PyYAML is
@@ -11,6 +12,7 @@ not installed.
 import importlib
 import re
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,8 @@ DIGEST_STEP = "Benchmark results match the pinned digests at seed 101"
 SMOKE_STEP = "Console script smoke test"
 NO_ASSERT_STEP = "No assert statements in the library"
 OPTIMIZED_STEP = "Goldens under python -O"
+TIER1_STEP = "Tier-1 tests"
+DEPRECATION_FILTER = "error::DeprecationWarning:midconv"
 
 
 def workflow_steps() -> dict:
@@ -97,3 +101,19 @@ def test_goldens_run_under_python_dash_o():
     words = workflow_steps()[OPTIMIZED_STEP]["run"].split()
     assert "tests/test_golden.py" in words
     assert words.index("python") < words.index("-O") < words.index("pytest") < words.index("tests/test_golden.py")
+
+
+def test_a_deprecation_warning_from_midconv_code_fails_tier_1(pytestconfig):
+    # the filter is in the pytest configuration, where its module field is a
+    # regular expression matched at the start of the module name; the same
+    # text given to -W on the command line would match the package module alone
+    assert DEPRECATION_FILTER in pytestconfig.getini("filterwarnings")
+    assert pytestconfig.inipath == ROOT / "pyproject.toml"
+    for module in ("midconv", "midconv.datum", "midconv.exactalg"):
+        with pytest.raises(DeprecationWarning):
+            warnings.warn_explicit("deprecated", DeprecationWarning, "module.py", 1, module=module)
+    # every Python of the matrix runs tier-1 from the root, under that configuration
+    words = workflow_steps()[TIER1_STEP]["run"].split()
+    assert words[words.index("python"):][:3] == ["python", "-m", "pytest"]
+    assert not {"-c", "-o", "-p", "--override-ini", "--disable-warnings"} & set(words)
+    assert "working-directory" not in workflow_steps()[TIER1_STEP]
