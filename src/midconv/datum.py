@@ -51,6 +51,7 @@ __all__ = [
     "harnad_irreducible",
     "psi",
     "swap",
+    "swap_back",
 ]
 
 
@@ -142,20 +143,6 @@ class Datum(Record):
         eigenspace of S, cached; the blocking ``swap`` reads."""
         eig = generalized_eigendecomposition(self.s_matrix)
         return [(ev, b, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in eig]
-
-    def t_blocking(self):
-        """The blocking of T read off the blocks, with no spectrum or power
-        computed: T's generalized eigenspaces are the coordinate blocks,
-        whose reduced echelon bases are unit vectors, the points are
-        distinct and in eigenvalue sort order, and each block holds the
-        powers of its N_t."""
-        eye = Matrix.identity(self.dim_w)
-        out = []
-        offset = 0
-        for b in self.blocks:
-            out.append((b.point, eye.submatrix(0, eye.rows, offset, offset + b.dim_w), b.nilpotent, b.powers))
-            offset += b.dim_w
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +335,48 @@ def datum_isomorphism(d1: Datum, d2: Datum):
 # ---------------------------------------------------------------------------
 
 
-def swap(d: Datum, blocking) -> Datum:
-    """The dual sextuple (W, V, T, S, P, Q) blocked by the generalized
-    eigenspaces of S, as a ``Datum.s_blocking`` lists them: with B the
-    hstack of the eigenbases, the block at s is (nil_s, P B_s, rows of
-    B^{-1} Q at s), built with the powers of nil_s the entry holds, so
-    phi(swap(d, ...)) = T + P (zeta I - S)^{-1} Q.
-
-    When B is the identity, as it is for a ``t_blocking`` and for S = 0,
-    P and Q are taken as they are; any other B is multiplied and solved
-    exactly."""
-    basis = Matrix.hstack([b for _, b, _, _ in blocking])
-    if basis == Matrix.identity(basis.rows):
-        q_c, p_c = d.p_matrix(), d.q_matrix()
-    else:
-        q_c, p_c = d.p_matrix() * basis, solve(basis, d.q_matrix())
+def _dual(d: Datum, q_c: Matrix, p_c: Matrix, blocking) -> Datum:
+    """The datum on W with S = T of d and one block per (point, size, nilpotent,
+    powers) of blocking, in turn: the next size columns of q_c and rows of p_c."""
     blocks = []
     offset, w = 0, d.dim_w
-    for ev, b, nil, powers in blocking:
-        end = offset + b.cols
+    for point, size, nil, powers in blocking:
+        end = offset + size
         q, p = q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)
-        blocks.append(_block(ev, nil, q, p, powers))
+        blocks.append(_block(point, nil, q, p, powers))
         offset = end
     return Datum(w, tuple(blocks), d.t_matrix())
 
 
+def swap(d: Datum) -> Datum:
+    """The dual sextuple (W, V, T, S, P, Q) blocked by the generalized
+    eigenspaces of S, as ``d.s_blocking`` lists them: with B the hstack of
+    the eigenbases, the block at s is (nil_s, P B_s, rows of B^{-1} Q at
+    s), built with the powers of nil_s the entry holds, so
+    phi(swap(d)) = T + P (zeta I - S)^{-1} Q.
+
+    When B is the identity, as it is for a scalar S and so for S = 0, P and
+    Q are taken as they are; any other B is multiplied and solved exactly."""
+    basis = Matrix.hstack([b for _, b, _, _ in d.s_blocking])
+    if basis == Matrix.identity(basis.rows):
+        q_c, p_c = d.p_matrix(), d.q_matrix()
+    else:
+        q_c, p_c = d.p_matrix() * basis, solve(basis, d.q_matrix())
+    return _dual(d, q_c, p_c, [(ev, b.cols, nil, powers) for ev, b, nil, powers in d.s_blocking])
+
+
+def swap_back(h: Datum, d: Datum) -> Datum:
+    """swap(d) for a datum d whose S is h's T, read off h's blocks, which are
+    T's generalized eigenspaces with unit eigenbases: the block at t is (N_t
+    with its powers, the W_t columns of P, the W_t rows of Q)."""
+    return _dual(d, d.p_matrix(), d.q_matrix(), [(b.point, b.dim_w, b.nilpotent, b.powers) for b in h.blocks])
+
+
 def psi(d: Datum) -> System:
-    """The dual system on W, T + P (zeta I - S)^{-1} Q = phi(swap(d, d.s_blocking))."""
+    """The dual system on W, T + P (zeta I - S)^{-1} Q = phi(swap(d))."""
     if d.dim_w == 0:
         return System(0, Matrix.zeros(0, 0), ())
-    return phi(swap(d, d.s_blocking))
+    return phi(swap(d))
 
 
 def harnad_irreducible(d: Datum) -> bool:

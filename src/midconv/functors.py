@@ -4,9 +4,10 @@ hd realizes the composite: take the canonical datum of the principal
 parts, swap the roles of the two vector spaces, and read the realized
 system on the other side.  mc is hd . add . hd with a rank-1 parameter
 whose poles must sit inside the spectrum of the constant term, with order
-bounded by the nilpotency index there.  dr_middle_convolution is the
-classical two-step construction on Fuchsian pairs and serves as an
-independent oracle for mc with a simple-pole parameter.
+bounded by the nilpotency index there; its second hd dualizes a datum whose
+S is the first datum's T, so swap_back reads it off that datum's blocks.
+dr_middle_convolution is the classical two-step construction on Fuchsian
+pairs and serves as an independent oracle for mc with a simple-pole parameter.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .exactalg import (
     gr,
     quotient_projection,
 )
-from .datum import Block, Datum, kappa, phi, psi, swap
+from .datum import Block, Datum, kappa, phi, psi, swap, swap_back
 from .systems import (
     PrincipalPart,
     Record,
@@ -64,7 +65,7 @@ def mc(p: System, alpha: System) -> System:
             "convolution parameter has a constant term; translate the coordinate first"
         )
     h = kappa(p)
-    dual = swap(h, h.s_blocking)  # the first hd is phi(dual); its blocks bound the pole orders
+    dual = swap(h)  # the first hd is phi(dual); its blocks bound the pole orders
     allowed = {b.point: len(b.powers) for b in dual.blocks}
     for part in alpha.parts:
         d = order(part)
@@ -78,9 +79,8 @@ def mc(p: System, alpha: System) -> System:
             raise PoleMismatch(
                 f"parameter pole order {d} at {part.point} exceeds the allowed {allowed[part.point]}"
             )
-    # the second hd dualizes a datum whose S is h's T, so T's blocking is handed
-    # on, with the powers of its nilpotents
-    return phi(swap(kappa(add_scalar(phi(dual), alpha)), h.t_blocking()))
+    # the second hd dualizes a datum whose S is h's T, so it reads back on h's blocks
+    return phi(swap_back(h, kappa(add_scalar(phi(dual), alpha))))
 
 
 def dr_middle_convolution(p: System, lam: GaussianRational) -> System:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from midconv.errors import DomainError
-from midconv.exactalg import Matrix, char_eigenvalues, gr
+from midconv.exactalg import Matrix, char_eigenvalues, gr, invert
 from midconv.rigidity import katz_step
 from midconv.systems import (
     PrincipalPart,
@@ -17,7 +17,7 @@ from midconv.systems import (
     residue_at_infinity,
     scalar_system,
 )
-from midconv.checks import random_invertible, random_gauge, random_system
+from midconv.checks import random_invertible, random_gauge, random_matrix, random_system
 
 E12 = Matrix.from_rows([[0, 1], [0, 0]])
 E21 = Matrix.from_rows([[0, 0], [1, 0]])
@@ -181,7 +181,6 @@ def d0_corpus(rng, count, max_dim=3, irreducible=True):
 
 def rational_spectrum_matrix(rng, n) -> Matrix:
     """Random conjugate of a Jordan matrix with small rational eigenvalues."""
-    from midconv.exactalg import invert
     from midconv.normalform import jordan_matrix
 
     blocks = []
@@ -192,6 +191,23 @@ def rational_spectrum_matrix(rng, n) -> Matrix:
         remaining -= size
     c = random_invertible(rng, n)
     return c * jordan_matrix(blocks) * invert(c)
+
+
+def jordan_constant_input(rng, n):
+    """(p, alpha) built like the bigcoef benchmark inputs, with small entries:
+    constant term C J C^-1, J with distinct eigenvalues but one 2-block at
+    s, poles of order 1, 2 and 3 at 0, 1, -1, and alpha = w / (z - s)."""
+    spectrum = rng.sample([-2, -1, 1, 2, 3], n - 1)
+    s = spectrum[0]
+    j = Matrix.diagonal([s] + spectrum)
+    j = j + Matrix(n, n, [gr(1) if k == 1 else gr(0) for k in range(n * n)])
+    c = random_invertible(rng, n)
+    parts = tuple(
+        PrincipalPart(gr(pt), tuple(random_matrix(rng, n) for _ in range(k)))
+        for pt, k in ((0, 1), (1, 2), (-1, 3))
+    )
+    weight = gr(rng.choice((-2, -1, 1, 2, 3)))
+    return System(n, c * j * invert(c), parts), scalar_system({s: [weight]})
 
 
 def normal_formable_parts(rng, count, max_dim=3, max_order=3):

@@ -16,10 +16,12 @@ from midconv.datum import (
     phi,
     psi,
     swap,
+    swap_back,
 )
 from midconv.errors import DimensionMismatch, DomainError, EmptyV, NotNilpotent, NotStable, PointMismatch, ValidationError
 from midconv.exactalg import (
     Matrix,
+    generalized_eigendecomposition,
     gr,
     hat_matrix,
     intertwiner_basis,
@@ -474,7 +476,7 @@ class TestHarnad:
 
     @pytest.mark.parametrize("constant", ["zero", "diagonal", "random"])
     def test_swapping_twice_is_a_gauge_on_v(self, rng, constant):
-        # swap(swap(d)) is d in the S-eigenbasis B: S -> B^-1 S B, Q -> B^-1 Q, P -> P B
+        # swap_back(d, swap(d)) is d in the S-eigenbasis B: S -> B^-1 S B, Q -> B^-1 Q, P -> P B
         checked = 0
         for _ in range(60):
             d = kappa(random_system(rng, constant=constant))
@@ -484,7 +486,7 @@ class TestHarnad:
                 continue
             b = Matrix.hstack([basis for _, basis, _, _ in eig])
             binv = invert(b)
-            twice = swap(swap(d, eig), d.t_blocking())
+            twice = swap_back(d, swap(d))
             assert twice.s_matrix == binv * d.s_matrix * b
             assert twice.blocks == tuple(Block(x.point, x.nilpotent, binv * x.q, x.p * b) for x in d.blocks)
             checked += 1
@@ -493,11 +495,11 @@ class TestHarnad:
     @staticmethod
     def generic_swap(d, s_blocking):
         """swap by its formula with every product formed: the block at s is
-        (nil_s, P B_s, rows of B^-1 Q at s)."""
-        b = Matrix.hstack([basis for _, basis, _, _ in s_blocking])
+        (nil_s, P B_s, rows of B^-1 Q at s), for (s, B_s, nil_s, ...) entries."""
+        b = Matrix.hstack([basis for _, basis, *_ in s_blocking])
         q_c, p_c, w = d.p_matrix() * b, solve(b, d.q_matrix()), d.dim_w
         blocks, offset = [], 0
-        for ev, basis, nil, _ in s_blocking:
+        for ev, basis, nil, *_ in s_blocking:
             end = offset + basis.cols
             blocks.append(Block(ev, nil, q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)))
             offset = end
@@ -516,20 +518,20 @@ class TestHarnad:
         self.refuse_solve(monkeypatch)
         for d, e in zip(data, expected):
             assert Matrix.hstack([b for _, b, _, _ in d.s_blocking]) == Matrix.identity(d.dim_v)
-            assert swap(d, d.s_blocking) == e
+            assert swap(d) == e
 
-    def test_swap_by_a_t_blocking_is_the_generic_formula(self, rng, monkeypatch):
-        # the second duality of mc: a datum whose S is h's T, blocked by h.t_blocking()
+    def test_read_back_is_the_generic_formula(self, rng, monkeypatch):
+        # the second duality of mc: a datum whose S is h's T, read back on h's blocks
         cases = []
         for _ in range(12):
             h = kappa(random_system(rng, constant="zero"))
             d = kappa(psi(h))
             assert d.s_matrix == h.t_matrix()
-            cases.append((d, h.t_blocking(), self.generic_swap(d, h.t_blocking())))
-        assert any(d.blocks for d, _, _ in cases)
+            cases.append((h, d, self.generic_swap(d, generalized_eigendecomposition(h.t_matrix()))))
+        assert any(d.blocks for _, d, _ in cases)
         self.refuse_solve(monkeypatch)
-        for d, blocking, expected in cases:
-            assert swap(d, blocking) == expected
+        for h, d, expected in cases:
+            assert swap_back(h, d) == expected
 
     def test_kappa_of_irreducible_is_irreducible(self):
         sys = fuchsian({0: E12, 1: E21})

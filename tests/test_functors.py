@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from midconv import datum, functors
-from midconv.datum import Block, kappa, psi
+from midconv.datum import Block, kappa, psi, swap, swap_back
 from midconv.errors import Exceptional, NonzeroConstantTerm, NotFuchsian, PoleMismatch
-from midconv.exactalg import Matrix, generalized_eigendecomposition, gr, invert, nilpotent_powers
+from midconv.exactalg import Matrix, gr, invert, nilpotent_powers
 from midconv.functors import (
     OkuboTriple,
     dr_middle_convolution,
@@ -18,7 +18,7 @@ from midconv.functors import (
     mc,
     okubo_to_pair,
 )
-from midconv.documents import system_to_document
+from midconv.documents import serialize_document, system_to_document
 from midconv.systems import (
     PrincipalPart,
     System,
@@ -31,7 +31,7 @@ from midconv.systems import (
 )
 from midconv.checks import random_invertible, random_matrix
 
-from conftest import E12, E21, Z2, fuchsian, irreducible_corpus
+from conftest import E12, E21, Z2, fuchsian, irreducible_corpus, jordan_constant_input, rational_spectrum_matrix
 
 J = lambda d: Matrix.from_rows(
     [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d)]
@@ -186,23 +186,6 @@ class TestMc:
         assert witness is not None
 
 
-def jordan_constant_input(rng, n):
-    """(p, alpha) built like the bigcoef benchmark inputs, with small entries:
-    constant term C J C^-1, J with distinct eigenvalues but one 2-block at
-    s, poles of order 1, 2 and 3 at 0, 1, -1, and alpha = w / (z - s)."""
-    spectrum = rng.sample([-2, -1, 1, 2, 3], n - 1)
-    s = spectrum[0]
-    j = Matrix.diagonal([s] + spectrum)
-    j = j + Matrix(n, n, [gr(1) if k == 1 else gr(0) for k in range(n * n)])
-    c = random_invertible(rng, n)
-    parts = tuple(
-        PrincipalPart(gr(pt), tuple(random_matrix(rng, n) for _ in range(k)))
-        for pt, k in ((0, 1), (1, 2), (-1, 3))
-    )
-    weight = gr(rng.choice((-2, -1, 1, 2, 3)))
-    return System(n, c * j * invert(c), parts), scalar_system({s: [weight]})
-
-
 def t_blocking_inputs():
     """(p, alpha) pairs: seeded Fuchsian pairs, pairs with poles of order 2
     and 3, and constant terms with a Jordan block."""
@@ -222,13 +205,14 @@ def t_blocking_inputs():
 
 class TestMcHandsOnTBlocking:
     @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
-    def test_t_blocking_is_the_eigendecomposition_of_t(self, p, alpha):
+    def test_read_back_is_the_swap_by_the_spectrum_of_t(self, p, alpha):
         h = kappa(p)
         assert len(h.blocks) >= 2
-        # entry for entry, in order: the S of the second duality is psi(h)'s constant T
-        ged = generalized_eigendecomposition(psi(h).constant)
-        assert h.t_blocking() == [(ev, b, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in ged]
-        assert psi(h).constant == h.t_matrix()
+        # the S of the second duality is psi(h)'s constant T; swap computes its
+        # spectrum, the read-back takes h's coordinate blocks
+        d = kappa(psi(h))
+        assert d.s_matrix == h.t_matrix()
+        assert swap_back(h, d) == swap(d)
 
     @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
     def test_mc_equals_the_composite_of_its_three_functors(self, p, alpha):
@@ -362,6 +346,91 @@ class TestMcIsTheTwoStepConstruction:
     def test_the_examples_reach_dimension_zero(self):
         for p, lam in ((fuchsian({0: Z2, 1: Z2}), gr(2)), (fuchsian({0: E12, 1: -E12}), gr(0))):
             assert mc(p, lambda_over_z(lam)) == dr_middle_convolution(p, lam) == zero_pair()
+
+
+def random_parts(rng, n, points, max_order):
+    """Principal parts at the given points, each of order 1 to max_order."""
+    return tuple(
+        PrincipalPart(gr(pt), tuple(random_matrix(rng, n) for _ in range(rng.randint(1, max_order))))
+        for pt in points
+    )
+
+
+# a seeded Random, not st.randoms(): random_invertible draws until it finds
+# a full rank, which the all-zero draws st.randoms() shrinks towards never give
+seeded_rngs = st.integers(0, 2**32).map(random.Random)
+# nonzero weights of alpha at S != 0: Gaussian but integral, which keeps the
+# dual's entries, and so the property's time, small
+WEIGHTS = (gr(-2), gr(-1), gr(1), gr(2), gr(0, 1), gr(1, -1))
+
+
+@st.composite
+def s_zero_convolutions(draw):
+    """S = 0, 1 to 3 poles of order 1 to 3, and alpha = lambda/z."""
+    rng = draw(seeded_rngs)
+    n = rng.randint(1, 3)
+    p = System(n, Matrix.zeros(n, n), random_parts(rng, n, rng.sample((0, 1, -1, 2), rng.randint(1, 3)), 3))
+    return p, lambda_over_z(draw(st.one_of(st.just(gr(0)), scalars)))
+
+
+@st.composite
+def semisimple_convolutions(draw):
+    """S = C D C^-1 with D over {0, +-1, 2}, poles of order 1 to 2, and
+    alpha with simple poles at two or more eigenvalues where S has them."""
+    rng = draw(seeded_rngs)
+    n = rng.randint(2, 4)
+    spectrum = [rng.choice((0, 1, -1, 2)) for _ in range(n)]
+    c = random_invertible(rng, n)
+    p = System(n, c * Matrix.diagonal(spectrum) * invert(c), random_parts(rng, n, rng.sample((0, 1, -1, 3), 2), 2))
+    evs = sorted(set(spectrum))
+    poles = rng.sample(evs, rng.randint(min(2, len(evs)), len(evs)))
+    return p, scalar_system({ev: [rng.choice(WEIGHTS)] for ev in poles})
+
+
+@st.composite
+def jordan_convolutions(draw):
+    """S with a Jordan block and alpha of order 2 there: jordan_constant_input's
+    S, one 2 x 2 Jordan block at s, with alpha's one pole at s, or a
+    rational_spectrum_matrix, whose Jordan blocks have random sizes, with a
+    pole at each eigenvalue of order the nilpotency index there."""
+    rng = draw(seeded_rngs)
+    if draw(st.booleans()):
+        p, alpha = jordan_constant_input(rng, 2)
+        orders = {alpha.parts[0].point: 2}
+    else:
+        n = rng.randint(2, 3)
+        p = System(n, rational_spectrum_matrix(rng, n), random_parts(rng, n, rng.sample((0, 1, -1), 2), 2))
+        orders = {ev: len(powers) for ev, _, _, powers in kappa(p).s_blocking}
+    # the leading coefficient of alpha at ev is nonzero, the lower ones may vanish
+    coefficients = {ev: [rng.choice((gr(0),) + WEIGHTS) for _ in range(k - 1)] + [rng.choice(WEIGHTS)] for ev, k in orders.items()}
+    return p, scalar_system(coefficients)
+
+
+class TestMcIsHdAddHd:
+    """mc(p, alpha) equals the composite of the public functors it is built
+    from, hd(add_scalar(hd(p), alpha)), entry for entry and as a document,
+    at S = 0, at semisimple S and at S with a Jordan block."""
+
+    @staticmethod
+    def check(p, alpha):
+        via_read_back, composite = mc(p, alpha), hd(add_scalar(hd(p), alpha))
+        assert via_read_back == composite
+        assert serialize_document(via_read_back) == serialize_document(composite)
+
+    @given(s_zero_convolutions())
+    @settings(max_examples=40, deadline=None)
+    def test_at_s_zero(self, case):
+        self.check(*case)
+
+    @given(semisimple_convolutions())
+    @settings(max_examples=30, deadline=None)
+    def test_at_semisimple_s(self, case):
+        self.check(*case)
+
+    @given(jordan_convolutions())
+    @settings(max_examples=25, deadline=None)
+    def test_at_s_with_a_jordan_block(self, case):
+        self.check(*case)
 
 
 class TestOkubo:
