@@ -137,13 +137,6 @@ class Datum(Record):
     def p_matrix(self) -> Matrix:
         return Matrix.vstack([b.p for b in self.blocks]) if self.blocks else Matrix.zeros(0, self.dim_v)
 
-    @cached_property
-    def s_blocking(self):
-        """(eigenvalue, basis, nil, powers of nil) per generalized
-        eigenspace of S, cached; the blocking ``swap`` reads."""
-        eig = generalized_eigendecomposition(self.s_matrix)
-        return [(ev, b, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in eig]
-
 
 # ---------------------------------------------------------------------------
 # Phi and the canonical datum
@@ -350,19 +343,19 @@ def _dual(d: Datum, q_c: Matrix, p_c: Matrix, blocking) -> Datum:
 
 def swap(d: Datum) -> Datum:
     """The dual sextuple (W, V, T, S, P, Q) blocked by the generalized
-    eigenspaces of S, as ``d.s_blocking`` lists them: with B the hstack of
-    the eigenbases, the block at s is (nil_s, P B_s, rows of B^{-1} Q at
-    s), built with the powers of nil_s the entry holds, so
+    eigenspaces of S, as ``generalized_eigendecomposition`` lists them: with
+    B the hstack of the eigenbases, the block at s is (nil_s with its
+    powers, P B_s, rows of B^{-1} Q at s), so
     phi(swap(d)) = T + P (zeta I - S)^{-1} Q.
 
-    When B is the identity, as it is for a scalar S and so for S = 0, P and
-    Q are taken as they are; any other B is multiplied and solved exactly."""
-    basis = Matrix.hstack([b for _, b, _, _ in d.s_blocking])
-    if basis == Matrix.identity(basis.rows):
-        q_c, p_c = d.p_matrix(), d.q_matrix()
-    else:
-        q_c, p_c = d.p_matrix() * basis, solve(basis, d.q_matrix())
-    return _dual(d, q_c, p_c, [(ev, b.cols, nil, powers) for ev, b, nil, powers in d.s_blocking])
+    With at most one eigenvalue B is the identity, so P and Q are taken as
+    they are; with two or more B is multiplied and solved exactly."""
+    eig = generalized_eigendecomposition(d.s_matrix)
+    q_c, p_c = d.p_matrix(), d.q_matrix()
+    if len(eig) > 1:
+        basis = Matrix.hstack([b for _, b, _ in eig])
+        q_c, p_c = q_c * basis, solve(basis, p_c)
+    return _dual(d, q_c, p_c, [(ev, b.cols, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in eig])
 
 
 def swap_back(h: Datum, d: Datum) -> Datum:

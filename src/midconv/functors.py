@@ -65,6 +65,8 @@ def mc(p: System, alpha: System) -> System:
             "convolution parameter has a constant term; translate the coordinate first"
         )
     h = kappa(p)
+    if h.dim_w == 0 and all(order(part) == 0 for part in alpha.parts):
+        return zero_pair()  # both duals vanish, as in psi: no spectrum of S is needed
     dual = swap(h)  # the first hd is phi(dual); its blocks bound the pole orders
     allowed = {b.point: len(b.powers) for b in dual.blocks}
     for part in alpha.parts:

@@ -328,6 +328,11 @@ class TestStability:
         bad = Block(gr(0), Matrix.zeros(2, 2), Matrix.zeros(2, 2), Matrix.identity(2))
         assert not is_stable(Datum(2, (bad,)))
 
+    def test_image_shortfall_fails(self):
+        # Ker Q_0 meets Ker N_0 only in 0, but Im P_0 + Im N_0 = 0 misses W_0 = C
+        bad = Block(gr(0), Matrix.zeros(1, 1), Matrix.from_rows([[1]]), Matrix.from_rows([[0]]))
+        assert not is_stable(Datum(1, (bad,)))
+
 
 class TestGkAction:
     def test_constant_gauge(self):
@@ -450,6 +455,14 @@ class TestDatumIsomorphism:
             assert datum_isomorphism(d1, d2) is None
             assert datum_isomorphism(d1, d1) == Matrix.identity(d1.dim_w)
 
+    def test_different_points_or_w_dimensions_are_not_isomorphic(self):
+        # E11/z against E11/(z - 1), and against I/z, whose W_0 has dimension 2, not 1
+        d1 = canonical(fuchsian({0: E11}).parts, 2)
+        for other in (fuchsian({1: E11}), fuchsian({0: Matrix.identity(2)})):
+            d2 = canonical(other.parts, 2)
+            assert is_stable(d1) and is_stable(d2)
+            assert datum_isomorphism(d1, d2) is None
+
     def test_requires_stability(self):
         unstable = Datum(
             2, (Block(gr(0), Matrix.zeros(2, 2), Matrix.zeros(2, 2), Matrix.identity(2)),)
@@ -481,10 +494,10 @@ class TestHarnad:
         for _ in range(60):
             d = kappa(random_system(rng, constant=constant))
             try:
-                eig = d.s_blocking
+                eig = generalized_eigendecomposition(d.s_matrix)
             except DomainError:
                 continue
-            b = Matrix.hstack([basis for _, basis, _, _ in eig])
+            b = Matrix.hstack([basis for _, basis, _ in eig])
             binv = invert(b)
             twice = swap_back(d, swap(d))
             assert twice.s_matrix == binv * d.s_matrix * b
@@ -493,13 +506,13 @@ class TestHarnad:
         assert checked
 
     @staticmethod
-    def generic_swap(d, s_blocking):
+    def generic_swap(d, eig):
         """swap by its formula with every product formed: the block at s is
-        (nil_s, P B_s, rows of B^-1 Q at s), for (s, B_s, nil_s, ...) entries."""
-        b = Matrix.hstack([basis for _, basis, *_ in s_blocking])
+        (nil_s, P B_s, rows of B^-1 Q at s), for the (s, B_s, nil_s) of eig."""
+        b = Matrix.hstack([basis for _, basis, _ in eig])
         q_c, p_c, w = d.p_matrix() * b, solve(b, d.q_matrix()), d.dim_w
         blocks, offset = [], 0
-        for ev, basis, nil, *_ in s_blocking:
+        for ev, basis, nil in eig:
             end = offset + basis.cols
             blocks.append(Block(ev, nil, q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)))
             offset = end
@@ -514,11 +527,24 @@ class TestHarnad:
 
     def test_swap_with_s_zero_is_the_generic_formula(self, rng, monkeypatch):
         data = [kappa(random_system(rng, constant="zero")) for _ in range(12)]
-        expected = [self.generic_swap(d, d.s_blocking) for d in data]
+        eigs = [generalized_eigendecomposition(d.s_matrix) for d in data]
+        expected = [self.generic_swap(d, eig) for d, eig in zip(data, eigs)]
         self.refuse_solve(monkeypatch)
-        for d, e in zip(data, expected):
-            assert Matrix.hstack([b for _, b, _, _ in d.s_blocking]) == Matrix.identity(d.dim_v)
+        for d, eig, e in zip(data, eigs, expected):
+            assert Matrix.hstack([b for _, b, _ in eig]) == Matrix.identity(d.dim_v)
             assert swap(d) == e
+
+    @pytest.mark.parametrize("s_rows, solves", [([[2, 1], [0, 2]], 0), ([[1, 0], [0, 2]], 1)])
+    def test_swap_conjugates_by_the_eigenvalue_count(self, monkeypatch, s_rows, solves):
+        # B = I for both S: one eigenvalue, a Jordan block, takes P and Q as
+        # they are; two eigenvalues, diag(1, 2), multiply and solve by B
+        d = kappa(System(2, Matrix.from_rows(s_rows), (PrincipalPart(gr(0), (E12,)), PrincipalPart(gr(1), (E21,)))))
+        eig = generalized_eigendecomposition(d.s_matrix)
+        assert len(eig) == 1 + solves and Matrix.hstack([b for _, b, _ in eig]) == Matrix.identity(2)
+        expected, solved = self.generic_swap(d, eig), []
+        monkeypatch.setattr(midconv.datum, "solve", lambda a, b: solved.append(a) or solve(a, b))
+        assert swap(d) == expected
+        assert len(solved) == solves
 
     def test_read_back_is_the_generic_formula(self, rng, monkeypatch):
         # the second duality of mc: a datum whose S is h's T, read back on h's blocks

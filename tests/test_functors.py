@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from midconv import datum, functors
 from midconv.datum import Block, kappa, psi, swap, swap_back
-from midconv.errors import Exceptional, NonzeroConstantTerm, NotFuchsian, PoleMismatch
+from midconv.errors import Exceptional, IrrationalSpectrum, NonzeroConstantTerm, NotFuchsian, PoleMismatch
 from midconv.exactalg import Matrix, gr, invert, nilpotent_powers
 from midconv.functors import (
     OkuboTriple,
@@ -151,6 +151,17 @@ class TestMc:
         with pytest.raises(PoleMismatch):
             mc(zero_pair(), scalar_system({0: [1]}))
 
+    def test_no_spectrum_of_s_when_w_is_zero(self):
+        # S has the irrational spectrum +-sqrt(2); W = 0, so both duals vanish
+        s = Matrix.from_rows([[0, 1], [2, 0]])
+        for p in (System(2, s, ()), System(2, s, (PrincipalPart(gr(0), (Z2,)),))):
+            assert kappa(p).dim_w == 0
+            for alpha in (scalar_system({}), scalar_system({1: [0]})):
+                assert mc(p, alpha) == hd(add_scalar(hd(p), alpha)) == zero_pair()
+            # an effective pole still needs the spectrum
+            with pytest.raises(IrrationalSpectrum):
+                mc(p, scalar_system({0: [1]}))
+
     def test_translation_parameter_rejected(self):
         p = fuchsian({0: E12, 1: E21})
         with pytest.raises(NonzeroConstantTerm):
@@ -186,7 +197,7 @@ class TestMc:
         assert witness is not None
 
 
-def t_blocking_inputs():
+def read_back_inputs():
     """(p, alpha) pairs: seeded Fuchsian pairs, pairs with poles of order 2
     and 3, and constant terms with a Jordan block."""
     rng = random.Random(1601)
@@ -203,8 +214,8 @@ def t_blocking_inputs():
     return out
 
 
-class TestMcHandsOnTBlocking:
-    @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
+class TestMcReadsBackOnHBlocks:
+    @pytest.mark.parametrize("p, alpha", read_back_inputs())
     def test_read_back_is_the_swap_by_the_spectrum_of_t(self, p, alpha):
         h = kappa(p)
         assert len(h.blocks) >= 2
@@ -214,15 +225,15 @@ class TestMcHandsOnTBlocking:
         assert d.s_matrix == h.t_matrix()
         assert swap_back(h, d) == swap(d)
 
-    @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
+    @pytest.mark.parametrize("p, alpha", read_back_inputs())
     def test_mc_equals_the_composite_of_its_three_functors(self, p, alpha):
         assert mc(p, alpha) == hd(add_scalar(hd(p), alpha))
 
-    @pytest.mark.parametrize("p, alpha", t_blocking_inputs())
+    @pytest.mark.parametrize("p, alpha", read_back_inputs())
     def test_nilpotent_powers_once_per_block_built(self, monkeypatch, p, alpha):
         # the parameter bound is read off the first dual's blocks, which
-        # built their powers already, and the second swap takes h's powers
-        # with its T-blocking: no table of powers is computed twice
+        # built their powers already, and the read-back takes the powers h's
+        # blocks hold: no table of powers is computed twice
         handed_on = len(kappa(p).blocks)
         blocks, tables = [], []
         init = Block.__init__
@@ -246,7 +257,7 @@ class TestMcHandsOnTBlocking:
     def test_jordan_constant_blocks_at_the_pole_of_alpha(self):
         p, alpha = jordan_constant_input(random.Random(7), 3)
         s = alpha.parts[0].point
-        nil = {ev: nil for ev, _, nil, _ in kappa(p).s_blocking}[s]
+        nil = swap(kappa(p)).block_at(s).nilpotent
         assert not nil.is_zero()
         assert mc(p, alpha) == hd(add_scalar(hd(p), alpha))
 
@@ -400,7 +411,7 @@ def jordan_convolutions(draw):
     else:
         n = rng.randint(2, 3)
         p = System(n, rational_spectrum_matrix(rng, n), random_parts(rng, n, rng.sample((0, 1, -1), 2), 2))
-        orders = {ev: len(powers) for ev, _, _, powers in kappa(p).s_blocking}
+        orders = {b.point: len(b.powers) for b in swap(kappa(p)).blocks}
     # the leading coefficient of alpha at ev is nonzero, the lower ones may vanish
     coefficients = {ev: [rng.choice((gr(0),) + WEIGHTS) for _ in range(k - 1)] + [rng.choice(WEIGHTS)] for ev, k in orders.items()}
     return p, scalar_system(coefficients)

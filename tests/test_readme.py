@@ -60,4 +60,4 @@ def test_every_dotted_name_resolves():
             assert hasattr(obj, attr), f"README names {name}, but {attr} is not there"
             obj = getattr(obj, attr)
         checked.append(name)
-    assert {"midconv.datum.swap", "midconv.datum.swap_back", "d.s_blocking", "systems.Record"} <= set(checked)
+    assert {"midconv.datum.swap", "midconv.datum.swap_back", "m.select_columns", "systems.Record"} <= set(checked)
