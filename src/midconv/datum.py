@@ -348,8 +348,9 @@ def swap(d: Datum) -> Datum:
     powers, P B_s, rows of B^{-1} Q at s), so
     phi(swap(d)) = T + P (zeta I - S)^{-1} Q.
 
-    With at most one eigenvalue B is the identity, so P and Q are taken as
-    they are; with two or more B is multiplied and solved exactly."""
+    With at most one eigenvalue B is the identity, as
+    ``generalized_eigendecomposition`` states, so P and Q are taken as they
+    are; with two or more B is multiplied and solved exactly."""
     eig = generalized_eigendecomposition(d.s_matrix)
     q_c, p_c = d.p_matrix(), d.q_matrix()
     if len(eig) > 1:

@@ -832,7 +832,9 @@ def generalized_eigendecomposition(m: Matrix) -> list[tuple[GaussianRational, Ma
     it equals Ker (m - ev)^mult, and so does the echelon form it is read from.
     Every (m - ev)^j is singular, so it is eliminated with no mod-p pass.
     A scalar matrix c I, S = 0 among them, is one block (c, I, 0) and an
-    empty one has none, with no spectrum computed.
+    empty one has none, with no spectrum computed.  A matrix with a single
+    eigenvalue has basis I: it is the echelon kernel basis of the zero
+    matrix (m - ev)^j.
     """
     n = m.rows
     if m.is_square() and (not n or m.shift(-m[0, 0]).is_zero()):

@@ -65,14 +65,12 @@ def mc(p: System, alpha: System) -> System:
             "convolution parameter has a constant term; translate the coordinate first"
         )
     h = kappa(p)
-    if h.dim_w == 0 and all(order(part) == 0 for part in alpha.parts):
+    effective = [(part, d) for part in alpha.parts if (d := order(part))]
+    if h.dim_w == 0 and not effective:
         return zero_pair()  # both duals vanish, as in psi: no spectrum of S is needed
     dual = swap(h)  # the first hd is phi(dual); its blocks bound the pole orders
     allowed = {b.point: len(b.powers) for b in dual.blocks}
-    for part in alpha.parts:
-        d = order(part)
-        if d == 0:
-            continue
+    for part, d in effective:
         if part.point not in allowed:
             raise PoleMismatch(
                 f"parameter pole {part.point} is outside the constant term's spectrum"
