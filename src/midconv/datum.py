@@ -13,7 +13,6 @@ stability conditions exactly.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -59,22 +58,23 @@ _ZERO = gr(0)
 
 
 class Block(Record):
-    """One pole's share of a datum: (W_t, N_t, Q_t, P_t)."""
+    """One pole's share of a datum: (W_t, N_t, Q_t, P_t), with ``powers`` =
+    (I, N_t, N_t^2, ...) up to the last nonzero power: the table a builder
+    hands over as ``_powers``, taken as given, or else built here."""
 
-    def __init__(self, point: GaussianRational, nilpotent: Matrix, q: Matrix, p: Matrix):
+    def __init__(
+        self, point: GaussianRational, nilpotent: Matrix, q: Matrix, p: Matrix,
+        *, _powers: Optional[tuple[Matrix, ...]] = None,
+    ):
         point = gr(point)
         w = nilpotent.rows
         if not nilpotent.is_square():
             raise DimensionMismatch("nilpotent part must be square")
         if q.cols != w or p.rows != w or q.rows != p.cols:
             raise DimensionMismatch("block shapes are inconsistent")
-        self.__dict__.update(point=point, nilpotent=nilpotent, q=q, p=p)
-        self.powers  # raises NotNilpotent
-
-    @cached_property
-    def powers(self) -> tuple[Matrix, ...]:
-        """(I, N_t, N_t^2, ...) up to the last nonzero power of N_t."""
-        return tuple(nilpotent_powers(self.nilpotent))
+        if _powers is None:
+            _powers = tuple(nilpotent_powers(nilpotent))  # raises NotNilpotent
+        self.__dict__.update(point=point, nilpotent=nilpotent, q=q, p=p, powers=_powers)
 
     @property
     def dim_w(self) -> int:
@@ -83,15 +83,6 @@ class Block(Record):
     @property
     def dim_v(self) -> int:
         return self.q.rows
-
-
-def _block(point, nilpotent: Matrix, q: Matrix, p: Matrix, powers: tuple[Matrix, ...]) -> Block:
-    """Block(point, nilpotent, q, p) given the powers of nilpotent, which
-    it then does not build again."""
-    block = object.__new__(Block)
-    block.__dict__["powers"] = powers
-    block.__init__(point, nilpotent, q, p)
-    return block
 
 
 class Datum(Record):
@@ -234,7 +225,7 @@ def gk_action(g: TruncatedGauge, d: Datum) -> Datum:
     for npow, hk in zip(npows, truncated_inverse(g.coefficients, len(npows))):
         new_p = new_p + npow * target.p * hk
     blocks = tuple(
-        _block(b.point, b.nilpotent, new_q, new_p, npows) if b.point == g.point else b for b in d.blocks
+        Block(b.point, b.nilpotent, new_q, new_p, _powers=npows) if b.point == g.point else b for b in d.blocks
     )
     return Datum(d.dim_v, blocks, d.s_matrix)
 
@@ -330,13 +321,14 @@ def datum_isomorphism(d1: Datum, d2: Datum):
 
 def _dual(d: Datum, q_c: Matrix, p_c: Matrix, blocking) -> Datum:
     """The datum on W with S = T of d and one block per (point, size, nilpotent,
-    powers) of blocking, in turn: the next size columns of q_c and rows of p_c."""
+    powers) of blocking, in turn: the next size columns of q_c and rows of p_c.
+    Where powers is None, Block builds the table."""
     blocks = []
     offset, w = 0, d.dim_w
     for point, size, nil, powers in blocking:
         end = offset + size
         q, p = q_c.submatrix(0, w, offset, end), p_c.submatrix(offset, end, 0, w)
-        blocks.append(_block(point, nil, q, p, powers))
+        blocks.append(Block(point, nil, q, p, _powers=powers))
         offset = end
     return Datum(w, tuple(blocks), d.t_matrix())
 
@@ -356,7 +348,7 @@ def swap(d: Datum) -> Datum:
     if len(eig) > 1:
         basis = Matrix.hstack([b for _, b, _ in eig])
         q_c, p_c = q_c * basis, solve(basis, p_c)
-    return _dual(d, q_c, p_c, [(ev, b.cols, nil, tuple(nilpotent_powers(nil))) for ev, b, nil in eig])
+    return _dual(d, q_c, p_c, [(ev, b.cols, nil, None) for ev, b, nil in eig])
 
 
 def swap_back(h: Datum, d: Datum) -> Datum:

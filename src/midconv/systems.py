@@ -64,9 +64,9 @@ class Record:
     """Base of the immutable records.  The fields are the parameters of the
     subclass's ``__init__``, in order, which validates them and stores each
     in the instance ``__dict__`` once.  Equality (same class, equal fields),
-    hash and repr read the fields in that order.  There are no
-    ``__slots__``, so a ``cached_property`` can store its value beside the
-    fields."""
+    hash and repr read the fields in that order.  A keyword-only parameter
+    is no field, and ``__init__`` may store a value it derives beside the
+    fields, as ``Block`` does its table of powers."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__

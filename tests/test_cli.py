@@ -449,6 +449,19 @@ class TestCli:
             assert checks[name] == {"name": name, "passed": True, "trials": 0, "detail": "skipped: NoNormalForm"}
         assert all(c["passed"] and not c["detail"] for name, c in checks.items() if name not in skipped)
 
+    def test_double_dual_check_passes_a_pair_whose_dual_vanishes(self):
+        # (C, 2) is irreducible and its dual vanishes, so hd_double raises
+        # Exceptional: the check passes, it is not reported as skipped
+        import midconv.checks as checks
+        from midconv.errors import Exceptional
+        from midconv.functors import hd_double
+
+        pair = System(1, Matrix.from_rows([[2]]), ())
+        with pytest.raises(Exceptional):
+            hd_double(pair)
+        results = {r.name: r for r in checks.run_checks(pair, 0, 3)}
+        assert results["double_dual_identity"] == checks.CheckResult("double_dual_identity", True, 3, "")
+
     def test_draw_free_checks_run_once(self, monkeypatch):
         # the two stabilizer cross-checks draw nothing from the rng, so one
         # trial each stands for all five; only stabilizer_two_modes runs the

@@ -58,6 +58,17 @@ class TestBlock:
         moved = gk_action(TruncatedGauge(gr(0), (Matrix.from_rows([[2]]),)), d)
         assert calls == [J2] and moved.blocks[0].powers is block.powers
 
+    def test_a_handed_table_is_no_field_and_is_not_built_again(self, monkeypatch):
+        # _powers is keyword-only, so it is no field of the record, and a block
+        # given its table equals, hashes like and prints like one that built it
+        assert Block._fields == ("point", "nilpotent", "q", "p")
+        built = RANK1_BLOCK
+        calls = []
+        monkeypatch.setattr(midconv.datum, "nilpotent_powers", lambda m: calls.append(m) or nilpotent_powers(m))
+        handed = Block(*(getattr(built, f) for f in Block._fields), _powers=built.powers)
+        assert calls == [] and handed.powers is built.powers
+        assert handed == built and hash(handed) == hash(built) and repr(handed) == repr(built)
+
 
 class TestDatum:
     def test_s_defaults_to_zero(self):

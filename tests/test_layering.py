@@ -205,8 +205,8 @@ def test_private_imports_are_found():
 
 def defined_functions():
     """Every function and method defined at the top level of a midconv
-    module or of one of its classes, properties and cached properties
-    included, as (qualified name, function)."""
+    module or of one of its classes, properties included, as (qualified
+    name, function)."""
     for path in SOURCES:
         module = importlib.import_module("midconv" if path.stem == "__init__" else f"midconv.{path.stem}")
         for value in vars(module).values():
@@ -214,8 +214,7 @@ def defined_functions():
                 continue
             members = vars(value).values() if isinstance(value, type) else (value,)
             for member in members:
-                for f in (member, getattr(member, "__func__", None), getattr(member, "fget", None),
-                          getattr(member, "func", None)):
+                for f in (member, getattr(member, "__func__", None), getattr(member, "fget", None)):
                     if inspect.isfunction(f) and f.__module__ == module.__name__:
                         yield f"{module.__name__}.{f.__qualname__}", f
 
@@ -226,7 +225,7 @@ def test_every_annotation_names_a_defined_type():
         typing.get_type_hints(f)  # NameError for an annotation naming nothing defined
         names.add(name)
     assert len(names) > 100
-    assert {"midconv.documents.normal_form_to_document", "midconv.datum.Block.powers"} <= names
+    assert {"midconv.documents.normal_form_to_document", "midconv.datum.Block.dim_w"} <= names
 
 
 def test_each_module_imports_only_its_layer():

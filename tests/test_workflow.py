@@ -5,8 +5,9 @@ assert statements stay in force, and the tier-1 step fails on a
 DeprecationWarning raised from midconv code.
 
 A workflow that does not parse shows up on GitHub as a workflow error, never
-as a failed run, so nothing else would catch it.  Skipped where PyYAML is
-not installed.
+as a failed run, so nothing else would catch it.  Every test but one skips
+where PyYAML is not installed; that one reads the file as text and checks
+that CI installs PyYAML, so the others run there.
 """
 
 import importlib
@@ -24,6 +25,7 @@ SMOKE_STEP = "Console script smoke test"
 NO_ASSERT_STEP = "No assert statements in the library"
 OPTIMIZED_STEP = "Goldens under python -O"
 TIER1_STEP = "Tier-1 tests"
+INSTALL_STEP = "Install test dependencies"
 DEPRECATION_FILTER = "error::DeprecationWarning:midconv"
 
 
@@ -117,3 +119,10 @@ def test_a_deprecation_warning_from_midconv_code_fails_tier_1(pytestconfig):
     assert words[words.index("python"):][:3] == ["python", "-m", "pytest"]
     assert not {"-c", "-o", "-p", "--override-ini", "--disable-warnings"} & set(words)
     assert "working-directory" not in workflow_steps()[TIER1_STEP]
+
+
+def test_ci_installs_pyyaml_for_these_tests():
+    # read as text, with no PyYAML: the words of the install step's run line
+    text = WORKFLOW.read_text(encoding="utf-8")
+    step = text.split(f"- name: {INSTALL_STEP}\n", 1)[1].split("- name:", 1)[0]
+    assert "pyyaml" in step.split()
